@@ -11,15 +11,19 @@
 //! firing (the former are recorded via manual tasks, the latter driven
 //! through interactive sessions).
 //!
-//! Every firing is staged as **prepare / commit**: [`prepare_firing`] is
-//! read-only over the store and catalog (validate bindings, load inputs,
-//! check guards, evaluate the template, fingerprint input versions) and
-//! returns a [`PreparedFiring`]; [`apply_result`] materializes the
-//! output object and the task record. [`run_process`] composes the two
-//! back to back, so serial execution is one unchanged code path — and
-//! the `gaea-sched` wave executor can run many prepares concurrently on
-//! shared `&Database` / `&Catalog` borrows while only the cheap commits
-//! serialize.
+//! Every automatic firing is **stage → execute → commit**, and
+//! [`stage_firing`] is the one place that dispatches on process kind.
+//! Staging is read-only over the store and catalog (validate bindings,
+//! load inputs, check guards, fingerprint input versions) and, for a
+//! primitive, already evaluates the template; an external firing defers
+//! its site round-trip to [`StagedFiring::execute`], which needs no
+//! kernel borrow. The executed [`PreparedFiring`] commits through
+//! [`apply_result`], which materializes the output object and the task
+//! record. [`prepare_firing`] is stage ∘ execute, so the `gaea-sched`
+//! wave executor runs many prepares concurrently on shared
+//! `&Database` / `&Catalog` borrows while only the cheap commits
+//! serialize; a background job runs the same two halves on different
+//! threads. [`run_process`] adds compound expansion on top.
 
 use crate::catalog::Catalog;
 use crate::error::{KernelError, KernelResult};
@@ -79,29 +83,14 @@ impl PreparedFiring {
     }
 }
 
-/// Can [`prepare_firing`] stage this process definition? True for plain
-/// primitives and external processes — the kinds whose evaluation is a
-/// pure function of loaded inputs. Compounds expand into a step network
-/// with intermediate materialization, and interactive / non-applicative
-/// processes need a scientist, so they all fire through the serial path.
-pub fn is_preparable(def: &ProcessDef) -> bool {
-    match &def.kind {
-        ProcessKind::Primitive => !def.is_interactive(),
-        ProcessKind::External { .. } => true,
-        ProcessKind::Compound(_) | ProcessKind::NonApplicative { .. } => false,
-    }
-}
-
-/// Stage 1 of a firing — read-only: validate the bindings, load the
-/// inputs, check every guard assertion, evaluate the template (or
-/// dispatch to the external site), validate the computed output
-/// attributes against the output class, and fingerprint the input
-/// versions. Nothing in the store or catalog changes; concurrent
-/// prepares over shared borrows are safe.
-///
-/// Only preparable processes ([`is_preparable`]) are accepted; compound,
-/// interactive and non-applicative processes return
-/// [`KernelError::NotAutoFirable`].
+/// The read-only half of a firing: [`stage_firing`] followed by
+/// [`StagedFiring::execute`] on the calling thread. Validates the
+/// bindings, loads the inputs, checks every guard assertion, evaluates
+/// the template (or runs the external site round-trip), validates the
+/// computed output attributes against the output class, and
+/// fingerprints the input versions. Nothing in the store or catalog
+/// changes; concurrent prepares over shared borrows are safe. Rejects
+/// the same process kinds as [`stage_firing`].
 pub fn prepare_firing(
     db: &Database,
     catalog: &Catalog,
@@ -110,45 +99,10 @@ pub fn prepare_firing(
     pid: ProcessId,
     bindings: &[(String, Vec<ObjectId>)],
 ) -> KernelResult<PreparedFiring> {
-    let def = catalog.process(pid)?;
-    match &def.kind {
-        ProcessKind::Primitive => {
-            if def.is_interactive() {
-                return Err(KernelError::NotAutoFirable {
-                    process: def.name.clone(),
-                    reason: format!(
-                        "declares {} interaction point(s); drive it through an interactive session",
-                        def.interactions.len()
-                    ),
-                });
-            }
-            prepare_primitive(
-                db,
-                catalog,
-                registry,
-                def,
-                bindings,
-                &NO_PARAMS,
-                TaskKind::Primitive,
-            )
-        }
-        ProcessKind::External { site } => {
-            prepare_external(db, catalog, registry, externals, def, site, bindings)
-        }
-        ProcessKind::Compound(_) => Err(KernelError::NotAutoFirable {
-            process: def.name.clone(),
-            reason: "compound processes expand into a step network with intermediate \
-                     materialization; fire them through the serial path"
-                .into(),
-        }),
-        ProcessKind::NonApplicative { procedure } => Err(KernelError::NotAutoFirable {
-            process: def.name.clone(),
-            reason: format!("non-applicative procedure ({procedure}); record its tasks manually"),
-        }),
-    }
+    stage_firing(db, catalog, registry, externals, pid, bindings)?.execute()
 }
 
-/// Stage 2 of a firing — the commit: materialize the prepared output
+/// The commit half of a firing: materialize the prepared output
 /// object and append the task record. This is the only part of a firing
 /// that writes, and it is cheap (one insert, one task append); the wave
 /// executor serializes exactly this.
@@ -182,15 +136,14 @@ pub fn apply_result(
     })
 }
 
-/// A firing staged for *background* execution: everything that needs
-/// the store, the catalog or the operator registry already happened on
-/// the submitting thread; what remains is self-contained and `Send`, so
-/// a detached job worker can run it with no borrow of the kernel at
-/// all. Produced by [`stage_firing`], consumed by
-/// [`StagedFiring::execute`] on the worker; the resulting
-/// [`PreparedFiring`] then commits through the ordinary serialized path,
-/// making a background firing's committed state identical to a
-/// synchronous run's.
+/// A staged firing: everything that needs the store, the catalog or the
+/// operator registry already happened on the staging thread; what
+/// remains is self-contained and `Send`, so a detached job worker can
+/// run it with no borrow of the kernel at all.
+/// Produced by [`stage_firing`], consumed by [`StagedFiring::execute`];
+/// the resulting [`PreparedFiring`] then commits through the ordinary
+/// serialized path, making a background firing's committed state
+/// identical to a synchronous run's.
 pub enum StagedFiring {
     /// A primitive firing: template evaluation is local and cheap, so it
     /// already ran at staging time — the job is born ready to commit.
@@ -249,11 +202,15 @@ impl StagedExternal {
     }
 }
 
-/// Stage a firing for background execution: the read-only, kernel-bound
-/// part of [`prepare_firing`] runs now (validate + load + guards, and
-/// for primitives the whole template evaluation); what returns is
-/// self-contained. Accepts the same process kinds as [`prepare_firing`]
-/// and rejects the rest identically.
+/// Stage one automatic firing — the single dispatch on process kind.
+/// The kernel-bound, read-only part runs now (validate + load + guards,
+/// and for a primitive the whole template evaluation); what returns is
+/// self-contained. Non-interactive primitives stage
+/// [`StagedFiring::Ready`], external processes [`StagedFiring::Remote`].
+/// Everything else returns [`KernelError::NotAutoFirable`]: interactive
+/// processes need a scientist's answers, non-applicative ones a manual
+/// task record, and compounds expand into a step network that
+/// [`run_process`] materializes step by step.
 pub fn stage_firing(
     db: &Database,
     catalog: &Catalog,
@@ -264,11 +221,36 @@ pub fn stage_firing(
 ) -> KernelResult<StagedFiring> {
     let def = catalog.process(pid)?;
     match &def.kind {
+        ProcessKind::Primitive if !def.is_interactive() => prepare_primitive(
+            db,
+            catalog,
+            registry,
+            def,
+            bindings,
+            &NO_PARAMS,
+            TaskKind::Primitive,
+        )
+        .map(|p| StagedFiring::Ready(Box::new(p))),
+        ProcessKind::Primitive => Err(KernelError::NotAutoFirable {
+            process: def.name.clone(),
+            reason: format!(
+                "declares {} interaction point(s); drive it through an interactive session",
+                def.interactions.len()
+            ),
+        }),
         ProcessKind::External { site } => Ok(StagedFiring::Remote(Box::new(stage_external(
             db, catalog, registry, externals, def, site, bindings,
         )?))),
-        _ => prepare_firing(db, catalog, registry, externals, pid, bindings)
-            .map(|p| StagedFiring::Ready(Box::new(p))),
+        ProcessKind::Compound(_) => Err(KernelError::NotAutoFirable {
+            process: def.name.clone(),
+            reason: "compound processes expand into a step network with intermediate \
+                     materialization; fire them with run_process"
+                .into(),
+        }),
+        ProcessKind::NonApplicative { procedure } => Err(KernelError::NotAutoFirable {
+            process: def.name.clone(),
+            reason: format!("non-applicative procedure ({procedure}); record its tasks manually"),
+        }),
     }
 }
 
@@ -392,9 +374,11 @@ pub fn update_object(
 ///
 /// `bindings` pairs argument names with the chosen input objects, in the
 /// process's declared argument order (extra/missing arguments are errors).
-/// Interactive and non-applicative processes refuse automatic firing —
-/// they are driven through `Gaea::begin_interactive` and
-/// `Gaea::record_manual_task` respectively.
+/// Compounds expand into their step network; every other kind fires as
+/// [`prepare_firing`] + [`apply_result`]. Interactive and
+/// non-applicative processes refuse automatic firing — they are driven
+/// through `Gaea::begin_interactive` and `Gaea::record_manual_task`
+/// respectively.
 pub fn run_process(
     db: &mut Database,
     catalog: &mut Catalog,
@@ -404,40 +388,13 @@ pub fn run_process(
     bindings: &[(String, Vec<ObjectId>)],
     user: &str,
 ) -> KernelResult<TaskRun> {
-    let def = catalog.process(pid)?.clone();
-    match &def.kind {
-        ProcessKind::Primitive => {
-            if def.is_interactive() {
-                return Err(KernelError::NotAutoFirable {
-                    process: def.name.clone(),
-                    reason: format!(
-                        "declares {} interaction point(s); drive it through an interactive session",
-                        def.interactions.len()
-                    ),
-                });
-            }
-            run_primitive(
-                db,
-                catalog,
-                registry,
-                &def,
-                bindings,
-                user,
-                &NO_PARAMS,
-                TaskKind::Primitive,
-            )
-        }
-        ProcessKind::Compound(_) => {
-            run_compound(db, catalog, registry, externals, &def, bindings, user)
-        }
-        ProcessKind::External { site } => {
-            run_external(db, catalog, registry, externals, &def, site, bindings, user)
-        }
-        ProcessKind::NonApplicative { procedure } => Err(KernelError::NotAutoFirable {
-            process: def.name.clone(),
-            reason: format!("non-applicative procedure ({procedure}); record its tasks manually"),
-        }),
+    let def = catalog.process(pid)?;
+    if let ProcessKind::Compound(_) = def.kind {
+        let def = def.clone();
+        return run_compound(db, catalog, registry, externals, &def, bindings, user);
     }
+    let prepared = prepare_firing(db, catalog, registry, externals, pid, bindings)?;
+    apply_result(db, catalog, prepared, user)
 }
 
 pub(crate) fn validate_bindings(
@@ -520,8 +477,8 @@ pub(crate) fn load_bindings(
 /// Bind-stage admission check, read-only and cheap relative to a full
 /// prepare: validate the bindings and evaluate the template's guard
 /// assertions over the loaded inputs — nothing else. The query
-/// mechanism's parallel fire stage uses this to *choose* bindings
-/// serially (guards decide admissibility) before the expensive mapping
+/// mechanism's fire stage uses this to *choose* bindings serially
+/// (guards decide admissibility) before the expensive mapping
 /// evaluation fans out to workers.
 pub(crate) fn check_guards(
     db: &Database,
@@ -574,32 +531,6 @@ fn assemble_prepared(
     })
 }
 
-/// [`assemble_prepared`] with the output class resolved from the catalog
-/// and the input fingerprint taken now, at prepare time: a firing never
-/// mutates its own inputs, and commits of *other* firings only bump
-/// versions of objects they create, so the fingerprint is identical
-/// whether the commit happens immediately (serial mode) or after the
-/// rest of a wave prepared.
-fn finish_prepared(
-    db: &Database,
-    catalog: &Catalog,
-    def: &ProcessDef,
-    bindings: &[(String, Vec<ObjectId>)],
-    attrs: BTreeMap<String, Value>,
-    params: BTreeMap<String, Value>,
-    kind: TaskKind,
-) -> KernelResult<PreparedFiring> {
-    assemble_prepared(
-        def,
-        catalog.class(def.output)?,
-        bindings,
-        attrs,
-        input_versions_of(db, bindings),
-        params,
-        kind,
-    )
-}
-
 /// Prepare a primitive process's template evaluation. `params` carries
 /// the scientist's interaction answers (empty for plain primitives);
 /// `kind` distinguishes plain from interactive firings on the recorded
@@ -623,33 +554,31 @@ pub(crate) fn prepare_primitive(
     };
     ctx.check_assertions(&def.name, &def.template)?;
     let attrs = ctx.eval_mappings(&def.template)?;
-    finish_prepared(db, catalog, def, bindings, attrs, params.clone(), kind)
-}
-
-/// Fire a primitive process's template: prepare + commit, back to back.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_primitive(
-    db: &mut Database,
-    catalog: &mut Catalog,
-    registry: &OperatorRegistry,
-    def: &ProcessDef,
-    bindings: &[(String, Vec<ObjectId>)],
-    user: &str,
-    params: &BTreeMap<String, Value>,
-    kind: TaskKind,
-) -> KernelResult<TaskRun> {
-    let prepared = prepare_primitive(db, catalog, registry, def, bindings, params, kind)?;
-    apply_result(db, catalog, prepared, user)
+    // The input fingerprint is taken now, at prepare time: a firing never
+    // mutates its own inputs, and commits of *other* firings only bump
+    // versions of objects they create, so the fingerprint is identical
+    // whether the commit follows at once or after the rest of a wave
+    // prepared.
+    assemble_prepared(
+        def,
+        catalog.class(def.output)?,
+        bindings,
+        attrs,
+        input_versions_of(db, bindings),
+        params.clone(),
+        kind,
+    )
 }
 
 /// Stage an external firing (§5 extension): validate, load, check the
 /// guards — "guard rules are metadata constraints on the inputs; they
 /// are always evaluated locally, before anything is shipped" — resolve
-/// the site, and package the round-trip for whoever executes it (the
-/// caller, inline, for a synchronous firing; a job worker for an
-/// asynchronous one). The site must be reachable *now*; a site that
-/// goes down between staging and execution fails the execution instead.
-#[allow(clippy::too_many_arguments)]
+/// the site, and package the round-trip for whoever executes it (a
+/// scheduler worker for a synchronous firing, so remote latency
+/// parallelizes across a wave like local template evaluation does; a
+/// job worker for an asynchronous one). The site must be reachable
+/// *now*; a site that goes down between staging and execution fails
+/// the execution instead.
 fn stage_external(
     db: &Database,
     catalog: &Catalog,
@@ -690,39 +619,6 @@ fn stage_external(
         bindings: bindings.to_vec(),
         input_versions: input_versions_of(db, bindings),
     })
-}
-
-/// Prepare an external firing: local guards, remote mapping. The site
-/// round-trip happens here, in the read-only stage, so remote latency
-/// parallelizes across a wave like local template evaluation does —
-/// stage ∘ execute, the same two halves a background job runs on
-/// different threads.
-fn prepare_external(
-    db: &Database,
-    catalog: &Catalog,
-    registry: &OperatorRegistry,
-    externals: &ExternalRegistry,
-    def: &ProcessDef,
-    site_name: &str,
-    bindings: &[(String, Vec<ObjectId>)],
-) -> KernelResult<PreparedFiring> {
-    stage_external(db, catalog, registry, externals, def, site_name, bindings)?.execute()
-}
-
-/// Fire an external process: prepare (incl. the site round-trip) + commit.
-#[allow(clippy::too_many_arguments)]
-fn run_external(
-    db: &mut Database,
-    catalog: &mut Catalog,
-    registry: &OperatorRegistry,
-    externals: &ExternalRegistry,
-    def: &ProcessDef,
-    site_name: &str,
-    bindings: &[(String, Vec<ObjectId>)],
-    user: &str,
-) -> KernelResult<TaskRun> {
-    let prepared = prepare_external(db, catalog, registry, externals, def, site_name, bindings)?;
-    apply_result(db, catalog, prepared, user)
 }
 
 /// Undo a recorded task: delete its output objects and drop the record

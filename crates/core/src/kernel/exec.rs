@@ -39,8 +39,8 @@ use std::collections::BTreeMap;
 pub(crate) type StaleMemo = BTreeMap<ObjectId, bool>;
 
 /// Outcome of consulting the derived-result cache before a firing
-/// ([`Gaea::probe_cache`]): shared by the serial executor path and the
-/// scheduler's commit step so both treat memoization identically.
+/// ([`Gaea::probe_cache`]): shared by [`Gaea::run_process`] and
+/// [`Gaea::commit_prepared`] so both treat memoization identically.
 pub(crate) enum CacheProbe {
     /// Memoization is off; fire and record nothing.
     Disabled,
@@ -677,17 +677,17 @@ impl Gaea {
                 param: point.param.clone(),
             });
         }
-        let mark = self.wal_mark();
-        let run = executor::run_primitive(
-            &mut self.db,
-            &mut self.catalog,
+        let prepared = executor::prepare_primitive(
+            &self.db,
+            &self.catalog,
             &self.registry,
             &session.def,
             &session.bindings,
-            &self.user.clone(),
             &session.supplied,
             TaskKind::Interactive,
         )?;
+        let mark = self.wal_mark();
+        let run = executor::apply_result(&mut self.db, &mut self.catalog, prepared, &self.user)?;
         self.wal_commit_delta(mark)?;
         Ok(run)
     }

@@ -268,13 +268,13 @@ impl Gaea {
     /// Bind and stage one firing of `pid` for background execution.
     fn submit_firing(&mut self, pid: ProcessId, q: &Query) -> KernelResult<JobId> {
         use super::query::ChosenFiring;
-        match self.choose_or_fire(pid, q, &BTreeSet::new(), true)? {
+        match self.choose_or_fire(pid, q, &BTreeSet::new())? {
             // The identical derivation is already in flight: duplicate
             // submissions dedup to one job, mirroring `reuse_tasks`.
             ChosenFiring::Pending(job) => Ok(job),
             // An identical current derivation is on record: the job is
             // born Done with the recorded task.
-            ChosenFiring::Fired(run) => {
+            ChosenFiring::Reused(run) => {
                 let task = self.catalog.task(run.task)?;
                 let bindings = task.inputs.clone().into_iter().collect();
                 let dedup_key = task.dedup_key();

@@ -78,11 +78,12 @@ pub struct Gaea {
     /// see [`Gaea::enable_memoization`]), behind a thread-shareable
     /// handle so scheduler workers memoize concurrently.
     pub(crate) cache: SharedCache,
-    /// The derivation scheduler: how many workers wave execution
-    /// ([`Gaea::refresh_all`], [`Gaea::derive_parallel`], and the query
-    /// pipeline's parallel fire stage) may use. Defaults to the
-    /// deterministic single-threaded mode unless `GAEA_SCHED_WORKERS`
-    /// says otherwise; see [`Gaea::set_workers`].
+    /// The derivation scheduler: how many workers the prepare phase of
+    /// every wave ([`Gaea::refresh_all`] and the query pipeline's fire
+    /// stage, which [`Gaea::derive_parallel`] also runs) may use.
+    /// Defaults to one worker — prepares run in order on the calling
+    /// thread — unless `GAEA_SCHED_WORKERS` says otherwise; see
+    /// [`Gaea::set_workers`].
     pub(crate) scheduler: Scheduler,
     /// Background derivation jobs (§5 non-blocking external firings):
     /// the long-lived worker pool plus per-job records. Runtime state,
@@ -203,13 +204,14 @@ impl Gaea {
         self.cache.clone()
     }
 
-    /// Set the derivation scheduler's worker count. `1` (the default,
-    /// unless the `GAEA_SCHED_WORKERS` environment variable was set when
-    /// the kernel was constructed) is the deterministic single-threaded
-    /// mode, behaviourally identical to the unscheduled executor; higher
-    /// counts let [`Gaea::refresh_all`], [`Gaea::derive_parallel`] and
-    /// the query pipeline prepare independent firings of one wave
-    /// concurrently.
+    /// Set the derivation scheduler's worker count. Query derivations,
+    /// [`Gaea::derive_parallel`] and [`Gaea::refresh_all`] fire in
+    /// dependency waves of choose → prepare → commit; the worker count
+    /// only decides how many firings of one wave prepare concurrently. `1` (the default, unless the `GAEA_SCHED_WORKERS`
+    /// environment variable was set when the kernel was constructed)
+    /// prepares them in order on the calling thread. Commits always
+    /// serialize in node order, so the committed state is the same at
+    /// every worker count.
     pub fn set_workers(&mut self, workers: usize) {
         self.scheduler = Scheduler::new(workers);
     }

@@ -7,24 +7,26 @@
 //! (so a diamond's shared upstream re-fires exactly once however many
 //! paths reach it), one edge per output-feeds-input relationship, and a
 //! wave-by-wave execution in which every firing binds against the
-//! *replacements* committed by earlier waves. The query pipeline's
-//! parallel fire stage ([`Gaea::derive_parallel`], `kernel/query`)
-//! builds its DAG from a derivation plan instead.
+//! *replacements* committed by earlier waves. The query pipeline's fire
+//! stage (`kernel/query`, behind [`Gaea::query`] and
+//! [`Gaea::derive_parallel`]) builds its DAG from a derivation plan
+//! instead.
 //!
-//! Execution of one wave is the prepare / commit split of
-//! `derivation::executor`: workers evaluate templates concurrently on
-//! shared read-only borrows of the store and catalog, then the results
-//! commit serially in node order. The committed state is therefore
+//! Both execute a wave the same way: choose each node's bindings
+//! serially, prepare the chosen firings on the scheduler
+//! (`Gaea::prepare_firings`: workers evaluate templates concurrently
+//! on shared read-only borrows of the store and catalog), then commit
+//! the results serially in node order. The committed state is therefore
 //! independent of the worker count — with one worker (the default) the
-//! whole machinery degenerates to an in-order loop.
+//! prepare step is an in-order loop on the calling thread.
 
 use super::exec::StaleMemo;
 use super::jobs::JobId;
 use super::query::dedup_key_for;
 use super::Gaea;
-use crate::derivation::executor::{self, TaskRun};
+use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
-use crate::ids::{ObjectId, TaskId};
+use crate::ids::{ObjectId, ProcessId, TaskId};
 use crate::task::Task;
 use gaea_sched::{DepGraph, NodeId};
 use std::collections::BTreeMap;
@@ -65,11 +67,10 @@ impl RefreshReport {
 /// A wave node's resolved execution mode, decided serially at the start
 /// of its wave (bindings depend on earlier waves' replacements).
 enum Staged {
-    /// Read-only prepare may run on a worker.
-    Prepare(Vec<(String, Vec<ObjectId>)>),
-    /// Compound processes expand into steps with intermediate
-    /// materialization: fired whole on the committing thread.
-    Serial(Vec<(String, Vec<ObjectId>)>),
+    /// Read-only prepare may run on a worker. The producer index names a
+    /// compound's last step, never its umbrella, as an object's producing
+    /// task, so a refresh node is always a directly firable process.
+    Prepare(executor::Bindings),
     /// An identical current derivation is already on record (a prior
     /// refresh re-fired it): reused, not duplicated.
     Reused(TaskRun),
@@ -188,8 +189,8 @@ impl Gaea {
     }
 
     /// Execute one wave: resolve bindings against the replacements map,
-    /// prepare the preparable firings (concurrently when the scheduler
-    /// has workers), then commit serially in node order.
+    /// prepare the fresh firings (concurrently when the scheduler has
+    /// workers), then commit serially in node order.
     fn run_refresh_wave(
         &mut self,
         graph: &DepGraph<Task>,
@@ -207,32 +208,16 @@ impl Gaea {
             staged.push((*node, stage));
         }
         // Phase 2 (parallel): read-only prepares on the worker pool.
-        let to_prepare: Vec<(usize, executor::Bindings)> = staged
+        let to_prepare: Vec<(ProcessId, executor::Bindings)> = staged
             .iter()
-            .enumerate()
-            .filter_map(|(i, (node, stage))| match stage {
-                Staged::Prepare(bindings) => {
-                    let _ = node;
-                    Some((i, bindings.clone()))
-                }
+            .filter_map(|(node, stage)| match stage {
+                Staged::Prepare(bindings) => Some((graph.payload(*node).process, bindings.clone())),
                 _ => None,
             })
             .collect();
-        let db = &self.db;
-        let catalog = &self.catalog;
-        let registry = &self.registry;
-        let externals = &self.externals;
-        let prepared = self.scheduler.map(to_prepare, |_, (i, bindings)| {
-            let pid = graph.payload(staged[i].0).process;
-            (
-                i,
-                executor::prepare_firing(db, catalog, registry, externals, pid, &bindings),
-            )
-        });
-        let mut prepared_by_index: BTreeMap<usize, KernelResult<executor::PreparedFiring>> =
-            prepared.into_iter().collect();
+        let mut prepared = self.prepare_firings(to_prepare).into_iter();
         // Phase 3 (serial): commit in node order.
-        for (i, (node, stage)) in staged.iter().enumerate() {
+        for (node, stage) in &staged {
             let task = graph.payload(*node);
             let run = match stage {
                 Staged::Blocked(reason) => {
@@ -248,13 +233,7 @@ impl Gaea {
                     continue;
                 }
                 Staged::Prepare(_) => {
-                    let prep = prepared_by_index
-                        .remove(&i)
-                        .expect("every prepared index committed once")?;
-                    self.commit_prepared(prep)?
-                }
-                Staged::Serial(bindings) => {
-                    self.run_process_owned(task.process, bindings.clone())?
+                    self.commit_prepared(prepared.next().expect("one prepare per Prepare node")?)?
                 }
                 Staged::Reused(run) => run.clone(),
             };
@@ -314,10 +293,21 @@ impl Gaea {
         if let Some(job) = in_flight.get(&dedup_key_for(def, &owned)) {
             return Ok(Staged::Pending(*job));
         }
-        Ok(if executor::is_preparable(def) {
-            Staged::Prepare(owned)
-        } else {
-            Staged::Serial(owned)
+        Ok(Staged::Prepare(owned))
+    }
+
+    /// The prepare phase of a wave: evaluate each firing read-only on the
+    /// scheduler's workers over shared borrows of the store and catalog,
+    /// results in input order. A single worker runs the same loop on the
+    /// calling thread.
+    pub(crate) fn prepare_firings(
+        &self,
+        firings: Vec<(ProcessId, executor::Bindings)>,
+    ) -> Vec<KernelResult<PreparedFiring>> {
+        let (db, catalog, registry, externals) =
+            (&self.db, &self.catalog, &self.registry, &self.externals);
+        self.scheduler.map(firings, |_, (pid, bindings)| {
+            executor::prepare_firing(db, catalog, registry, externals, pid, &bindings)
         })
     }
 }

@@ -12,11 +12,14 @@
 //! * **bind** — `Gaea::binding_candidates` enumerates admissible input
 //!   selections per argument (co-temporal `SETOF` groups first, exact
 //!   query-instant matches preferred);
-//! * **fire** — `Gaea::fire_with_chosen_bindings` walks the bounded
-//!   candidate product, reusing identical *current* prior tasks when
-//!   [`Gaea::reuse_tasks`] allows, re-firing *stale* ones (their inputs
-//!   were mutated after derivation), and skipping derivations the current
-//!   plan already consumed;
+//! * **fire** — `Gaea::fire_plan` levels the plan's firings into
+//!   dependency waves and runs every wave as choose → prepare → commit:
+//!   `Gaea::choose_or_fire` walks the bounded candidate product, reusing
+//!   identical *current* prior tasks when [`Gaea::reuse_tasks`] allows,
+//!   re-firing *stale* ones (their inputs were mutated after derivation),
+//!   and skipping derivations the current plan already consumed; the
+//!   chosen firings prepare on the `gaea-sched` workers and commit in
+//!   node order;
 //! * **project** — `Gaea::project_outcome` re-retrieves the goal class
 //!   so the answer is served from the store exactly like step 1 would,
 //!   staleness flags included.
@@ -31,7 +34,7 @@
 //! projection prunes returned attributes after every stage has run.
 
 use super::Gaea;
-use crate::derivation::executor::{self, PreparedFiring, TaskRun};
+use crate::derivation::executor::{self, TaskRun};
 use crate::derivation::net::DerivationNet;
 use crate::error::{KernelError, KernelResult};
 use crate::ids::{ClassId, ObjectId, ProcessId, TaskId};
@@ -49,14 +52,14 @@ use gaea_sched::{DepGraph, NodeId};
 use gaea_store::{Oid, Predicate};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Outcome of the bind/fire walker for one planned firing.
+/// Outcome of the choose walker for one planned firing.
 pub(crate) enum ChosenFiring {
-    /// The derivation happened (fresh firing) or an identical current
-    /// task was reused; either way a recorded task answers it.
-    Fired(TaskRun),
-    /// Bind-only mode: these bindings passed the guards and await a
-    /// prepare/commit cycle.
-    Bound(Vec<(String, Vec<ObjectId>)>),
+    /// An identical current task was reused; its record answers the
+    /// firing.
+    Reused(TaskRun),
+    /// These bindings passed the guards and await a prepare/commit cycle
+    /// (or a background job).
+    Bound(executor::Bindings),
     /// The identical derivation is already in flight as a background
     /// job ([`Gaea::submit_derivation`]); firing it again would record
     /// a duplicate. Synchronous callers surface this as
@@ -95,18 +98,7 @@ impl Gaea {
     /// trace (a failed statement still finalizes the trace through the
     /// guard's drop).
     fn query_stages(&mut self, q: &Query) -> KernelResult<QueryOutcome> {
-        let class_names = {
-            let _plan = gaea_obs::span("plan");
-            let class_names = self.target_classes(q)?;
-            self.validate_query(&class_names, q)?;
-            // Optimizer: give the query's predicate-hot attributes index or
-            // grid access paths on every large-enough target extent.
-            self.ensure_access_paths(&class_names, q)?;
-            // Commit any finished background jobs first: their outputs are
-            // stored data this very query may retrieve.
-            self.pump_jobs();
-            class_names
-        };
+        let class_names = self.plan_prologue(q)?;
         // Step 1: direct retrieval.
         let (hits, plans, stale) = {
             let _retrieve = gaea_obs::span("retrieve");
@@ -173,7 +165,7 @@ impl Gaea {
                 }
                 QueryMethod::Derived => {
                     let _derive = gaea_obs::span("derive");
-                    self.try_derive(&class_names, q, false)
+                    self.try_derive(&class_names, q)
                 }
                 QueryMethod::Retrieved => unreachable!("retrieval ran first"),
                 QueryMethod::Submitted => unreachable!("async submission returned above"),
@@ -192,6 +184,20 @@ impl Gaea {
                 failures.join("; ")
             }
         )))
+    }
+
+    /// The plan-stage prologue every statement shares: resolve and
+    /// validate the target classes, give the query's predicate-hot
+    /// attributes index or grid access paths on every large-enough target
+    /// extent, and commit finished background jobs (their outputs are
+    /// stored data this very query may retrieve).
+    fn plan_prologue(&mut self, q: &Query) -> KernelResult<Vec<String>> {
+        let _plan = gaea_obs::span("plan");
+        let class_names = self.target_classes(q)?;
+        self.validate_query(&class_names, q)?;
+        self.ensure_access_paths(&class_names, q)?;
+        self.pump_jobs();
+        Ok(class_names)
     }
 
     /// Validate the declarative parts of a query against the catalog
@@ -293,13 +299,6 @@ impl Gaea {
         retrieve_in(&self.db, &self.catalog, classes, q)
     }
 
-    /// `ORDER BY attr LIMIT n` over a single class whose order attribute
-    /// carries an index walks [`gaea_store::OrderedIndex::sorted_oids`]
-    /// in query order and stops as soon as `n` rows matched — plus every
-    /// remaining tie of the boundary key, so the exact
-    /// (value, id)-ordered top-N survives [`Gaea::finish_outcome`]'s
-    /// final sort-and-truncate. `FRESH` queries skip the short-circuit:
-    /// the refusal loop must see the full answer to classify it.
     /// Classify retrieved objects against the store's version counters;
     /// returns the stale subset. See [`flag_stale_in`].
     fn flag_stale(&self, hits: &[DataObject]) -> Vec<ObjectId> {
@@ -449,15 +448,8 @@ impl Gaea {
     }
 
     /// Step 3: derivation — plan over the Petri net, fire the plan,
-    /// project the goal class back through retrieval. With `force_waves`
-    /// (or a multi-worker scheduler) a plan of two or more firings
-    /// executes through the dependency-wave fire stage.
-    fn try_derive(
-        &mut self,
-        classes: &[String],
-        q: &Query,
-        force_waves: bool,
-    ) -> KernelResult<Option<QueryOutcome>> {
+    /// project the goal class back through retrieval.
+    fn try_derive(&mut self, classes: &[String], q: &Query) -> KernelResult<Option<QueryOutcome>> {
         // Plan stage inputs: the net view and the stored-object marking.
         let (dnet, marking) = {
             let _plan = gaea_obs::span("plan");
@@ -487,7 +479,7 @@ impl Gaea {
             };
             all_tasks.extend({
                 let _fire = gaea_obs::span("fire");
-                self.fire_plan(&dnet, &plan, q, force_waves)?
+                self.fire_plan(&dnet, &plan, q)?
             });
             // Project: step 1 again over the now-extended extension.
             if let Some(outcome) = {
@@ -598,62 +590,17 @@ impl Gaea {
         }
     }
 
-    /// Fire stage: realize every firing of the plan. Each repetition of a
-    /// process must realize a *distinct* derivation (different inputs), so
-    /// the bindings of firings already used by this plan are excluded from
-    /// reuse.
-    ///
-    /// Routing: the serial loop is the default (and the only path a
-    /// single-worker scheduler ever takes — existing behaviour,
-    /// unchanged); plans with at least two firings go through the
-    /// dependency-wave stage when the scheduler has workers to use or
-    /// the caller ([`Gaea::derive_parallel`]) forces it.
+    /// Fire stage: realize every firing of the plan. The firings become a
+    /// dependency DAG (one node per firing instance; an edge wherever one
+    /// firing's output class feeds another's inputs) executed wave by
+    /// wave, each wave as choose → prepare → commit. Bindings are
+    /// *chosen* serially — guards decide admissibility, and each choice
+    /// excludes its dedup key so repetitions of a process realize
+    /// distinct derivations — then the template evaluations prepare on
+    /// the scheduler ([`Gaea::prepare_firings`]), and the results commit
+    /// in node order. Reused current tasks short-circuit in the choose
+    /// phase and never reach a worker.
     fn fire_plan(
-        &mut self,
-        dnet: &DerivationNet,
-        plan: &gaea_petri::backward::DerivationPlan,
-        q: &Query,
-        force_waves: bool,
-    ) -> KernelResult<Vec<TaskId>> {
-        if (force_waves || self.scheduler.workers() >= 2) && plan.cost() >= 2 {
-            self.fire_plan_waves(dnet, plan, q)
-        } else {
-            self.fire_plan_serial(dnet, plan, q)
-        }
-    }
-
-    /// The classic one-at-a-time fire stage.
-    fn fire_plan_serial(
-        &mut self,
-        dnet: &DerivationNet,
-        plan: &gaea_petri::backward::DerivationPlan,
-        q: &Query,
-    ) -> KernelResult<Vec<TaskId>> {
-        let mut fired_keys: BTreeSet<String> = BTreeSet::new();
-        let mut tasks = Vec::new();
-        for (tid, times) in &plan.firings {
-            let pid = dnet
-                .process_at(*tid)
-                .expect("planner only uses catalog transitions");
-            for _rep in 0..*times {
-                let run = self.fire_with_chosen_bindings(pid, q, &fired_keys)?;
-                fired_keys.insert(self.catalog.task(run.task)?.dedup_key());
-                tasks.push(run.task);
-            }
-        }
-        Ok(tasks)
-    }
-
-    /// The scheduled fire stage: the plan's firings become a dependency
-    /// DAG (one node per firing instance; an edge wherever one firing's
-    /// output class feeds another's inputs) executed wave by wave. Per
-    /// wave, bindings are *chosen* serially — guards decide
-    /// admissibility, and each choice excludes its dedup key so
-    /// repetitions realize distinct derivations, exactly like the serial
-    /// loop — then the expensive template evaluations prepare on the
-    /// worker pool, and the results commit in node order. Reused current
-    /// tasks short-circuit in the choose phase and never hit a worker.
-    fn fire_plan_waves(
         &mut self,
         dnet: &DerivationNet,
         plan: &gaea_petri::backward::DerivationPlan,
@@ -677,10 +624,9 @@ impl Gaea {
                 if pi == pj {
                     // Repetitions of the same process are independent —
                     // *unless* the process feeds itself (its output class
-                    // is among its own input classes): then the serial
-                    // semantics let firing k+1 bind firing k's output, so
-                    // the repetitions must order by node id, not share a
-                    // wave.
+                    // is among its own input classes): then firing k+1 may
+                    // bind firing k's output, so the repetitions must
+                    // order by node id, not share a wave.
                     let def = self.catalog.process(pi)?;
                     if i < j && def.args.iter().any(|a| a.class == def.output) {
                         graph
@@ -703,31 +649,28 @@ impl Gaea {
                 }
             }
         }
-        let waves = match graph.waves() {
-            Ok(w) => w,
-            // A cyclic class graph (A derives B derives A) admits no wave
-            // order; the serial loop still can consume the plan's own
-            // firing order.
-            Err(_) => return self.fire_plan_serial(dnet, plan, q),
-        };
+        // A cyclic class graph (A derives B derives A) admits no wave
+        // order; every firing then runs as a one-node wave, in the plan's
+        // own firing order (the node insertion order).
+        let waves = graph
+            .waves()
+            .unwrap_or_else(|_| (0..graph.len()).map(|i| vec![NodeId(i)]).collect());
         let mut fired_keys: BTreeSet<String> = BTreeSet::new();
         let mut tasks = Vec::new();
         for wave in &waves {
             gaea_obs::note("wave_width", wave.len().to_string());
             // Choose phase (serial): admissible bindings or reused tasks.
-            let mut staged: Vec<(ProcessId, Option<executor::Bindings>)> =
-                Vec::with_capacity(wave.len());
+            let mut bound: Vec<(ProcessId, executor::Bindings)> = Vec::with_capacity(wave.len());
             for node in wave {
                 let pid = *graph.payload(*node);
-                match self.choose_or_fire(pid, q, &fired_keys, true)? {
-                    ChosenFiring::Fired(run) => {
+                match self.choose_or_fire(pid, q, &fired_keys)? {
+                    ChosenFiring::Reused(run) => {
                         fired_keys.insert(self.catalog.task(run.task)?.dedup_key());
                         tasks.push(run.task);
-                        staged.push((pid, None));
                     }
                     ChosenFiring::Bound(bindings) => {
                         fired_keys.insert(dedup_key_for(self.catalog.process(pid)?, &bindings));
-                        staged.push((pid, Some(bindings)));
+                        bound.push((pid, bindings));
                     }
                     // A background job is already realizing this firing;
                     // the plan cannot complete synchronously without
@@ -740,54 +683,28 @@ impl Gaea {
                     }
                 }
             }
-            // Prepare phase (parallel): template evaluation on workers.
-            let to_prepare: Vec<(ProcessId, executor::Bindings)> = staged
-                .iter()
-                .filter_map(|(pid, b)| b.as_ref().map(|b| (*pid, b.clone())))
-                .collect();
-            let db = &self.db;
-            let catalog = &self.catalog;
-            let registry = &self.registry;
-            let externals = &self.externals;
-            let prepared: Vec<KernelResult<PreparedFiring>> =
-                self.scheduler.map(to_prepare, |_, (pid, bindings)| {
-                    executor::prepare_firing(db, catalog, registry, externals, pid, &bindings)
-                });
-            // Commit phase (serial, node order).
-            let mut prepared = prepared.into_iter();
-            for (_, bindings) in &staged {
-                if bindings.is_some() {
-                    let prep = prepared.next().expect("one prepare per bound node")?;
-                    let run = self.commit_prepared(prep)?;
-                    tasks.push(run.task);
-                }
+            // Prepare phase (parallel), then commit phase (serial, node
+            // order).
+            for prepared in self.prepare_firings(bound) {
+                tasks.push(self.commit_prepared(prepared?)?.task);
             }
         }
         Ok(tasks)
     }
 
-    /// Force the derivation step of the query mechanism through the
-    /// scheduled fire stage: plan over the Petri net, execute the plan's
-    /// dependency waves on the worker pool (whatever
-    /// [`Gaea::workers`] currently is — with one worker this is the
-    /// deterministic in-order schedule), and project the goal class back
-    /// through retrieval. Unlike [`Gaea::query`] it never serves stored
-    /// answers first — it exists to *make* the derivation happen, with
-    /// the plan's independent firings running side by side.
+    /// Run the derivation step of the query mechanism directly: plan over
+    /// the Petri net, fire the plan's dependency waves (preparing on
+    /// however many [`Gaea::workers`] there are), and project the goal
+    /// class back through retrieval. Unlike [`Gaea::query`] it never
+    /// serves stored answers first — it exists to *make* the derivation
+    /// happen.
     pub fn derive_parallel(&mut self, q: &Query) -> KernelResult<QueryOutcome> {
         let tracer = gaea_obs::start_trace("derive_parallel", q.target.name());
         let mut result = (|| {
-            let class_names = {
-                let _plan = gaea_obs::span("plan");
-                let class_names = self.target_classes(q)?;
-                self.validate_query(&class_names, q)?;
-                self.ensure_access_paths(&class_names, q)?;
-                self.pump_jobs();
-                class_names
-            };
+            let class_names = self.plan_prologue(q)?;
             let derived = {
                 let _derive = gaea_obs::span("derive");
-                self.try_derive(&class_names, q, true)?
+                self.try_derive(&class_names, q)?
             };
             match derived {
                 Some(outcome) => self.finish_outcome(outcome, q),
@@ -832,13 +749,6 @@ impl Gaea {
         }))
     }
 
-    /// Choose input objects for one firing of `pid`.
-    ///
-    /// Bindings whose dedup key is in `exclude` are skipped outright (the
-    /// current plan already consumed that derivation). A binding identical
-    /// to a *prior* (pre-plan) task is reused without re-deriving when
-    /// [`Gaea::reuse_tasks`] is on; otherwise it is skipped so the kernel
-    /// never silently duplicates a derivation.
     /// Bind stage: enumerate candidate input selections per argument of
     /// `def`, spatially filtered by the query window and deterministically
     /// ordered — exact query-instant matches first, then by timestamp,
@@ -940,34 +850,17 @@ impl Gaea {
         Ok(candidates)
     }
 
-    /// Fire stage for a single process: walk the bounded candidate
-    /// product, reusing identical prior tasks when [`Gaea::reuse_tasks`]
-    /// allows, skipping derivations in `exclude` (already consumed by the
-    /// current plan), and never silently duplicating a derivation.
-    pub(crate) fn fire_with_chosen_bindings(
-        &mut self,
-        pid: ProcessId,
-        q: &Query,
-        exclude: &BTreeSet<String>,
-    ) -> KernelResult<TaskRun> {
-        match self.choose_or_fire(pid, q, exclude, false)? {
-            ChosenFiring::Fired(run) => Ok(run),
-            ChosenFiring::Bound(_) => unreachable!("fire mode never defers a binding"),
-            ChosenFiring::Pending(job) => Err(KernelError::DerivationPending {
-                process: self.catalog.process(pid)?.name.clone(),
-                job,
-            }),
-        }
-    }
-
-    /// The bind/fire walker behind [`Gaea::fire_with_chosen_bindings`],
-    /// the wave stage's choose phase and [`Gaea::submit_derivation`]'s
-    /// binding step. All modes walk the same bounded candidate product
-    /// with the same exclusion, degeneracy and prior-task classification
-    /// rules; they differ only in what happens to an admissible fresh
-    /// binding — fire mode executes it on the spot, bind-only mode
-    /// checks the guards and hands the bindings back for a scheduled
-    /// prepare/commit (or a background job).
+    /// Choose input objects for one firing of `pid` — the fire stage's
+    /// choose phase and [`Gaea::submit_derivation`]'s binding step. Walks
+    /// the bounded candidate product of [`Gaea::binding_candidates`]:
+    /// bindings whose dedup key is in `exclude` are skipped outright (the
+    /// current plan already consumed that derivation); a binding identical
+    /// to a *current* prior task is reused ([`ChosenFiring::Reused`]) when
+    /// [`Gaea::reuse_tasks`] is on and skipped otherwise, so the kernel
+    /// never silently duplicates a derivation; a *stale* prior is history,
+    /// so re-firing it is allowed. The first fresh binding whose guards
+    /// pass comes back as [`ChosenFiring::Bound`] for a prepare/commit
+    /// cycle (or a background job).
     ///
     /// A binding identical to an *in-flight* background job is treated
     /// like an identical current prior task: with [`Gaea::reuse_tasks`]
@@ -975,19 +868,18 @@ impl Gaea {
     /// attaches to — or refuses to duplicate — the job); with reuse off
     /// the binding is skipped and the walk continues.
     pub(crate) fn choose_or_fire(
-        &mut self,
+        &self,
         pid: ProcessId,
         q: &Query,
         exclude: &BTreeSet<String>,
-        bind_only: bool,
     ) -> KernelResult<ChosenFiring> {
-        let def = self.catalog.process(pid)?.clone();
+        let def = self.catalog.process(pid)?;
         // Derivations other sessions already launched: never double-fire.
         let in_flight = self.jobs_in_flight_keys();
         // Bind stage: admissible selections per argument.
         let candidates = {
             let _bind = gaea_obs::span("bind");
-            self.binding_candidates(&def, q)?
+            self.binding_candidates(def, q)?
         };
         // Keys of identical prior derivations (the per-process task
         // index iterates in task-id order, same as the old full scan).
@@ -1022,7 +914,7 @@ impl Gaea {
                 }
             }
             if !degenerate {
-                let key = dedup_key_for(&def, &bindings);
+                let key = dedup_key_for(def, &bindings);
                 if exclude.contains(&key) {
                     // This derivation was already consumed by the current
                     // plan; a repetition must find different inputs.
@@ -1032,40 +924,36 @@ impl Gaea {
                     // least must not be duplicated), a *stale* one is
                     // history only — re-firing it is not duplication, it is
                     // the refresh the mutated inputs call for.
-                    let prior_current: Option<(TaskId, Vec<ObjectId>, bool)> = if used_keys
-                        .contains(&key)
-                    {
+                    let current_prior: Option<TaskRun> = if used_keys.contains(&key) {
                         // Several records can share one key (a stale
                         // derivation and its re-fire bind identically
-                        // when only input versions drifted): prefer a
-                        // *current* match — reusable — over the first.
+                        // when only input versions drifted): any
+                        // *current* match is reusable.
                         let mut memo = super::exec::StaleMemo::new();
-                        let matches: Vec<&Task> = self
-                            .catalog
+                        self.catalog
                             .tasks_of_process(pid)
                             .filter(|t| t.dedup_key() == key)
-                            .collect();
-                        matches
-                            .iter()
                             .find(|t| {
                                 !super::exec::task_is_stale(&self.db, &self.catalog, t, &mut memo)
                             })
-                            .map(|t| (t.id, t.outputs.clone(), true))
-                            .or_else(|| matches.first().map(|t| (t.id, t.outputs.clone(), false)))
+                            .map(|t| TaskRun {
+                                task: t.id,
+                                outputs: t.outputs.clone(),
+                            })
                     } else {
                         None
                     };
-                    match prior_current {
-                        Some((task, outputs, true)) => {
+                    match current_prior {
+                        Some(run) => {
                             if self.reuse_tasks {
                                 // Memoization: an identical current task
                                 // exists; reuse it.
-                                return Ok(ChosenFiring::Fired(TaskRun { task, outputs }));
+                                return Ok(ChosenFiring::Reused(run));
                             }
                             // Reuse is off but the derivation exists and is
                             // current: avoid repeating it; next binding.
                         }
-                        _ if in_flight.contains_key(&key) => {
+                        None if in_flight.contains_key(&key) => {
                             if self.reuse_tasks {
                                 // A background job is already deriving
                                 // exactly this; attach instead of
@@ -1076,41 +964,19 @@ impl Gaea {
                             // Reuse off: skip the in-flight derivation
                             // like a current prior; next binding.
                         }
-                        _ if bind_only => {
+                        None => {
                             // No prior task, or the prior is stale: the
                             // guards alone decide admissibility here; the
-                            // mapping evaluation belongs to the workers.
+                            // mapping evaluation belongs to the prepare
+                            // phase.
                             match executor::check_guards(
                                 &self.db,
                                 &self.catalog,
                                 &self.registry,
-                                &def,
+                                def,
                                 &bindings,
                             ) {
                                 Ok(()) => return Ok(ChosenFiring::Bound(bindings)),
-                                Err(e @ KernelError::AssertionFailed { .. }) => {
-                                    last_err = Some(e); // guard rejected: next binding
-                                }
-                                Err(other) => return Err(other),
-                            }
-                        }
-                        _ => {
-                            // No prior task, or the prior is stale.
-                            let owned: Vec<(String, Vec<ObjectId>)> = bindings;
-                            let mark = self.wal_mark();
-                            match executor::run_process(
-                                &mut self.db,
-                                &mut self.catalog,
-                                &self.registry,
-                                &self.externals,
-                                pid,
-                                &owned,
-                                &self.user.clone(),
-                            ) {
-                                Ok(run) => {
-                                    self.wal_commit_delta(mark)?;
-                                    return Ok(ChosenFiring::Fired(run));
-                                }
                                 Err(e @ KernelError::AssertionFailed { .. }) => {
                                     last_err = Some(e); // guard rejected: next binding
                                 }

@@ -1,3 +1,4 @@
+use super::query::ChosenFiring;
 use super::*;
 use crate::error::KernelError;
 use crate::ids::ObjectId;
@@ -239,16 +240,14 @@ fn memoization_reuses_identical_derivations() {
     let first = g.query(&q).unwrap();
     assert_eq!(first.method, QueryMethod::Derived);
     let tasks_before = g.catalog().tasks.len();
-    // Delete nothing; ask again — retrieval answers. Force derivation
-    // path by querying a fresh-but-identical binding via run-level API:
+    // Delete nothing; ask again — retrieval answers. Force the derivation
+    // path by choosing a binding for the goal's producer directly:
+    let p20 = g.catalog.process_by_name("P20").unwrap().id;
     let no_exclude = BTreeSet::new();
-    let run1 = g
-        .fire_with_chosen_bindings(
-            g.catalog.process_by_name("P20").unwrap().id,
-            &q,
-            &no_exclude,
-        )
-        .unwrap();
+    let run1 = match g.choose_or_fire(p20, &q, &no_exclude).unwrap() {
+        ChosenFiring::Reused(run) => run,
+        _ => panic!("an identical current task must be reused"),
+    };
     // Reuse: no new task was created.
     assert_eq!(g.catalog().tasks.len(), tasks_before);
     assert_eq!(first.tasks[0], run1.task);
@@ -256,20 +255,12 @@ fn memoization_reuses_identical_derivations() {
     // reuse it and finds no alternative binding.
     let mut exclude = BTreeSet::new();
     exclude.insert(g.catalog.task(run1.task).unwrap().dedup_key());
-    let err = g
-        .fire_with_chosen_bindings(g.catalog.process_by_name("P20").unwrap().id, &q, &exclude)
-        .unwrap_err();
+    let err = g.choose_or_fire(p20, &q, &exclude).err().unwrap();
     assert!(matches!(err, KernelError::DerivationImpossible(_)));
     // With reuse disabled the kernel refuses to duplicate silently —
     // it looks for a *different* binding and reports there is none.
     g.reuse_tasks = false;
-    let err = g
-        .fire_with_chosen_bindings(
-            g.catalog.process_by_name("P20").unwrap().id,
-            &q,
-            &no_exclude,
-        )
-        .unwrap_err();
+    let err = g.choose_or_fire(p20, &q, &no_exclude).err().unwrap();
     assert!(matches!(err, KernelError::DerivationImpossible(_)));
 }
 

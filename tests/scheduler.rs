@@ -342,7 +342,7 @@ fn goal_query() -> Query {
 
 #[test]
 fn derive_parallel_fires_independent_branches_and_matches_the_serial_pipeline() {
-    // Reference: the classic serial pipeline.
+    // Reference: the query pipeline at one worker.
     let mut serial = branches_kernel(1);
     let s_out = serial.query(&goal_query()).unwrap();
     assert_eq!(s_out.method, QueryMethod::Derived);
@@ -418,12 +418,12 @@ fn refresh_all_then_query_serves_current_answers() {
 
 #[test]
 fn self_feeding_process_repetitions_serialize_across_waves() {
-    // GROW's output class is also its input class, so the serial fire
-    // stage lets repetition k+1 bind repetition k's freshly committed
-    // output. The wave builder must order same-process repetitions of a
-    // self-feeding process instead of placing them side by side —
-    // otherwise the second repetition sees no admissible binding and the
-    // scheduled pipeline diverges from the serial one (regression).
+    // GROW's output class is also its input class, so repetition k+1 must
+    // be able to bind repetition k's freshly committed output. The wave
+    // builder must order same-process repetitions of a self-feeding
+    // process instead of placing them side by side — otherwise the second
+    // repetition sees no admissible binding and the multi-worker pipeline
+    // diverges from the single-worker one (regression).
     let build = |workers: usize| {
         let mut g = Gaea::in_memory();
         g.set_workers(workers);
@@ -471,4 +471,73 @@ fn self_feeding_process_repetitions_serialize_across_waves() {
         );
         assert_eq!(tasks_of(&g, "GROW"), 2, "both repetitions realized");
     }
+}
+
+#[test]
+fn cyclic_plan_fires_one_node_waves_in_plan_order() {
+    // `a` is derived from base data (P_A) and through `b` (P_BA), and `b`
+    // is derived from `a` (P_AB). A goal needing two distinct `a` objects
+    // from one `src` makes the planner use the cycle: P_A, P_AB, P_BA,
+    // then P_GOAL. P_BA's output feeds P_AB and P_AB's feeds P_BA, so the
+    // plan has no wave order and every firing runs as its own wave in the
+    // plan's firing order. P_BA also reads `src`, which bounds the cycle
+    // to one turn.
+    let build = |workers: usize| {
+        let mut g = Gaea::in_memory();
+        g.set_workers(workers);
+        int_class(&mut g, "src", true);
+        for c in ["a", "b", "goal"] {
+            int_class(&mut g, c, false);
+        }
+        g.define_process(
+            ProcessSpec::new("P_A", "a")
+                .arg("s", "src")
+                .template(copy_v("s")),
+        )
+        .unwrap();
+        g.define_process(
+            ProcessSpec::new("P_AB", "b")
+                .arg("x", "a")
+                .template(copy_v("x")),
+        )
+        .unwrap();
+        g.define_process(
+            ProcessSpec::new("P_BA", "a")
+                .arg("y", "b")
+                .arg("s", "src")
+                .template(copy_v("y")),
+        )
+        .unwrap();
+        g.define_process(
+            ProcessSpec::new("P_GOAL", "goal")
+                .setof_arg("xs", "a", 2)
+                .template(Template {
+                    assertions: vec![],
+                    mappings: vec![Mapping {
+                        attr: "v".into(),
+                        expr: Expr::int(1),
+                    }],
+                }),
+        )
+        .unwrap();
+        insert_v(&mut g, "src", 3);
+        g
+    };
+    let run = |workers: usize| {
+        let mut g = build(workers);
+        let out = g.query(&goal_query()).unwrap();
+        assert_eq!(out.method, QueryMethod::Derived, "at {workers} workers");
+        for p in ["P_A", "P_AB", "P_BA", "P_GOAL"] {
+            assert_eq!(tasks_of(&g, p), 1, "{p} fired once at {workers} workers");
+        }
+        let tasks: Vec<String> = g.catalog().tasks.values().map(|t| t.to_string()).collect();
+        let outputs: Vec<_> = out
+            .objects
+            .iter()
+            .map(|o| (o.id, o.attrs.clone()))
+            .collect();
+        (tasks, out.tasks, outputs)
+    };
+    let one = run(1);
+    assert_eq!(run(4), one, "cyclic plan diverged between 1 and 4 workers");
 }

@@ -273,7 +273,7 @@ fn synchronous_external_firings_replay_exactly() {
     let dir = fresh_dir("sync");
     let mut g = Gaea::open_with(&dir, options()).unwrap();
     populate(&mut g, free_site(), 2);
-    // Fire through the query pipeline (choose_or_fire commit path).
+    // Fire through the query pipeline (the fire stage's commit path).
     let out = g.retrieve("RETRIEVE * FROM remote_out DERIVE").unwrap();
     assert!(!out.objects.is_empty());
     let fired = remote_tasks_json(&g).len();
