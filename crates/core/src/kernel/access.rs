@@ -212,7 +212,7 @@ pub(crate) fn plan_relation_scan(rel: &Relation, class: &str, pred: &Predicate) 
 /// in ascending order plus the EXPLAIN record. Indexed paths re-filter
 /// every candidate with the full compiled predicate, so the answer set
 /// is identical to a heap scan's.
-pub(crate) fn scan_class_in(
+pub(crate) fn scan_class(
     db: &gaea_store::Database,
     def: &ClassDef,
     pred: &Predicate,
@@ -242,16 +242,6 @@ pub(crate) fn scan_class_in(
 }
 
 impl Gaea {
-    /// Plan and run one class-extent scan over the live store. See
-    /// [`scan_class_in`].
-    pub(crate) fn scan_class(
-        &self,
-        def: &ClassDef,
-        pred: &Predicate,
-    ) -> KernelResult<(Vec<Oid>, ScanPlan)> {
-        scan_class_in(&self.db, def, pred)
-    }
-
     /// Count a class extent under a predicate through the planned access
     /// path — the cardinality primitive behind the planner's marking
     /// (no tuples are materialized or cloned).

@@ -192,8 +192,7 @@ impl Gaea {
     ///   is on record is exactly how a background *refresh* looks.
     pub fn submit_derivation(&mut self, q: &Query) -> KernelResult<JobId> {
         self.pump_jobs();
-        let class_names = self.target_classes(q)?;
-        self.validate_query(&class_names, q)?;
+        let class_names = super::query::resolve(&self.catalog, q)?;
         let dnet = self.plannable_net(q)?;
         let marking = self.planning_marking(&dnet, &class_names, q)?;
         let mut planless: Vec<String> = Vec::new();
@@ -420,21 +419,30 @@ impl Gaea {
         self.job_status_now(id)
     }
 
-    /// Every job the kernel knows, with its status *right now* (no
-    /// pumping, `&self`) and its output class — what a snapshot-pinned
-    /// [`super::readonly::ReadView`] freezes as its job board. Finished
-    /// results the kernel has not committed yet report `Running`, exactly
-    /// like [`Gaea::job_status`] would after its pump found nothing.
+    /// Every job the kernel knows, with its output class and its status
+    /// *right now* (no pumping, `&self`), computed only when asked for.
+    /// Finished results the kernel has not committed yet report
+    /// `Running`, exactly like [`Gaea::job_status`] would after its pump
+    /// found nothing. The live `pending` listing reads these rows
+    /// directly; [`Gaea::job_board`] freezes them for a pinned view.
+    pub(crate) fn job_rows(
+        &self,
+    ) -> impl Iterator<Item = (JobId, &str, impl FnOnce() -> JobStatus + '_)> + '_ {
+        self.jobs.records.iter().map(move |(id, record)| {
+            let id = *id;
+            let status = move || self.record_status(id, record);
+            (id, record.output_class.as_str(), status)
+        })
+    }
+
+    /// The job board a snapshot-pinned [`super::readonly::ReadView`]
+    /// freezes: every row of [`Gaea::job_rows`], status evaluated.
     pub(crate) fn job_board(&self) -> Vec<super::readonly::PinnedJob> {
-        self.jobs
-            .records
-            .iter()
-            .map(|(id, record)| super::readonly::PinnedJob {
-                id: *id,
-                status: self
-                    .job_status_now(*id)
-                    .expect("listed record always has a status"),
-                output_class: record.output_class.clone(),
+        self.job_rows()
+            .map(|(id, output_class, status)| super::readonly::PinnedJob {
+                id,
+                status: status(),
+                output_class: output_class.to_string(),
             })
             .collect()
     }
@@ -445,13 +453,18 @@ impl Gaea {
             kind: "job",
             id: id.0,
         })?;
+        Ok(self.record_status(id, record))
+    }
+
+    /// The status of job `id`, whose record is `record`, without pumping.
+    fn record_status(&self, id: JobId, record: &JobRecord) -> JobStatus {
         if let Some(run) = &record.committed {
-            return Ok(JobStatus::Done(run.task));
+            return JobStatus::Done(run.task);
         }
         if let Some(e) = &record.commit_error {
-            return Ok(JobStatus::Failed(e.clone()));
+            return JobStatus::Failed(e.clone());
         }
-        Ok(match self.jobs.pool.status(id) {
+        match self.jobs.pool.status(id) {
             Some(sched_jobs::JobStatus::Queued) => JobStatus::Queued,
             // A result the pool holds but the kernel has not committed
             // yet reports Running: the firing is not on the books until
@@ -468,7 +481,7 @@ impl Gaea {
             // Reuse-resolved records never enter the pool; they were
             // handled above via `committed`.
             None => unreachable!("job record without commit state or pool entry"),
-        })
+        }
     }
 
     /// Block until the job reaches a terminal state — committing the
@@ -586,24 +599,20 @@ impl Gaea {
         }
         keys
     }
+}
 
-    /// Ids of unresolved jobs whose output class is one of `classes` —
-    /// the in-flight derivations a query over those classes should
-    /// surface in `QueryOutcome::pending`.
-    pub(crate) fn pending_jobs_for(&self, classes: &[String]) -> Vec<JobId> {
-        self.jobs
-            .records
-            .iter()
-            .filter(|(id, r)| {
-                !r.resolved()
-                    && classes.contains(&r.output_class)
-                    && (self.jobs.recovered.contains(id)
-                        || matches!(
-                            self.jobs.pool.phase(**id),
-                            Some(JobPhase::Queued) | Some(JobPhase::Running) | Some(JobPhase::Done)
-                        ))
-            })
-            .map(|(id, _)| *id)
-            .collect()
-    }
+/// The jobs a query over `classes` lists in `QueryOutcome::pending`:
+/// every job whose output class is a target and whose status is not
+/// terminal — the in-flight derivations that may yet add to the answer.
+/// Rows are `(id, output class, status)`, as [`Gaea::job_rows`] yields
+/// them live and a pinned job board replays them; a status is evaluated
+/// only for jobs of a target class.
+pub(crate) fn pending_jobs_for<'a, S: FnOnce() -> JobStatus>(
+    classes: &[String],
+    rows: impl IntoIterator<Item = (JobId, &'a str, S)>,
+) -> Vec<JobId> {
+    rows.into_iter()
+        .filter(|(_, class, _)| classes.iter().any(|c| c == class))
+        .filter_map(|(id, _, status)| (!status().is_terminal()).then_some(id))
+        .collect()
 }

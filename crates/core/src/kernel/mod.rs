@@ -80,10 +80,9 @@ pub struct Gaea {
     pub(crate) cache: SharedCache,
     /// The derivation scheduler: how many workers the prepare phase of
     /// every wave ([`Gaea::refresh_all`] and the query pipeline's fire
-    /// stage, which [`Gaea::derive_parallel`] also runs) may use.
-    /// Defaults to one worker — prepares run in order on the calling
-    /// thread — unless `GAEA_SCHED_WORKERS` says otherwise; see
-    /// [`Gaea::set_workers`].
+    /// stage) may use. Defaults to one worker — prepares run in order on
+    /// the calling thread — unless `GAEA_SCHED_WORKERS` says otherwise;
+    /// see [`Gaea::set_workers`].
     pub(crate) scheduler: Scheduler,
     /// Background derivation jobs (§5 non-blocking external firings):
     /// the long-lived worker pool plus per-job records. Runtime state,
@@ -204,14 +203,14 @@ impl Gaea {
         self.cache.clone()
     }
 
-    /// Set the derivation scheduler's worker count. Query derivations,
-    /// [`Gaea::derive_parallel`] and [`Gaea::refresh_all`] fire in
-    /// dependency waves of choose → prepare → commit; the worker count
-    /// only decides how many firings of one wave prepare concurrently. `1` (the default, unless the `GAEA_SCHED_WORKERS`
-    /// environment variable was set when the kernel was constructed)
-    /// prepares them in order on the calling thread. Commits always
-    /// serialize in node order, so the committed state is the same at
-    /// every worker count.
+    /// Set the derivation scheduler's worker count. Query derivations
+    /// and [`Gaea::refresh_all`] fire in dependency waves of choose →
+    /// prepare → commit; the worker count only decides how many firings
+    /// of one wave prepare concurrently. `1` (the default, unless the
+    /// `GAEA_SCHED_WORKERS` environment variable was set when the kernel
+    /// was constructed) prepares them in order on the calling thread.
+    /// Commits always serialize in node order, so the committed state is
+    /// the same at every worker count.
     pub fn set_workers(&mut self, workers: usize) {
         self.scheduler = Scheduler::new(workers);
     }

@@ -8,9 +8,8 @@
 //! paths reach it), one edge per output-feeds-input relationship, and a
 //! wave-by-wave execution in which every firing binds against the
 //! *replacements* committed by earlier waves. The query pipeline's fire
-//! stage (`kernel/query`, behind [`Gaea::query`] and
-//! [`Gaea::derive_parallel`]) builds its DAG from a derivation plan
-//! instead.
+//! stage (`kernel/query`, behind [`Gaea::query`]) builds its DAG from a
+//! derivation plan instead.
 //!
 //! Both execute a wave the same way: choose each node's bindings
 //! serially, prepare the chosen firings on the scheduler

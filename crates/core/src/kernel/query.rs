@@ -1,10 +1,30 @@
-//! The three-step query mechanism (§2.1.5), staged as plan → bind → fire → project.
+//! The three-step query mechanism (§2.1.5): one pipeline, two drivers.
 //!
 //! "Queries are executed through retrieval of existing data, retrieval
-//! plus interpolation, or retrieval plus derivation." Step 1 retrieves
-//! stored objects matching the spatio-temporal predicate; step 2
-//! interpolates between bracketing snapshots when the query pins an
-//! instant; step 3 derives:
+//! plus interpolation, or retrieval plus derivation." Every statement
+//! runs the same read stages, free functions over a `(&Database,
+//! &Catalog)` pair so they answer identically against the live store and
+//! against a pinned snapshot:
+//!
+//! * **resolve** (`resolve`, the `plan` span) — target classes, then
+//!   validation of the declarative parts against the catalog;
+//! * **retrieve** (`retrieve_stage`, the `retrieve` span) — step 1: the
+//!   access-path scan of every target extent, each hit flagged stale
+//!   against the store's version counters;
+//! * **serve** (`serve`, the `project` span) — ORDER BY / LIMIT /
+//!   projection, then the `pending` job listing.
+//!
+//! Two thin drivers run them, each under one statement trace (`traced`).
+//! [`Gaea::query`] is the live driver: it adds only the stages that
+//! commit — access-path creation and the job pump inside `plan`, `ASYNC`
+//! submission, interpolation and derivation when step 1 comes back
+//! empty, `FRESH` re-firing inside `project`.
+//! [`ReadView::query`](super::readonly::ReadView::query) is the pinned
+//! driver: it adds only its refusal of committing statements and its
+//! [`KernelError::NoData`] on an empty step 1.
+//!
+//! Step 2 interpolates between bracketing snapshots when the query pins
+//! an instant; step 3 derives:
 //!
 //! * **plan** — `Gaea::derivation_plan` builds the filtered Petri-net
 //!   view of the catalog and backward-chains from the goal class to a
@@ -20,9 +40,9 @@
 //!   and skipping derivations the current plan already consumed; the
 //!   chosen firings prepare on the `gaea-sched` workers and commit in
 //!   node order;
-//! * **project** — `Gaea::project_outcome` re-retrieves the goal class
-//!   so the answer is served from the store exactly like step 1 would,
-//!   staleness flags included.
+//! * **project** — `Gaea::project_outcome` re-runs `retrieve` over the
+//!   goal class so the answer is served from the store exactly like step
+//!   1 would, staleness flags included.
 //!
 //! The declarative `RETRIEVE … WHERE …` surface (`gaea-lang`) lowers onto
 //! these stages: WHERE attribute predicates join the step-1 retrieval
@@ -33,7 +53,10 @@
 //! re-fires stale step-1 hits instead of serving flagged history, and the
 //! projection prunes returned attributes after every stage has run.
 
+use super::access::scan_class;
+use super::jobs::{pending_jobs_for, JobId};
 use super::Gaea;
+use crate::catalog::Catalog;
 use crate::derivation::executor::{self, TaskRun};
 use crate::derivation::net::DerivationNet;
 use crate::error::{KernelError, KernelResult};
@@ -49,7 +72,7 @@ use crate::template::Template;
 use gaea_adt::{AbsTime, Value};
 use gaea_petri::backward::plan_derivation;
 use gaea_sched::{DepGraph, NodeId};
-use gaea_store::{Oid, Predicate};
+use gaea_store::{Database, Oid, Predicate};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcome of the choose walker for one planned firing.
@@ -65,7 +88,7 @@ pub(crate) enum ChosenFiring {
     /// a duplicate. Synchronous callers surface this as
     /// [`KernelError::DerivationPending`]; a duplicate submission
     /// dedups to the id.
-    Pending(super::jobs::JobId),
+    Pending(JobId),
 }
 
 impl Gaea {
@@ -81,47 +104,27 @@ impl Gaea {
     /// [`QueryOutcome::stale`] so the caller can
     /// [`Gaea::refresh_object`](super::Gaea::refresh_object) them.
     pub fn query(&mut self, q: &Query) -> KernelResult<QueryOutcome> {
-        // One observability trace per statement: the stage spans opened
-        // below become the outcome's `EXPLAIN ANALYZE` profile, and slow
-        // traces are retained in the process-wide ring.
-        let tracer = gaea_obs::start_trace("query", q.target.name());
-        let mut result = self.query_stages(q);
-        if let Ok(outcome) = &mut result {
-            if let Some(trace) = tracer.finish() {
-                crate::query::apply_trace(outcome, &trace);
-            }
-        }
-        result
+        traced(q, || self.query_stages(q))
     }
 
-    /// The staged body of [`Gaea::query`], running inside the statement
-    /// trace (a failed statement still finalizes the trace through the
-    /// guard's drop).
+    /// The live driver's body: the shared read stages plus the stages
+    /// that commit (see the module docs).
     fn query_stages(&mut self, q: &Query) -> KernelResult<QueryOutcome> {
-        let class_names = self.plan_prologue(q)?;
-        // Step 1: direct retrieval.
-        let (hits, plans, stale) = {
-            let _retrieve = gaea_obs::span("retrieve");
-            let (hits, plans) = self.retrieve(&class_names, q)?;
-            for p in &plans {
-                gaea_obs::note("path", p.to_string());
-            }
-            let stale = self.flag_stale(&hits);
-            (hits, plans, stale)
+        // Plan: resolve and validate, give the query's predicate-hot
+        // attributes index or grid access paths on every large-enough
+        // target extent, and commit finished background jobs (their
+        // outputs are stored data this very query may retrieve).
+        let class_names = {
+            let _plan = gaea_obs::span("plan");
+            let class_names = resolve(&self.catalog, q)?;
+            self.ensure_access_paths(&class_names, q)?;
+            self.pump_jobs();
+            class_names
         };
-        if !hits.is_empty() {
-            return self.finish_outcome(
-                QueryOutcome {
-                    objects: hits,
-                    method: QueryMethod::Retrieved,
-                    tasks: vec![],
-                    stale,
-                    pending: vec![],
-                    plans,
-                    profile: None,
-                },
-                q,
-            );
+        // Step 1: direct retrieval.
+        let retrieved = retrieve_stage(&self.db, &self.catalog, &class_names, q)?;
+        if !retrieved.objects.is_empty() {
+            return self.finish_outcome(retrieved, &class_names, q);
         }
         // `DERIVE ASYNC`: nothing stored answers the query — submit the
         // derivation as a background job and return its id instead of
@@ -135,7 +138,7 @@ impl Gaea {
             // reuse, in which case only the listing here names it).
             let mut pending = vec![job];
             pending.extend(
-                self.pending_jobs_for(&class_names)
+                pending_jobs_for(&class_names, self.job_rows())
                     .into_iter()
                     .filter(|other| *other != job),
             );
@@ -171,7 +174,7 @@ impl Gaea {
                 QueryMethod::Submitted => unreachable!("async submission returned above"),
             };
             match attempt {
-                Ok(Some(outcome)) => return self.finish_outcome(outcome, q),
+                Ok(Some(outcome)) => return self.finish_outcome(outcome, &class_names, q),
                 Ok(None) => failures.push(format!("{step:?}: not applicable")),
                 Err(e) => failures.push(format!("{step:?}: {e}")),
             }
@@ -186,32 +189,8 @@ impl Gaea {
         )))
     }
 
-    /// The plan-stage prologue every statement shares: resolve and
-    /// validate the target classes, give the query's predicate-hot
-    /// attributes index or grid access paths on every large-enough target
-    /// extent, and commit finished background jobs (their outputs are
-    /// stored data this very query may retrieve).
-    fn plan_prologue(&mut self, q: &Query) -> KernelResult<Vec<String>> {
-        let _plan = gaea_obs::span("plan");
-        let class_names = self.target_classes(q)?;
-        self.validate_query(&class_names, q)?;
-        self.ensure_access_paths(&class_names, q)?;
-        self.pump_jobs();
-        Ok(class_names)
-    }
-
-    /// Validate the declarative parts of a query against the catalog
-    /// before any stage runs: attribute predicates must name attributes
-    /// every target class carries (extents included) *at the predicate
-    /// constant's own type* — a cross-type comparison would silently
-    /// match nothing — projections must name known attributes, and a
-    /// pinned `USING` process must exist and produce a target class.
-    pub(crate) fn validate_query(&self, classes: &[String], q: &Query) -> KernelResult<()> {
-        validate_query_in(&self.catalog, classes, q)
-    }
-
-    /// Final stage shared by every step: honour `FRESH`, then apply the
-    /// projection to the returned objects.
+    /// The live project stage every step's answer passes through: honour
+    /// `FRESH`, then [`serve`] the answer.
     ///
     /// `FRESH` is refuse-stale, not serve-history: every stale hit is
     /// re-fired through [`Gaea::refresh_object`], and the answer is then
@@ -226,11 +205,11 @@ impl Gaea {
     fn finish_outcome(
         &mut self,
         mut outcome: QueryOutcome,
+        class_names: &[String],
         q: &Query,
     ) -> KernelResult<QueryOutcome> {
         let _project = gaea_obs::span("project");
         if q.fresh && !outcome.stale.is_empty() {
-            let class_names = self.target_classes(q)?;
             // History that must not be served again: refreshed (replaced)
             // and refused (not auto-firable) stale objects.
             let mut excluded: BTreeSet<ObjectId> = BTreeSet::new();
@@ -249,16 +228,17 @@ impl Gaea {
                     }
                     excluded.insert(oid);
                 }
-                let (retrieved, plans) = self.retrieve(&class_names, q)?;
-                outcome.plans = plans;
-                let hits: Vec<DataObject> = retrieved
-                    .into_iter()
-                    .filter(|o| !excluded.contains(&o.id))
-                    .collect();
+                let mut again = retrieve(&self.db, &self.catalog, class_names, q)?;
+                again.objects.retain(|o| !excluded.contains(&o.id));
                 // Re-retrieval can surface further stale objects the
                 // original answer did not include; refresh those too.
-                pending = self.flag_stale(&hits).into_iter().collect();
-                outcome.objects = hits;
+                pending = again
+                    .stale
+                    .into_iter()
+                    .filter(|oid| !excluded.contains(oid))
+                    .collect();
+                outcome.objects = again.objects;
+                outcome.plans = again.plans;
             }
             if outcome.objects.is_empty() {
                 return Err(KernelError::NoData(format!(
@@ -273,36 +253,8 @@ impl Gaea {
                 )));
             }
         }
-        order_limit_project(&mut outcome, q);
-        // Surface every in-flight background derivation of a target
-        // class: the answer may be about to grow (or to replace a stale
-        // hit), and the caller can await the listed jobs.
-        outcome.pending = self.pending_jobs_for(&self.target_classes(q)?);
-        Ok(outcome)
-    }
-
-    pub(crate) fn target_classes(&self, q: &Query) -> KernelResult<Vec<String>> {
-        target_classes_in(&self.catalog, q)
-    }
-
-    fn retrieval_predicate(&self, class: &ClassDef, q: &Query) -> Predicate {
-        retrieval_predicate_for(class, q)
-    }
-
-    /// Step-1 retrieval through the optimizer over the live store. See
-    /// [`retrieve_in`].
-    fn retrieve(
-        &self,
-        classes: &[String],
-        q: &Query,
-    ) -> KernelResult<(Vec<DataObject>, Vec<ScanPlan>)> {
-        retrieve_in(&self.db, &self.catalog, classes, q)
-    }
-
-    /// Classify retrieved objects against the store's version counters;
-    /// returns the stale subset. See [`flag_stale_in`].
-    fn flag_stale(&self, hits: &[DataObject]) -> Vec<ObjectId> {
-        flag_stale_in(&self.db, &self.catalog, hits)
+        let pending = pending_jobs_for(class_names, self.job_rows());
+        Ok(serve(outcome, q, pending))
     }
 
     /// Step 2: temporal interpolation. Applicable when the query pins an
@@ -328,9 +280,9 @@ impl Gaea {
                 time: None,
                 ..q.clone()
             };
-            let pred = self.retrieval_predicate(&def, &spatial_query);
+            let pred = retrieval_predicate(&def, &spatial_query);
             let mut snaps: Vec<DataObject> = Vec::new();
-            let (snap_oids, _plan) = self.scan_class(&def, &pred)?;
+            let (snap_oids, _plan) = scan_class(&self.db, &def, &pred)?;
             for oid in snap_oids {
                 let obj = self.object(ObjectId(oid))?;
                 if obj.timestamp().is_some() && obj.attr("data").is_some() {
@@ -405,7 +357,7 @@ impl Gaea {
             // themselves be stale derivations — classify like step 1 does,
             // so the same object answers consistently however it is served.
             let objects = vec![self.object(obj)?];
-            let stale = self.flag_stale(&objects);
+            let stale = flag_stale(&self.db, &self.catalog, &objects);
             return Ok(Some(QueryOutcome {
                 objects,
                 method: QueryMethod::Interpolated,
@@ -537,7 +489,7 @@ impl Gaea {
         let mut counts: BTreeMap<ClassId, u64> = BTreeMap::new();
         for (cid, def) in &self.catalog.classes {
             let pred = if targets.contains(&def.name) {
-                self.retrieval_predicate(def, q)
+                retrieval_predicate(def, q)
             } else {
                 match q.spatial {
                     Some(bbox) if def.has_spatial => {
@@ -692,60 +644,22 @@ impl Gaea {
         Ok(tasks)
     }
 
-    /// Run the derivation step of the query mechanism directly: plan over
-    /// the Petri net, fire the plan's dependency waves (preparing on
-    /// however many [`Gaea::workers`] there are), and project the goal
-    /// class back through retrieval. Unlike [`Gaea::query`] it never
-    /// serves stored answers first — it exists to *make* the derivation
-    /// happen.
-    pub fn derive_parallel(&mut self, q: &Query) -> KernelResult<QueryOutcome> {
-        let tracer = gaea_obs::start_trace("derive_parallel", q.target.name());
-        let mut result = (|| {
-            let class_names = self.plan_prologue(q)?;
-            let derived = {
-                let _derive = gaea_obs::span("derive");
-                self.try_derive(&class_names, q)?
-            };
-            match derived {
-                Some(outcome) => self.finish_outcome(outcome, q),
-                None => Err(KernelError::NoData(format!(
-                    "classes {class_names:?}: the derivation plan fired but extent transfer \
-                     did not match the query"
-                ))),
-            }
-        })();
-        if let Ok(outcome) = &mut result {
-            if let Some(trace) = tracer.finish() {
-                crate::query::apply_trace(outcome, &trace);
-            }
-        }
-        result
-    }
-
-    /// Project stage: serve the derived answer through retrieval, exactly
-    /// like step 1 would, so callers observe store-resident objects —
-    /// including the staleness classification, since the projection can
-    /// pick up previously stored (possibly stale) objects alongside the
-    /// freshly derived ones.
+    /// Project stage: serve the derived answer through [`retrieve`],
+    /// exactly like step 1 would, so callers observe store-resident
+    /// objects — including the staleness classification, since the
+    /// projection can pick up previously stored (possibly stale) objects
+    /// alongside the freshly derived ones.
     fn project_outcome(
         &self,
         class: &str,
         q: &Query,
         tasks: &[TaskId],
     ) -> KernelResult<Option<QueryOutcome>> {
-        let (hits, plans) = self.retrieve(&[class.to_string()], q)?;
-        if hits.is_empty() {
-            return Ok(None);
-        }
-        let stale = self.flag_stale(&hits);
-        Ok(Some(QueryOutcome {
-            objects: hits,
+        let outcome = retrieve(&self.db, &self.catalog, &[class.to_string()], q)?;
+        Ok((!outcome.objects.is_empty()).then(|| QueryOutcome {
             method: QueryMethod::Derived,
             tasks: tasks.to_vec(),
-            stale,
-            pending: vec![],
-            plans,
-            profile: None,
+            ..outcome
         }))
     }
 
@@ -798,7 +712,7 @@ impl Gaea {
                 _ => Predicate::True,
             };
             let mut pool = Vec::new();
-            let (pool_oids, _plan) = self.scan_class(&class, &pred)?;
+            let (pool_oids, _plan) = scan_class(&self.db, &class, &pred)?;
             for oid in pool_oids {
                 pool.push(self.object(ObjectId(oid))?);
             }
@@ -1028,38 +942,56 @@ pub(crate) fn dedup_key_for(def: &ProcessDef, bindings: &[(String, Vec<ObjectId>
 }
 
 // ----------------------------------------------------------------------
-// Catalog/store-parameterized query primitives.
+// The read stages both drivers run.
 //
-// Everything below is the read-only half of the query mechanism, factored
-// free of `&Gaea` so it runs identically against the live store and
-// against a pinned [`gaea_store::PinnedStore`] view
-// ([`super::readonly::ReadView`]). The `Gaea` methods above delegate here.
+// Free of `&Gaea`: each takes the store and catalog it reads, so the
+// live driver ([`Gaea::query`]) passes the kernel's own and the pinned
+// driver ([`super::readonly::ReadView::query`]) passes its snapshot's.
+// Neither commits anything; every committing stage is a `Gaea` method
+// above.
 // ----------------------------------------------------------------------
 
-/// Resolve a query's target (class or concept) to concrete class names.
-pub(crate) fn target_classes_in(
-    catalog: &crate::catalog::Catalog,
+/// Run one statement body under its observability trace: the stage
+/// spans the body opens become the outcome's `EXPLAIN ANALYZE` profile,
+/// and slow traces are retained in the process-wide ring. A failed
+/// statement still finalizes the trace through the guard's drop.
+pub(crate) fn traced(
     q: &Query,
-) -> KernelResult<Vec<String>> {
-    Ok(match &q.target {
-        QueryTarget::Class(name) => {
-            vec![catalog.class_by_name(name)?.name.clone()]
+    body: impl FnOnce() -> KernelResult<QueryOutcome>,
+) -> KernelResult<QueryOutcome> {
+    let tracer = gaea_obs::start_trace("query", q.target.name());
+    let mut result = body();
+    if let Ok(outcome) = &mut result {
+        if let Some(trace) = tracer.finish() {
+            crate::query::apply_trace(outcome, &trace);
         }
+    }
+    result
+}
+
+/// Resolve stage: the query's target (class or concept) as concrete
+/// class names, validated against the catalog before any other stage
+/// runs.
+pub(crate) fn resolve(catalog: &Catalog, q: &Query) -> KernelResult<Vec<String>> {
+    let classes: Vec<String> = match &q.target {
+        QueryTarget::Class(name) => vec![catalog.class_by_name(name)?.name.clone()],
         QueryTarget::Concept(name) => catalog
             .concept_member_classes(name)?
             .iter()
             .map(|c| c.name.clone())
             .collect(),
-    })
+    };
+    validate_query(catalog, &classes, q)?;
+    Ok(classes)
 }
 
-/// Validate the declarative parts of a query against a catalog. See
-/// [`Gaea::validate_query`] for the contract.
-pub(crate) fn validate_query_in(
-    catalog: &crate::catalog::Catalog,
-    classes: &[String],
-    q: &Query,
-) -> KernelResult<()> {
+/// Validate the declarative parts of a query: attribute predicates must
+/// name attributes every target class carries (extents included) *at the
+/// predicate constant's own type* — a cross-type comparison would
+/// silently match nothing — projections and `ORDER BY` must name known
+/// attributes, and a pinned `USING` process must exist and produce a
+/// target class.
+fn validate_query(catalog: &Catalog, classes: &[String], q: &Query) -> KernelResult<()> {
     for name in classes {
         let def = catalog.class_by_name(name)?;
         for pred in &q.attr_preds {
@@ -1113,7 +1045,7 @@ pub(crate) fn validate_query_in(
 /// The step-1 retrieval predicate a query induces on one target class:
 /// spatial overlap and temporal selection (when the class carries the
 /// extents) joined with the declarative WHERE conjuncts.
-pub(crate) fn retrieval_predicate_for(class: &ClassDef, q: &Query) -> Predicate {
+pub(crate) fn retrieval_predicate(class: &ClassDef, q: &Query) -> Predicate {
     let mut pred = Predicate::True;
     if let (Some(bbox), true) = (q.spatial, class.has_spatial) {
         pred = pred.and(Predicate::BoxOverlaps(SPATIAL_ATTR.into(), bbox));
@@ -1130,7 +1062,7 @@ pub(crate) fn retrieval_predicate_for(class: &ClassDef, q: &Query) -> Predicate 
         }
     }
     // Declarative WHERE predicates (validated against the class by
-    // `validate_query_in`) filter step-1 retrieval and, through
+    // `validate_query`) filter step-1 retrieval and, through
     // `planning_marking`, keep the planner from counting goal objects
     // that cannot satisfy the query.
     for ap in &q.attr_preds {
@@ -1143,43 +1075,71 @@ pub(crate) fn retrieval_predicate_for(class: &ClassDef, q: &Query) -> Predicate 
     pred
 }
 
-/// Step-1 retrieval through the optimizer: each class extent scans via
-/// [`super::access::scan_class_in`] (cheapest index/grid path,
-/// full-predicate residual re-check), returning the hits plus one
-/// EXPLAIN record per scanned extent.
-pub(crate) fn retrieve_in(
-    db: &gaea_store::Database,
-    catalog: &crate::catalog::Catalog,
+/// Retrieve stage: [`retrieve`] inside the `retrieve` span, each scan's
+/// access path noted for `EXPLAIN ANALYZE`.
+pub(crate) fn retrieve_stage(
+    db: &Database,
+    catalog: &Catalog,
     classes: &[String],
     q: &Query,
-) -> KernelResult<(Vec<DataObject>, Vec<ScanPlan>)> {
-    if let Some(short) = retrieve_ordered_limit_in(db, catalog, classes, q)? {
-        return Ok(short);
+) -> KernelResult<QueryOutcome> {
+    let _retrieve = gaea_obs::span("retrieve");
+    let outcome = retrieve(db, catalog, classes, q)?;
+    for p in &outcome.plans {
+        gaea_obs::note("path", p.to_string());
     }
-    let mut out = Vec::new();
-    let mut plans = Vec::new();
-    for name in classes {
-        let def = catalog.class_by_name(name)?;
-        let pred = retrieval_predicate_for(def, q);
-        let (oids, plan) = super::access::scan_class_in(db, def, &pred)?;
-        plans.push(plan);
-        for oid in oids {
-            out.push(executor::load_object(db, catalog, ObjectId(oid))?);
+    Ok(outcome)
+}
+
+/// Step-1 retrieval through the optimizer: each class extent scans via
+/// [`scan_class`] (cheapest index/grid path, full-predicate residual
+/// re-check), every hit is classified against the store's version
+/// counters, and the answer comes back as a `Retrieved` outcome with one
+/// EXPLAIN record per scanned extent.
+pub(crate) fn retrieve(
+    db: &Database,
+    catalog: &Catalog,
+    classes: &[String],
+    q: &Query,
+) -> KernelResult<QueryOutcome> {
+    let (objects, plans) = match retrieve_ordered_limit(db, catalog, classes, q)? {
+        Some(short) => short,
+        None => {
+            let mut objects = Vec::new();
+            let mut plans = Vec::new();
+            for name in classes {
+                let def = catalog.class_by_name(name)?;
+                let (oids, plan) = scan_class(db, def, &retrieval_predicate(def, q))?;
+                plans.push(plan);
+                for oid in oids {
+                    objects.push(executor::load_object(db, catalog, ObjectId(oid))?);
+                }
+            }
+            (objects, plans)
         }
-    }
-    Ok((out, plans))
+    };
+    let stale = flag_stale(db, catalog, &objects);
+    Ok(QueryOutcome {
+        objects,
+        method: QueryMethod::Retrieved,
+        tasks: vec![],
+        stale,
+        pending: vec![],
+        plans,
+        profile: None,
+    })
 }
 
 /// `ORDER BY attr LIMIT n` over a single class whose order attribute
 /// carries an index walks [`gaea_store::index::OrderedIndex::sorted_oids`]
 /// in query order and stops as soon as `n` rows matched — plus every
 /// remaining tie of the boundary key, so the exact (value, id)-ordered
-/// top-N survives the final sort-and-truncate in [`order_limit_project`].
+/// top-N survives the final sort-and-truncate in [`serve`].
 /// `FRESH` queries skip the short-circuit: the refusal loop must see the
 /// full answer to classify it.
-fn retrieve_ordered_limit_in(
-    db: &gaea_store::Database,
-    catalog: &crate::catalog::Catalog,
+fn retrieve_ordered_limit(
+    db: &Database,
+    catalog: &Catalog,
     classes: &[String],
     q: &Query,
 ) -> KernelResult<Option<(Vec<DataObject>, Vec<ScanPlan>)>> {
@@ -1197,8 +1157,7 @@ fn retrieve_ordered_limit_in(
     let Some(idx) = rel.index_for(pos) else {
         return Ok(None);
     };
-    let pred = retrieval_predicate_for(def, q);
-    let compiled = pred.compile(rel.schema())?;
+    let compiled = retrieval_predicate(def, q).compile(rel.schema())?;
     let mut oids: Vec<Oid> = Vec::new();
     // Key of the limit-th matched row: the walk continues through
     // its ties and stops at the first different key.
@@ -1237,11 +1196,7 @@ fn retrieve_ordered_limit_in(
 /// Classify retrieved objects against a store's version counters;
 /// returns the stale subset. One staleness memo is shared across all
 /// hits (their derivations typically share ancestors).
-pub(crate) fn flag_stale_in(
-    db: &gaea_store::Database,
-    catalog: &crate::catalog::Catalog,
-    hits: &[DataObject],
-) -> Vec<ObjectId> {
+fn flag_stale(db: &Database, catalog: &Catalog, hits: &[DataObject]) -> Vec<ObjectId> {
     let mut memo = super::exec::StaleMemo::new();
     hits.iter()
         .filter(|o| super::exec::object_is_stale(db, catalog, o.id, &mut memo))
@@ -1249,12 +1204,15 @@ pub(crate) fn flag_stale_in(
         .collect()
 }
 
-/// The answer-shaping tail every outcome passes through: ORDER BY in
-/// canonical (value, id) order — `None` attributes sort first,
-/// descending reverses the value order but ids still break ties
+/// Serve stage, the answer-shaping tail every outcome passes through:
+/// ORDER BY in canonical (value, id) order — `None` attributes sort
+/// first, descending reverses the value order but ids still break ties
 /// ascending — then the LIMIT cutoff (which prunes the staleness flags
-/// to the surviving objects), then the projection.
-pub(crate) fn order_limit_project(outcome: &mut QueryOutcome, q: &Query) {
+/// to the surviving objects), then the projection. `pending` (see
+/// [`pending_jobs_for`]) surfaces every in-flight background derivation
+/// of a target class: the answer may be about to grow (or to replace a
+/// stale hit), and the caller can await the listed jobs.
+pub(crate) fn serve(mut outcome: QueryOutcome, q: &Query, pending: Vec<JobId>) -> QueryOutcome {
     if let Some(ob) = &q.order_by {
         outcome.objects.sort_by(|a, b| {
             let ord = a.attr(&ob.attr).cmp(&b.attr(&ob.attr));
@@ -1274,4 +1232,6 @@ pub(crate) fn order_limit_project(outcome: &mut QueryOutcome, q: &Query) {
             obj.attrs.retain(|name, _| q.projection.contains(name));
         }
     }
+    outcome.pending = pending;
+    outcome
 }

@@ -1,28 +1,31 @@
-//! Snapshot-pinned read-only query execution.
+//! Snapshot-pinned read-only query execution: the pinned driver of the
+//! one query pipeline.
 //!
 //! A [`ReadView`] is the kernel half of an MVCC read transaction: a
 //! [`gaea_store::PinnedStore`] (frozen relations + version counters)
 //! paired with the catalog and the background-job listing captured at
-//! the same commit point. Every statement the server classifies as
-//! read-only — `RETRIEVE` without `DERIVE`/`FRESH`, `job_status`,
-//! provenance/EXPLAIN reads — executes here against the pinned state,
+//! the same commit point. Two kinds of statement execute here against
+//! the pinned state — a `RETRIEVE` without `DERIVE`/`FRESH`/`ASYNC`
+//! ([`ReadView::query`]) and a job poll ([`ReadView::job_status`]) —
 //! holding **no** kernel lock: concurrent readers never block behind a
 //! commit or behind each other, and a reader's answer is always equal to
 //! some committed prefix of the write history (snapshot isolation).
 //!
-//! Mutating statements (DDL, `DERIVE`, `FRESH`, updates, job
-//! submit/cancel) do not fit in a view by construction: [`ReadView::query`]
-//! refuses them with [`KernelError::Schema`], and the session facade
+//! [`ReadView::query`] runs the same resolve → retrieve → serve stages
+//! as the live [`super::Gaea::query`] (see [`super::query`]), over the
+//! pinned store and catalog, with the access paths as frozen at pin
+//! time. It adds only what a view needs: mutating statements (DDL,
+//! `DERIVE`, `FRESH`, `ASYNC`, updates, job submit/cancel) do not fit in
+//! a view by construction, so it refuses them with
+//! [`KernelError::Schema`] — the session facade
 //! ([`super::session::SharedKernel`]) routes them into the serialized
-//! commit path instead.
+//! commit path instead — and an empty step 1 is [`KernelError::NoData`].
 
-use super::jobs::{JobId, JobStatus};
+use super::jobs::{pending_jobs_for, JobId, JobStatus};
 use super::query as qexec;
 use crate::catalog::Catalog;
 use crate::error::{KernelError, KernelResult};
-use crate::ids::ObjectId;
-use crate::object::DataObject;
-use crate::query::{Query, QueryMethod, QueryOutcome, QueryStrategy};
+use crate::query::{Query, QueryOutcome, QueryStrategy};
 use gaea_store::PinnedStore;
 use std::sync::Arc;
 
@@ -91,73 +94,32 @@ impl ReadView {
     /// refused with [`KernelError::Schema`]; route it through the
     /// serialized commit path instead.
     pub fn query(&self, q: &Query) -> KernelResult<QueryOutcome> {
-        let tracer = gaea_obs::start_trace("query", q.target.name());
-        let mut result = self.query_stages(q);
-        if let Ok(outcome) = &mut result {
-            if let Some(trace) = tracer.finish() {
-                crate::query::apply_trace(outcome, &trace);
+        qexec::traced(q, || {
+            if !Self::is_read_only(q) {
+                return Err(KernelError::Schema(
+                    "query needs the commit path (DERIVE/FRESH/ASYNC): \
+                     a snapshot-pinned view only answers plain retrieval"
+                        .into(),
+                ));
             }
-        }
-        result
-    }
-
-    /// The staged body of [`ReadView::query`], one span per pipeline
-    /// stage so the tracer's depth-1 laps tile the statement.
-    fn query_stages(&self, q: &Query) -> KernelResult<QueryOutcome> {
-        if !Self::is_read_only(q) {
-            return Err(KernelError::Schema(
-                "query needs the commit path (DERIVE/FRESH/ASYNC): \
-                 a snapshot-pinned view only answers plain retrieval"
-                    .into(),
-            ));
-        }
-        let classes = {
-            let _plan = gaea_obs::span("plan");
-            let classes = qexec::target_classes_in(&self.catalog, q)?;
-            qexec::validate_query_in(&self.catalog, &classes, q)?;
-            classes
-        };
-        let (hits, plans, stale) = {
-            let _retrieve = gaea_obs::span("retrieve");
-            let (hits, plans) = qexec::retrieve_in(self.store.db(), &self.catalog, &classes, q)?;
-            for p in &plans {
-                gaea_obs::note("path", p.to_string());
+            let classes = {
+                let _plan = gaea_obs::span("plan");
+                qexec::resolve(&self.catalog, q)?
+            };
+            let retrieved = qexec::retrieve_stage(self.store.db(), &self.catalog, &classes, q)?;
+            if retrieved.objects.is_empty() {
+                return Err(KernelError::NoData(format!(
+                    "classes {classes:?} hold no matching objects; \
+                     strategy forbids computation"
+                )));
             }
-            let stale = qexec::flag_stale_in(self.store.db(), &self.catalog, &hits);
-            (hits, plans, stale)
-        };
-        if hits.is_empty() {
-            return Err(KernelError::NoData(format!(
-                "classes {classes:?} hold no matching objects; \
-                 strategy forbids computation"
-            )));
-        }
-        let _project = gaea_obs::span("project");
-        let mut outcome = QueryOutcome {
-            objects: hits,
-            method: QueryMethod::Retrieved,
-            tasks: vec![],
-            stale,
-            pending: vec![],
-            plans,
-            profile: None,
-        };
-        qexec::order_limit_project(&mut outcome, q);
-        outcome.pending = self.pending_jobs_for(&classes);
-        Ok(outcome)
-    }
-
-    /// Load one stored object from the pinned state.
-    pub fn object(&self, oid: ObjectId) -> KernelResult<DataObject> {
-        crate::derivation::executor::load_object(self.store.db(), &self.catalog, oid)
-    }
-
-    /// Is a stored object stale as of the pin (recorded derivation
-    /// inputs mutated after it was derived, judged entirely against the
-    /// pinned counters)?
-    pub fn is_stale(&self, oid: ObjectId) -> bool {
-        let mut memo = super::exec::StaleMemo::new();
-        super::exec::object_is_stale(self.store.db(), &self.catalog, oid, &mut memo)
+            let _project = gaea_obs::span("project");
+            let rows = self
+                .jobs
+                .iter()
+                .map(|j| (j.id, j.output_class.as_str(), || j.status.clone()));
+            Ok(qexec::serve(retrieved, q, pending_jobs_for(&classes, rows)))
+        })
     }
 
     /// Status of a background job as of the pin. `None` for a job id the
@@ -172,16 +134,6 @@ impl ReadView {
     /// The pinned job board.
     pub fn jobs(&self) -> &[PinnedJob] {
         &self.jobs
-    }
-
-    /// Ids of jobs unresolved at pin time whose output class is among
-    /// `classes` — the pinned analogue of the live `pending` listing.
-    fn pending_jobs_for(&self, classes: &[String]) -> Vec<JobId> {
-        self.jobs
-            .iter()
-            .filter(|j| !j.status.is_terminal() && classes.contains(&j.output_class))
-            .map(|j| j.id)
-            .collect()
     }
 }
 

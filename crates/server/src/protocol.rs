@@ -222,7 +222,7 @@ pub struct ServerStats {
 /// wire.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireTrace {
-    /// Root span name (`query`, `derive_parallel`, …).
+    /// Root span name (`query` for every statement the kernel traces).
     pub root: String,
     /// Statement label — the target class or concept name.
     pub label: String,

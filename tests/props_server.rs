@@ -2,16 +2,21 @@
 //! contract: any interleaving of snapshot-pinned readers with a writer
 //! stream yields reader answers equal to *some committed prefix* of the
 //! write history, with `stale` and `pending` flags judged against the
-//! pinned version — never the live one.
+//! pinned version — never the live one. A differential property holds
+//! the two query drivers to one answer: a random read-only `RETRIEVE`
+//! through the pinned `ReadView::query` equals the same statement
+//! through the live `Gaea::query`.
 //!
 //! CI runs this file in the `props` job at `PROPTEST_CASES=256`.
 
-use gaea::adt::{TypeTag, Value};
+use gaea::adt::{AbsTime, GeoBox, TypeTag, Value};
+use gaea::core::external::SimulatedSite;
 use gaea::core::kernel::{ClassSpec, Gaea, ProcessSpec, ReadView, SharedKernel};
 use gaea::core::template::{Expr, Mapping, Template};
-use gaea::core::{ObjectId, Query, QueryStrategy};
+use gaea::core::{KernelError, ObjectId, Query, QueryOutcome, QueryStrategy};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 
 /// Schema: base `obs {v}`, derived `dbl {v}`, local `COPY: obs → dbl`.
@@ -42,6 +47,158 @@ fn kernel() -> Gaea {
 
 fn q(class: &str) -> Query {
     Query::class(class).with_strategy(QueryStrategy::RetrieveOnly)
+}
+
+/// Rows in the differential fixture's `obs` extent: above the
+/// auto-index threshold, so a live `ORDER BY v LIMIT n` creates an index
+/// on `v` and walks it, while a view pinned beforehand full-scans.
+const DIFF_ROWS: i32 = 300;
+
+/// The differential fixture: `obs {v, w}` with spatial and temporal
+/// extents and [`DIFF_ROWS`] rows (`v` repeats, so `ORDER BY v` has
+/// ties); `dbl {v}` derived from `obs` by `COPY`, three of its six
+/// objects stale; `rem {v}` with one `REMOTE` job stuck in flight at a
+/// gated site; and the concept `every` over all three classes. Dropping
+/// the returned sender fails the stuck job.
+fn differential_kernel() -> (Gaea, Sender<()>) {
+    let mut g = Gaea::in_memory();
+    g.define_class(
+        ClassSpec::base("obs")
+            .attr("v", TypeTag::Int4)
+            .attr("w", TypeTag::Int4),
+    )
+    .unwrap();
+    for derived in ["dbl", "rem"] {
+        g.define_class(
+            ClassSpec::derived(derived)
+                .attr("v", TypeTag::Int4)
+                .no_extents(),
+        )
+        .unwrap();
+    }
+    g.define_process(
+        ProcessSpec::new("COPY", "dbl")
+            .arg("x", "obs")
+            .template(Template {
+                assertions: vec![],
+                mappings: vec![Mapping {
+                    attr: "v".into(),
+                    expr: Expr::proj("x", "v"),
+                }],
+            }),
+    )
+    .unwrap();
+    g.define_external_process(ProcessSpec::new("REMOTE", "rem").arg("x", "obs"), "gated")
+        .unwrap();
+    let (gate, rx) = channel::<()>();
+    let rx = Mutex::new(rx);
+    g.register_site(
+        "gated",
+        Arc::new(SimulatedSite::new("gated", move |_def, _inputs| {
+            rx.lock()
+                .unwrap()
+                .recv()
+                .map_err(|_| KernelError::Template("gate dropped".into()))?;
+            Ok(BTreeMap::new())
+        })),
+    );
+    g.define_concept("every", &["obs", "dbl", "rem"], &[], "")
+        .unwrap();
+    let mut oids = Vec::new();
+    for i in 0..DIFF_ROWS {
+        let (x, y) = (f64::from(i % 20), f64::from(i / 20 % 15));
+        oids.push(
+            g.insert_object(
+                "obs",
+                vec![
+                    ("v", Value::Int4(i % 50)),
+                    ("w", Value::Int4(i)),
+                    ("timestamp", Value::AbsTime(AbsTime(i64::from(i % 30)))),
+                    (
+                        "spatialextent",
+                        Value::GeoBox(GeoBox::new(x, y, x + 1.0, y + 1.0)),
+                    ),
+                ],
+            )
+            .unwrap(),
+        );
+    }
+    for &oid in oids.iter().step_by(50).take(6) {
+        g.run_process("COPY", &[("x", vec![oid])]).unwrap();
+    }
+    for &oid in oids.iter().step_by(100) {
+        g.update_object(oid, vec![("v", Value::Int4(-1))]).unwrap();
+    }
+    let mut rq = q("rem");
+    rq.strategy = QueryStrategy::PreferDerivation;
+    rq.async_submit = true;
+    g.submit_derivation(&rq).unwrap();
+    (g, gate)
+}
+
+/// A random read-only `RETRIEVE` over the differential fixture: a class
+/// or concept target, `*` or a projection, any of `v =/</> n`,
+/// `WITHIN`, `AT`/`BETWEEN`, then `ORDER BY v` and `LIMIT`.
+fn retrieve_text() -> impl Strategy<Value = String> {
+    (
+        prop_oneof![4 => Just("obs"), 2 => Just("dbl"), 2 => Just("every"), 1 => Just("rem")],
+        any::<bool>(),
+        proptest::option::of((prop_oneof![Just('='), Just('<'), Just('>')], 0i32..52)),
+        proptest::option::of((0i32..20, 0i32..15, 0i32..8, 0i32..8)),
+        proptest::option::of((any::<bool>(), 0i64..30, 0i64..12)),
+        proptest::option::of(any::<bool>()),
+        proptest::option::of(0u64..40),
+    )
+        .prop_map(|(target, project, cmp, within, time, order, limit)| {
+            let mut wheres = Vec::new();
+            if let Some((op, n)) = cmp {
+                wheres.push(format!("v {op} {n}"));
+            }
+            if let Some((x, y, dx, dy)) = within {
+                wheres.push(format!("WITHIN({x}, {y}, {}, {})", x + dx, y + dy));
+            }
+            match time {
+                Some((true, t, _)) => wheres.push(format!("AT {t}")),
+                Some((false, t, span)) => wheres.push(format!("BETWEEN {t} AND {}", t + span)),
+                None => {}
+            }
+            let mut text = format!("RETRIEVE {} FROM {target}", if project { "v" } else { "*" });
+            if !wheres.is_empty() {
+                text += &format!(" WHERE {}", wheres.join(" AND "));
+            }
+            if let Some(desc) = order {
+                text += if desc {
+                    " ORDER BY v DESC"
+                } else {
+                    " ORDER BY v"
+                };
+            }
+            if let Some(n) = limit {
+                text += &format!(" LIMIT {n}");
+            }
+            text
+        })
+}
+
+/// Everything the two drivers must agree on: objects (ids and
+/// attributes, in answer order), method, the stale set, pending jobs
+/// and the depth-1 profile stages — or the error text. Scan plans may
+/// differ (the live driver creates indexes a pinned view lacks).
+fn comparable(
+    result: Result<QueryOutcome, KernelError>,
+) -> Result<impl PartialEq + std::fmt::Debug, String> {
+    let out = result.map_err(|e| e.to_string())?;
+    let stages: Vec<String> = out
+        .profile
+        .expect("traced statement carries a profile")
+        .stages
+        .into_iter()
+        .filter(|s| s.depth == 1)
+        .map(|s| s.stage)
+        .collect();
+    let objects: Vec<_> = out.objects.into_iter().map(|o| (o.id, o.attrs)).collect();
+    let stale: BTreeSet<ObjectId> = out.stale.into_iter().collect();
+    Ok((objects, out.method, stale, out.pending, stages))
 }
 
 /// One committed statement in the writer stream, or a reader pinning a
@@ -301,6 +458,25 @@ proptest! {
             for id in outcome.pending {
                 prop_assert!(id.0 <= horizon);
             }
+        }
+    }
+
+    /// Differential: the pinned and the live driver answer every
+    /// read-only statement alike. The view is pinned before any live
+    /// statement runs, so it keeps scanning without the indexes the live
+    /// plan stage creates along the way.
+    #[test]
+    fn pinned_and_live_drivers_answer_alike(
+        texts in proptest::collection::vec(retrieve_text(), 1..6)
+    ) {
+        let (mut g, _gate) = differential_kernel();
+        let view = g.read_view();
+        for text in &texts {
+            let q = gaea::lang::compile_query(view.catalog(), text).unwrap();
+            prop_assert!(ReadView::is_read_only(&q));
+            let pinned = comparable(view.query(&q));
+            let live = comparable(g.query(&q));
+            prop_assert_eq!(pinned, live, "{}", text);
         }
     }
 }

@@ -1,7 +1,6 @@
 //! End-to-end coverage of the `gaea-sched` derivation scheduler:
 //! `Gaea::refresh_all` over the stale impact set (fan-out, diamonds,
-//! chains, skips), `Gaea::derive_parallel`, and the query pipeline's
-//! wave-based fire stage — plus the invariant the whole design rides
+//! chains, skips) and the query pipeline's wave-based fire stage — plus the invariant the whole design rides
 //! on: the committed state is identical for every worker count.
 //!
 //! Worker counts are set explicitly in every test (the CI matrix also
@@ -295,7 +294,7 @@ fn refresh_all_state_is_identical_for_every_worker_count() {
 }
 
 // ---------------------------------------------------------------------
-// derive_parallel and the query pipeline's wave stage
+// The query pipeline's wave stage
 // ---------------------------------------------------------------------
 
 /// Two-branch fixture: `base_a` --P_LEFT--> `mid_a`, `base_b`
@@ -341,7 +340,7 @@ fn goal_query() -> Query {
 }
 
 #[test]
-fn derive_parallel_fires_independent_branches_and_matches_the_serial_pipeline() {
+fn multi_worker_query_routes_through_waves_and_matches_serial() {
     // Reference: the query pipeline at one worker.
     let mut serial = branches_kernel(1);
     let s_out = serial.query(&goal_query()).unwrap();
@@ -349,7 +348,7 @@ fn derive_parallel_fires_independent_branches_and_matches_the_serial_pipeline() 
 
     for workers in [1, 4] {
         let mut g = branches_kernel(workers);
-        let out = g.derive_parallel(&goal_query()).unwrap();
+        let out = g.query(&goal_query()).unwrap();
         assert_eq!(out.method, QueryMethod::Derived);
         assert_eq!(out.objects.len(), s_out.objects.len());
         assert_eq!(
@@ -361,38 +360,23 @@ fn derive_parallel_fires_independent_branches_and_matches_the_serial_pipeline() 
             serial.catalog().tasks.len(),
             "same number of recorded tasks at {workers} workers"
         );
-        // All three processes fired exactly once each.
+        // Both independent branches and the join fired exactly once each.
         for p in ["P_LEFT", "P_RIGHT", "P_JOIN"] {
-            assert_eq!(tasks_of(&g, p), 1);
+            assert_eq!(tasks_of(&g, p), 1, "{p} at {workers} workers");
         }
+
+        // The repeated query is answered by step-1 retrieval: nothing
+        // re-fires and the same stored object comes back.
+        let tasks_before = g.catalog().tasks.len();
+        let warm = g.query(&goal_query()).unwrap();
+        assert_eq!(warm.method, QueryMethod::Retrieved);
+        assert_eq!(
+            g.catalog().tasks.len(),
+            tasks_before,
+            "nothing re-fired at {workers} workers"
+        );
+        assert_eq!(warm.objects[0].id, out.objects[0].id);
     }
-}
-
-#[test]
-fn multi_worker_query_routes_through_waves_and_matches_serial() {
-    let mut serial = branches_kernel(1);
-    let s_out = serial.query(&goal_query()).unwrap();
-
-    let mut g = branches_kernel(4);
-    let out = g.query(&goal_query()).unwrap();
-    assert_eq!(out.method, QueryMethod::Derived);
-    assert_eq!(out.objects[0].attrs, s_out.objects[0].attrs);
-    assert_eq!(g.catalog().tasks.len(), serial.catalog().tasks.len());
-
-    // The repeated query is answered by step-1 retrieval either way.
-    let warm = g.query(&goal_query()).unwrap();
-    assert_eq!(warm.method, QueryMethod::Retrieved);
-}
-
-#[test]
-fn derive_parallel_reuses_current_tasks_instead_of_refiring() {
-    let mut g = branches_kernel(4);
-    let first = g.derive_parallel(&goal_query()).unwrap();
-    let tasks_before = g.catalog().tasks.len();
-    // Forcing derivation again reuses the identical current derivations.
-    let second = g.derive_parallel(&goal_query()).unwrap();
-    assert_eq!(g.catalog().tasks.len(), tasks_before, "nothing re-fired");
-    assert_eq!(first.objects[0].id, second.objects[0].id);
 }
 
 #[test]
