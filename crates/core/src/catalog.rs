@@ -126,10 +126,13 @@ impl Catalog {
         self.tasks.insert(task.id, task);
     }
 
-    /// Remove a task record (compound compensation), unlinking it from the
-    /// producer index. Returns the removed task.
+    /// Remove a task record — compound compensation's inverse of
+    /// [`Catalog::add_task`]: unlink it from the indexes and wind the
+    /// logical clock back to its seq (compensation removes only the newest
+    /// tasks). Returns the removed task.
     pub fn remove_task(&mut self, id: TaskId) -> Option<Task> {
         let task = self.tasks.remove(&id)?;
+        self.next_seq = self.next_seq.min(task.seq);
         for out in &task.outputs {
             if self.produced_by.get(out) == Some(&id) {
                 self.produced_by.remove(out);
@@ -174,13 +177,6 @@ impl Catalog {
             .into_iter()
             .flatten()
             .filter_map(|id| self.tasks.get(id))
-    }
-
-    /// Allocate the next task sequence number.
-    pub fn next_task_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
     }
 
     /// Class by id.
@@ -416,9 +412,28 @@ mod tests {
 
     #[test]
     fn task_seq_monotone() {
+        let task = |id: u64, seq: u64| Task {
+            id: TaskId(Oid(id)),
+            process: ProcessId(Oid(1)),
+            process_name: "P".into(),
+            inputs: BTreeMap::new(),
+            input_versions: BTreeMap::new(),
+            outputs: vec![],
+            params: BTreeMap::new(),
+            seq,
+            user: String::new(),
+            kind: crate::task::TaskKind::Primitive,
+            children: vec![],
+        };
         let mut cat = Catalog::default();
-        assert_eq!(cat.next_task_seq(), 0);
-        assert_eq!(cat.next_task_seq(), 1);
+        assert_eq!(cat.next_seq, 0);
+        cat.add_task(task(10, 0));
+        cat.add_task(task(11, 1));
+        assert_eq!(cat.next_seq, 2);
+        // Compensation removes the newest tasks; the clock winds back.
+        cat.remove_task(TaskId(Oid(11)));
+        cat.remove_task(TaskId(Oid(10)));
+        assert_eq!(cat.next_seq, 0);
     }
 
     #[test]

@@ -17,13 +17,20 @@
 //! load inputs, check guards, fingerprint input versions) and, for a
 //! primitive, already evaluates the template; an external firing defers
 //! its site round-trip to [`StagedFiring::execute`], which needs no
-//! kernel borrow. The executed [`PreparedFiring`] commits through
-//! [`apply_result`], which materializes the output object and the task
-//! record. [`prepare_firing`] is stage ∘ execute, so the `gaea-sched`
-//! wave executor runs many prepares concurrently on shared
+//! kernel borrow. [`prepare_firing`] is stage ∘ execute, so the
+//! `gaea-sched` wave executor runs many prepares concurrently on shared
 //! `&Database` / `&Catalog` borrows while only the cheap commits
 //! serialize; a background job runs the same two halves on different
-//! threads. [`run_process`] adds compound expansion on top.
+//! threads.
+//!
+//! A commit is **build → apply**: `apply_result` builds the firing's
+//! `TaskCommit` record from read-only state, then applies it with
+//! `apply_commit` — the one function that adds a task to the catalog,
+//! which WAL replay calls too. Manual records, interactive finishes and
+//! interpolations commit as prepared firings as well. `run_process`
+//! adds compound expansion on top: each step applies its own record (the
+//! next step reads its output), and the compound's record holds the
+//! steps' records plus the umbrella task.
 
 use crate::catalog::Catalog;
 use crate::error::{KernelError, KernelResult};
@@ -34,7 +41,8 @@ use crate::schema::{ClassDef, ProcessDef, ProcessKind, StepSource};
 use crate::task::{Task, TaskKind};
 use crate::template::{Binding, EvalContext, NO_PARAMS};
 use gaea_adt::{OperatorRegistry, Value};
-use gaea_store::{Database, Tuple};
+use gaea_store::{Database, Oid, Tuple};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -51,8 +59,70 @@ pub struct TaskRun {
     pub outputs: Vec<ObjectId>,
 }
 
+/// One commit's worth of new history: the task records (compound steps
+/// and their umbrella together) plus the output objects they
+/// materialized. The live commit builds it and `apply_commit`s it; the
+/// log carries it verbatim as `Event::TaskCommit`.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct TaskCommit {
+    pub(crate) objects: Vec<NewObject>,
+    pub(crate) tasks: Vec<Task>,
+}
+
+/// An object materialized by a task commit.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct NewObject {
+    pub(crate) rel: String,
+    pub(crate) class: ClassId,
+    pub(crate) oid: u64,
+    pub(crate) tuple: Tuple,
+}
+
+impl TaskCommit {
+    /// What the commit answers: its last task — a compound's umbrella —
+    /// and that task's outputs.
+    pub(crate) fn run(&self) -> TaskRun {
+        let last = self.tasks.last().expect("a task commit records a task");
+        TaskRun {
+            task: last.id,
+            outputs: last.outputs.clone(),
+        }
+    }
+}
+
+/// Apply a task-commit record: store each object under its oid, register
+/// its class, and add each task — the only way a task enters the
+/// catalog, live and at WAL replay alike. The store writes tick no
+/// versions; the live `commit` stamps them.
+pub(crate) fn apply_commit(
+    db: &mut Database,
+    catalog: &mut Catalog,
+    commit: &TaskCommit,
+) -> KernelResult<()> {
+    for obj in &commit.objects {
+        db.replay_insert(&obj.rel, Oid(obj.oid), obj.tuple.clone())?;
+        catalog
+            .object_class
+            .insert(ObjectId(Oid(obj.oid)), obj.class);
+    }
+    for task in &commit.tasks {
+        catalog.add_task(task.clone());
+    }
+    Ok(())
+}
+
+/// The live commit of a built record: `apply_commit`, then stamp each
+/// new object's version with the tick [`Database::insert`] takes.
+fn commit(db: &mut Database, catalog: &mut Catalog, record: &TaskCommit) -> KernelResult<()> {
+    apply_commit(db, catalog, record)?;
+    for obj in &record.objects {
+        db.stamp_version(&obj.rel, Oid(obj.oid));
+    }
+    Ok(())
+}
+
 /// A firing that has been computed but not yet committed: the output of
-/// the read-only [`prepare_firing`] stage, consumed by [`apply_result`].
+/// the read-only [`prepare_firing`] stage, consumed by `apply_result`.
 ///
 /// Everything expensive — input loading, guard checking, template (or
 /// external-site) evaluation — already happened; what remains is the
@@ -102,38 +172,47 @@ pub fn prepare_firing(
     stage_firing(db, catalog, registry, externals, pid, bindings)?.execute()
 }
 
-/// The commit half of a firing: materialize the prepared output
-/// object and append the task record. This is the only part of a firing
-/// that writes, and it is cheap (one insert, one task append); the wave
-/// executor serializes exactly this.
-pub fn apply_result(
+/// The commit half of a firing. Builds its `TaskCommit` from read-only
+/// state — the output tuple validated against class and relation, then
+/// the object oid and the task id, then the catalog's next seq — and
+/// commits it. This is the only part of a firing that writes, and it is
+/// cheap (one insert, one task append); the wave executor serializes
+/// exactly this. Returns the applied record.
+pub(crate) fn apply_result(
     db: &mut Database,
     catalog: &mut Catalog,
     prepared: PreparedFiring,
     user: &str,
-) -> KernelResult<TaskRun> {
-    let out_class = catalog.class(prepared.output_class)?.clone();
-    let obj = insert_object(db, catalog, &out_class, &prepared.attrs)?;
-    let task_id = TaskId(db.allocate_oid());
-    let seq = catalog.next_task_seq();
+) -> KernelResult<TaskCommit> {
+    let class = catalog.class(prepared.output_class)?;
+    let rel = class.relation_name();
+    let tuple = validated_tuple(catalog, class, &prepared.attrs)?;
+    db.relation(&rel)?.schema().validate(&tuple)?;
+    let object = NewObject {
+        rel,
+        class: class.id,
+        oid: db.allocate_oid().0,
+        tuple,
+    };
     let task = Task {
-        id: task_id,
+        id: TaskId(db.allocate_oid()),
         process: prepared.process,
         process_name: prepared.process_name,
         inputs: prepared.bindings.into_iter().collect(),
         input_versions: prepared.input_versions,
-        outputs: vec![obj],
+        outputs: vec![ObjectId(Oid(object.oid))],
         params: prepared.params,
-        seq,
+        seq: catalog.next_seq,
         user: user.into(),
         kind: prepared.kind,
         children: vec![],
     };
-    catalog.add_task(task);
-    Ok(TaskRun {
-        task: task_id,
-        outputs: vec![obj],
-    })
+    let record = TaskCommit {
+        objects: vec![object],
+        tasks: vec![task],
+    };
+    commit(db, catalog, &record)?;
+    Ok(record)
 }
 
 /// A staged firing: everything that needs the store, the catalog or the
@@ -210,7 +289,7 @@ impl StagedExternal {
 /// Everything else returns [`KernelError::NotAutoFirable`]: interactive
 /// processes need a scientist's answers, non-applicative ones a manual
 /// task record, and compounds expand into a step network that
-/// [`run_process`] materializes step by step.
+/// `run_process` materializes step by step.
 pub fn stage_firing(
     db: &Database,
     catalog: &Catalog,
@@ -370,16 +449,17 @@ pub fn update_object(
     Ok(())
 }
 
-/// Fire a process on explicit object bindings, recording the task.
+/// Fire a process on explicit object bindings, recording the task, and
+/// return the applied `TaskCommit`.
 ///
 /// `bindings` pairs argument names with the chosen input objects, in the
 /// process's declared argument order (extra/missing arguments are errors).
 /// Compounds expand into their step network; every other kind fires as
-/// [`prepare_firing`] + [`apply_result`]. Interactive and
+/// [`prepare_firing`] + `apply_result`. Interactive and
 /// non-applicative processes refuse automatic firing — they are driven
 /// through `Gaea::begin_interactive` and `Gaea::record_manual_task`
 /// respectively.
-pub fn run_process(
+pub(crate) fn run_process(
     db: &mut Database,
     catalog: &mut Catalog,
     registry: &OperatorRegistry,
@@ -387,7 +467,7 @@ pub fn run_process(
     pid: ProcessId,
     bindings: &[(String, Vec<ObjectId>)],
     user: &str,
-) -> KernelResult<TaskRun> {
+) -> KernelResult<TaskCommit> {
     let def = catalog.process(pid)?;
     if let ProcessKind::Compound(_) = def.kind {
         let def = def.clone();
@@ -621,14 +701,15 @@ fn stage_external(
     })
 }
 
-/// Undo a recorded task: delete its output objects and drop the record
-/// (children first — compound steps may themselves be compounds). Used to
-/// keep compound execution atomic when a later step fails.
+/// Undo a recorded task: drop the record, undo its children newest first
+/// (compound steps may themselves be compounds), and delete its output
+/// objects. Keeps compound execution atomic when a later step fails, as
+/// an exact inverse: store and catalog end as the compound found them.
 fn undo_task(db: &mut Database, catalog: &mut Catalog, task_id: TaskId) {
     let Some(task) = catalog.remove_task(task_id) else {
         return;
     };
-    for child in &task.children {
+    for child in task.children.iter().rev() {
         undo_task(db, catalog, *child);
     }
     for out in &task.outputs {
@@ -649,11 +730,14 @@ fn run_compound(
     def: &crate::schema::ProcessDef,
     bindings: &[(String, Vec<ObjectId>)],
     user: &str,
-) -> KernelResult<TaskRun> {
+) -> KernelResult<TaskCommit> {
     validate_bindings(catalog, def, bindings)?;
     let steps = def.steps().expect("compound kind").to_vec();
     let mut step_outputs: Vec<Vec<ObjectId>> = Vec::with_capacity(steps.len());
     let mut children: Vec<TaskId> = Vec::with_capacity(steps.len());
+    // Every step's applied record, in order; with the umbrella task
+    // appended this is the compound's one logged record.
+    let mut record = TaskCommit::default();
     // A failing step must not leave earlier steps' objects/tasks behind:
     // compound firing is atomic (a compound is "merely an abstraction" —
     // its observable effect is the whole network's effect or nothing).
@@ -707,7 +791,7 @@ fn run_compound(
             };
             child_bindings.push((arg.name.clone(), objs));
         }
-        let run = match run_process(
+        let step_record = match run_process(
             db,
             catalog,
             registry,
@@ -716,36 +800,35 @@ fn run_compound(
             &child_bindings,
             user,
         ) {
-            Ok(run) => run,
+            Ok(record) => record,
             Err(e) => {
                 undo_all(db, catalog, &children);
                 return Err(e);
             }
         };
+        let run = step_record.run();
         children.push(run.task);
         step_outputs.push(run.outputs);
+        record.objects.extend(step_record.objects);
+        record.tasks.extend(step_record.tasks);
     }
-    let outputs = step_outputs.last().cloned().unwrap_or_default();
-    let task_id = TaskId(db.allocate_oid());
-    let seq = catalog.next_task_seq();
-    catalog.add_task(Task {
-        id: task_id,
-        process: def.id,
-        process_name: def.name.clone(),
-        inputs: bindings
-            .iter()
-            .map(|(n, objs)| (n.clone(), objs.clone()))
-            .collect(),
-        input_versions: input_versions_of(db, bindings),
-        outputs: outputs.clone(),
-        params: BTreeMap::new(),
-        seq,
-        user: user.into(),
-        kind: TaskKind::Compound,
-        children,
-    });
-    Ok(TaskRun {
-        task: task_id,
-        outputs,
-    })
+    let umbrella = TaskCommit {
+        objects: vec![],
+        tasks: vec![Task {
+            id: TaskId(db.allocate_oid()),
+            process: def.id,
+            process_name: def.name.clone(),
+            inputs: bindings.iter().cloned().collect(),
+            input_versions: input_versions_of(db, bindings),
+            outputs: step_outputs.pop().unwrap_or_default(),
+            params: BTreeMap::new(),
+            seq: catalog.next_seq,
+            user: user.into(),
+            kind: TaskKind::Compound,
+            children,
+        }],
+    };
+    commit(db, catalog, &umbrella)?;
+    record.tasks.extend(umbrella.tasks);
+    Ok(record)
 }

@@ -3,5 +3,5 @@
 pub mod executor;
 pub mod net;
 
-pub use executor::{run_process, TaskRun};
+pub use executor::TaskRun;
 pub use net::DerivationNet;

@@ -9,9 +9,11 @@
 //!   re-tune): queries mutate physical state, so they log too;
 //! * object CRUD — insert/update/delete with the full tuple;
 //! * task commits — every way a task enters the history (firing,
-//!   compound wave, manual record, interactive finish, interpolation)
-//!   logs one `TaskCommit` carrying the new task records and the output
-//!   objects they materialized;
+//!   compound, manual record, interactive finish, interpolation) builds
+//!   one `TaskCommit` record of new task records and the output objects
+//!   they materialized, applies it, and logs that very record. Replay
+//!   applies it through the same `executor::apply_commit`, so the log
+//!   holds what the commit did rather than a reconstruction of it;
 //! * job lifecycle — background submissions (`JobSubmit`, with the
 //!   recorded bindings) and their resolution (`JobResolved`), so
 //!   in-flight derivations survive a restart and re-stage.
@@ -53,21 +55,20 @@
 
 use super::{jobs, Gaea, SharedCache};
 use crate::catalog::Catalog;
+use crate::derivation::executor::{apply_commit, TaskCommit, TaskRun};
 use crate::error::{KernelError, KernelResult};
 use crate::experiment::Experiment;
 use crate::external::ExternalRegistry;
-use crate::ids::{ClassId, ObjectId, ProcessId, TaskId};
+use crate::ids::{ClassId, ObjectId, ProcessId};
 use crate::schema::{ClassDef, Concept, ProcessDef};
-use crate::task::Task;
 use gaea_adt::OperatorRegistry;
 use gaea_sched::{JobId, Scheduler};
 use gaea_store::snapshot::Capture;
 use gaea_store::wal::WalWriter;
 use gaea_store::{CrashPoint, CrashSwitch, Oid, StoreError, Tuple};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
-use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -219,13 +220,8 @@ pub(crate) enum Event {
         rel: String,
         oid: u64,
     },
-    /// One commit's worth of new history: the task records (compound
-    /// steps and their umbrella together) plus the output objects they
-    /// materialized.
-    TaskCommit {
-        objects: Vec<NewObject>,
-        tasks: Vec<Task>,
-    },
+    /// One commit's worth of new history, exactly as the commit applied it.
+    TaskCommit(TaskCommit),
     /// A background derivation was submitted; the bindings re-stage it
     /// after a restart.
     JobSubmit {
@@ -241,15 +237,6 @@ pub(crate) enum Event {
     /// No content — carries version ticks left over from failed or
     /// rolled-back operations (see the envelope's `bumps`).
     VersionAdvance,
-}
-
-/// An object materialized by a task commit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct NewObject {
-    pub(crate) rel: String,
-    pub(crate) class: ClassId,
-    pub(crate) oid: u64,
-    pub(crate) tuple: Tuple,
 }
 
 /// The envelope around each logged event: its sequence number, the OID
@@ -301,15 +288,6 @@ pub(crate) struct Durability {
     options: DurabilityOptions,
     /// At most one background fold runs at a time.
     inflight: Option<InflightCompaction>,
-}
-
-/// High-water marks captured before a multi-object commit
-/// ([`Gaea::wal_mark`]): everything in the catalog beyond them when the
-/// commit succeeds is that commit's delta, logged as one `TaskCommit`
-/// (plus `DefineProcess` for lazily-registered processes).
-pub(crate) struct WalMark {
-    task_high: Option<TaskId>,
-    process_high: Option<ProcessId>,
 }
 
 impl Gaea {
@@ -489,73 +467,13 @@ impl Gaea {
         Ok(())
     }
 
-    /// Capture the catalog high-water marks before a commit that may add
-    /// tasks (and lazily-registered processes). `None` when not durable.
-    pub(crate) fn wal_mark(&self) -> Option<WalMark> {
-        self.durability.as_ref()?;
-        Some(WalMark {
-            task_high: self.catalog.tasks.keys().next_back().copied(),
-            process_high: self.catalog.processes.keys().next_back().copied(),
-        })
-    }
-
-    /// Log everything the catalog gained past `mark`: new processes as
-    /// `DefineProcess`, new tasks plus their (deduplicated) output
-    /// objects as one `TaskCommit`. Failed commits never reach here, and
-    /// compensated compound steps were removed from the catalog before
-    /// this runs — only surviving history is logged.
-    pub(crate) fn wal_commit_delta(&mut self, mark: Option<WalMark>) -> KernelResult<()> {
-        let Some(mark) = mark else {
-            return Ok(());
-        };
-        let new_procs: Vec<ProcessDef> = match mark.process_high {
-            Some(high) => self
-                .catalog
-                .processes
-                .range((Bound::Excluded(high), Bound::Unbounded))
-                .map(|(_, d)| d.clone())
-                .collect(),
-            None => self.catalog.processes.values().cloned().collect(),
-        };
-        for def in new_procs {
-            self.wal_append(Event::DefineProcess { def })?;
-        }
-        let new_tasks: Vec<Task> = match mark.task_high {
-            Some(high) => self
-                .catalog
-                .tasks
-                .range((Bound::Excluded(high), Bound::Unbounded))
-                .map(|(_, t)| t.clone())
-                .collect(),
-            None => self.catalog.tasks.values().cloned().collect(),
-        };
-        if new_tasks.is_empty() {
-            return Ok(());
-        }
-        // A compound umbrella re-lists its last step's outputs; dedup so
-        // each object is materialized once on replay.
-        let mut seen = BTreeSet::new();
-        let mut objects = Vec::new();
-        for task in &new_tasks {
-            for out in &task.outputs {
-                if !seen.insert(*out) {
-                    continue;
-                }
-                let class = self.catalog.class_of_object(*out)?;
-                let rel = self.catalog.class(class)?.relation_name();
-                let tuple = self.db.get(&rel, out.0)?.clone();
-                objects.push(NewObject {
-                    rel,
-                    class,
-                    oid: out.raw(),
-                    tuple,
-                });
-            }
-        }
-        self.wal_append(Event::TaskCommit {
-            objects,
-            tasks: new_tasks,
-        })
+    /// Log a task-commit record the executor just applied — the record
+    /// itself, nothing reconstructed — and answer with its run. A failed
+    /// or compensated commit produces no record, so it logs nothing.
+    pub(crate) fn log_commit(&mut self, commit: TaskCommit) -> KernelResult<TaskRun> {
+        let run = commit.run();
+        self.wal_append(Event::TaskCommit(commit))?;
+        Ok(run)
     }
 
     /// Flush pending version ticks and serialize the sidecar state every
@@ -923,17 +841,7 @@ fn replay_event(
             g.db.replay_delete(rel, Oid(*oid))?;
             g.catalog.object_class.remove(&ObjectId(Oid(*oid)));
         }
-        Event::TaskCommit { objects, tasks } => {
-            for obj in objects {
-                g.db.replay_insert(&obj.rel, Oid(obj.oid), obj.tuple.clone())?;
-                g.catalog
-                    .object_class
-                    .insert(ObjectId(Oid(obj.oid)), obj.class);
-            }
-            for task in tasks {
-                g.catalog.add_task(task.clone());
-            }
-        }
+        Event::TaskCommit(commit) => apply_commit(&mut g.db, &mut g.catalog, commit)?,
         Event::JobSubmit {
             job,
             process,

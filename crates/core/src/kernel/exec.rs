@@ -420,20 +420,19 @@ impl Gaea {
             CacheProbe::Miss { hash, canonical } => Some((hash, canonical)),
             CacheProbe::Disabled => None,
         };
-        let mark = self.wal_mark();
-        let run = executor::run_process(
+        let commit = executor::run_process(
             &mut self.db,
             &mut self.catalog,
             &self.registry,
             &self.externals,
             pid,
             &owned,
-            &self.user.clone(),
+            &self.user,
         )?;
+        let run = self.log_commit(commit)?;
         if let Some((hash, canonical)) = key {
             self.record_cache(hash, canonical, &owned, &run);
         }
-        self.wal_commit_delta(mark)?;
         Ok(run)
     }
 
@@ -544,18 +543,18 @@ impl Gaea {
             CacheProbe::Disabled => None,
         };
         let owned = prepared.bindings.clone();
-        let mark = self.wal_mark();
-        let run = executor::apply_result(
-            &mut self.db,
-            &mut self.catalog,
-            prepared,
-            &self.user.clone(),
-        )?;
+        let run = self.commit_firing(prepared)?;
         if let Some((hash, canonical)) = key {
             self.record_cache(hash, canonical, &owned, &run);
         }
-        self.wal_commit_delta(mark)?;
         Ok(run)
+    }
+
+    /// Commit a prepared firing with no memo in front: build and apply
+    /// its record ([`executor::apply_result`]), then log it.
+    pub(crate) fn commit_firing(&mut self, prepared: PreparedFiring) -> KernelResult<TaskRun> {
+        let commit = executor::apply_result(&mut self.db, &mut self.catalog, prepared, &self.user)?;
+        self.log_commit(commit)
     }
 
     /// Record a manual task for a non-applicative process (§5 extension):
@@ -584,37 +583,22 @@ impl Gaea {
             .map(|(n, o)| (n.to_string(), o.clone()))
             .collect();
         executor::validate_bindings(&self.catalog, &def, &owned)?;
-        let out_class = self.catalog.class(def.output)?.clone();
-        let attrs: BTreeMap<String, Value> = outputs
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        // The inserted output rides in the task's commit delta below.
-        let mark = self.wal_mark();
-        let obj = executor::insert_object(&mut self.db, &mut self.catalog, &out_class, &attrs)?;
-        let task_id = TaskId(self.db.allocate_oid());
-        let seq = self.catalog.next_task_seq();
         let mut params = BTreeMap::new();
         params.insert("notes".to_string(), Value::Text(notes.into()));
         params.insert("procedure".to_string(), Value::Text(procedure));
-        let input_versions = executor::input_versions_of(&self.db, &owned);
-        self.catalog.add_task(Task {
-            id: task_id,
+        // The scientist's observations stand in for a template's output.
+        self.commit_firing(PreparedFiring {
             process: def.id,
-            process_name: def.name.clone(),
-            inputs: owned.into_iter().collect(),
-            input_versions,
-            outputs: vec![obj],
+            process_name: def.name,
+            output_class: def.output,
+            input_versions: executor::input_versions_of(&self.db, &owned),
+            bindings: owned,
+            attrs: outputs
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
             params,
-            seq,
-            user: self.user.clone(),
             kind: TaskKind::Manual,
-            children: vec![],
-        });
-        self.wal_commit_delta(mark)?;
-        Ok(TaskRun {
-            task: task_id,
-            outputs: vec![obj],
         })
     }
 
@@ -686,10 +670,7 @@ impl Gaea {
             &session.supplied,
             TaskKind::Interactive,
         )?;
-        let mark = self.wal_mark();
-        let run = executor::apply_result(&mut self.db, &mut self.catalog, prepared, &self.user)?;
-        self.wal_commit_delta(mark)?;
-        Ok(run)
+        self.commit_firing(prepared)
     }
 
     /// Task record by id.

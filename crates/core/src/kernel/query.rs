@@ -54,10 +54,11 @@
 //! projection prunes returned attributes after every stage has run.
 
 use super::access::scan_class;
+use super::durability::Event;
 use super::jobs::{pending_jobs_for, JobId};
 use super::Gaea;
 use crate::catalog::Catalog;
-use crate::derivation::executor::{self, TaskRun};
+use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::derivation::net::DerivationNet;
 use crate::error::{KernelError, KernelResult};
 use crate::ids::{ClassId, ObjectId, ProcessId, TaskId};
@@ -67,7 +68,7 @@ use crate::query::{
     TimeSel,
 };
 use crate::schema::{ClassDef, ProcessArg, ProcessDef, ProcessKind};
-use crate::task::{Task, TaskKind};
+use crate::task::TaskKind;
 use crate::template::Template;
 use gaea_adt::{AbsTime, Value};
 use gaea_petri::backward::plan_derivation;
@@ -320,48 +321,37 @@ impl Gaea {
                 later.timestamp().expect("filtered"),
                 t,
             )?;
-            // New object: the earlier snapshot's attributes, re-timed.
+            // New object: the earlier snapshot's attributes, re-timed —
+            // committed as a firing of the class's interpolation process.
             let mut attrs = earlier.attrs.clone();
             attrs.insert("data".into(), Value::image(img));
             attrs.insert(TEMPORAL_ATTR.into(), Value::AbsTime(t));
-            // The inserted object and the lazily-registered interpolation
-            // process ride in the task's commit delta below.
-            let mark = self.wal_mark();
-            let obj = executor::insert_object(&mut self.db, &mut self.catalog, &def, &attrs)?;
-            let pid = self.interpolation_process(&def)?;
-            let task_id = TaskId(self.db.allocate_oid());
-            let seq = self.catalog.next_task_seq();
-            let mut inputs = BTreeMap::new();
-            inputs.insert("earlier".to_string(), vec![earlier.id]);
-            inputs.insert("later".to_string(), vec![later.id]);
-            let mut input_versions = BTreeMap::new();
-            input_versions.insert(earlier.id, self.db.object_version(earlier.id.0));
-            input_versions.insert(later.id, self.db.object_version(later.id.0));
+            let bindings = vec![
+                ("earlier".to_string(), vec![earlier.id]),
+                ("later".to_string(), vec![later.id]),
+            ];
             let mut params = BTreeMap::new();
             params.insert("at".to_string(), Value::AbsTime(t));
-            self.catalog.add_task(Task {
-                id: task_id,
-                process: pid,
+            let process = self.interpolation_process(&def)?;
+            let run = self.commit_firing(PreparedFiring {
+                process,
                 process_name: format!("interpolate_{}", def.name),
-                inputs,
-                input_versions,
-                outputs: vec![obj],
+                output_class: def.id,
+                input_versions: executor::input_versions_of(&self.db, &bindings),
+                bindings,
+                attrs,
                 params,
-                seq,
-                user: self.user.clone(),
                 kind: TaskKind::Interpolation,
-                children: vec![],
-            });
-            self.wal_commit_delta(mark)?;
+            })?;
             // The interpolation is fresh, but its bracketing snapshots may
             // themselves be stale derivations — classify like step 1 does,
             // so the same object answers consistently however it is served.
-            let objects = vec![self.object(obj)?];
+            let objects = vec![self.object(run.outputs[0])?];
             let stale = flag_stale(&self.db, &self.catalog, &objects);
             return Ok(Some(QueryOutcome {
                 objects,
                 method: QueryMethod::Interpolated,
-                tasks: vec![task_id],
+                tasks: vec![run.task],
                 stale,
                 pending: vec![],
                 plans: vec![],
@@ -373,14 +363,14 @@ impl Gaea {
 
     /// The generic interpolation process for a class, lazily registered
     /// ("it is a generic derivation process which is applicable to many
-    /// data types", §2.1.5).
+    /// data types", §2.1.5) and logged like [`Gaea::define_process`].
     fn interpolation_process(&mut self, class: &ClassDef) -> KernelResult<ProcessId> {
         let name = format!("interpolate_{}", class.name);
         if let Ok(p) = self.catalog.process_by_name(&name) {
             return Ok(p.id);
         }
         let id = ProcessId(self.db.allocate_oid());
-        self.catalog.add_process(ProcessDef {
+        let def = ProcessDef {
             id,
             name,
             output: class.id,
@@ -395,7 +385,9 @@ impl Gaea {
             doc: "built-in linear temporal interpolation (kernel §2.1.5 step 2); \
                   the target instant is recorded as task parameter `at`"
                 .into(),
-        })?;
+        };
+        self.catalog.add_process(def.clone())?;
+        self.wal_append(Event::DefineProcess { def })?;
         Ok(id)
     }
 

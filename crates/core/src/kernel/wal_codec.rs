@@ -29,7 +29,8 @@
 //! they are rare, schema-rich and version-tolerant there, and a
 //! length-prefixed blob costs one varint.
 
-use super::durability::{Event, LoggedEvent, NewObject, WalCodec};
+use super::durability::{Event, LoggedEvent, WalCodec};
+use crate::derivation::executor::{NewObject, TaskCommit};
 use crate::error::{KernelError, KernelResult};
 use crate::ids::{ClassId, ObjectId, ProcessId, TaskId};
 use crate::task::{Task, TaskKind};
@@ -343,7 +344,7 @@ fn encode_event(e: &mut Enc, event: &Event) -> KernelResult<()> {
             e.str(rel);
             e.varint(*oid);
         }
-        Event::TaskCommit { objects, tasks } => {
+        Event::TaskCommit(TaskCommit { objects, tasks }) => {
             e.u8(E_TASK_COMMIT);
             e.varint(objects.len() as u64);
             for o in objects {
@@ -427,7 +428,7 @@ fn decode_event(d: &mut Dec<'_>) -> Result<Event, StoreError> {
             for _ in 0..n {
                 tasks.push(dec_task(d)?);
             }
-            Event::TaskCommit { objects, tasks }
+            Event::TaskCommit(TaskCommit { objects, tasks })
         }
         E_JOB_SUBMIT => Event::JobSubmit {
             job: d.varint()?,
@@ -505,7 +506,7 @@ mod tests {
                 rel: "c_scene".into(),
                 oid: 31,
             },
-            Event::TaskCommit {
+            Event::TaskCommit(TaskCommit {
                 objects: vec![NewObject {
                     rel: "c_ndvi".into(),
                     class: ClassId(Oid(5)),
@@ -513,7 +514,7 @@ mod tests {
                     tuple: Tuple::new(vec![Value::Float8(0.5)]),
                 }],
                 tasks: vec![sample_task(1), sample_task(2)],
-            },
+            }),
             Event::JobSubmit {
                 job: 3,
                 process: ProcessId(Oid(7)),
@@ -542,6 +543,54 @@ mod tests {
                 let back = decode_logged(&payload).unwrap();
                 assert_eq!(serde_json::to_string(&back).unwrap(), canon);
             }
+        }
+    }
+
+    fn golden_commit() -> LoggedEvent {
+        LoggedEvent {
+            seq: 12,
+            next_oid: 104,
+            bumps: vec![("c_ndvi".into(), vec![9])],
+            event: Event::TaskCommit(TaskCommit {
+                objects: vec![NewObject {
+                    rel: "c_ndvi".into(),
+                    class: ClassId(Oid(5)),
+                    oid: 9,
+                    tuple: Tuple::new(vec![Value::Float8(0.5), Value::Text("sahel".into())]),
+                }],
+                tasks: vec![sample_task(1), sample_task(2)],
+            }),
+        }
+    }
+
+    /// [`golden_commit`] as logs on disk hold it, binary v1 in hex.
+    const GOLDEN_BINARY: &str =
+        "010c680106635f6e64766901090a0106635f6e64766905090205000000000000e03f\
+        0705736168656c02650703503230010562616e6473020304010311010901026174030a010371697501026566\
+        660703503230010562616e6473020304010311010901026174030a020371697501026566";
+
+    /// [`golden_commit`] as logs on disk hold it, JSON.
+    const GOLDEN_JSON: &str = r#"{"seq":12,"next_oid":104,"bumps":[["c_ndvi",[9]]],"event":{"TaskCommit":{"objects":[{"rel":"c_ndvi","class":5,"oid":9,"tuple":{"values":[{"Float8":0.5},{"Text":"sahel"}]}}],"tasks":[{"id":101,"process":7,"process_name":"P20","inputs":{"bands":[3,4]},"input_versions":{"3":17},"outputs":[9],"params":{"at":{"Int4":5}},"seq":1,"user":"qiu","kind":"Compound","children":[101,102]},{"id":102,"process":7,"process_name":"P20","inputs":{"bands":[3,4]},"input_versions":{"3":17},"outputs":[9],"params":{"at":{"Int4":5}},"seq":2,"user":"qiu","kind":"Compound","children":[101,102]}]}}}"#;
+
+    /// The task-commit record format is pinned: a two-task commit
+    /// encodes to exactly the bytes existing logs hold, in both codecs,
+    /// and those bytes decode back to the same envelope. A round trip
+    /// within one build cannot catch a shape change; this can.
+    #[test]
+    fn task_commit_records_match_golden_bytes() {
+        let logged = golden_commit();
+        let canon = serde_json::to_string(&logged).unwrap();
+        let binary: Vec<u8> = (0..GOLDEN_BINARY.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_BINARY[i..i + 2], 16).unwrap())
+            .collect();
+        for (codec, golden) in [
+            (WalCodec::Binary, binary.as_slice()),
+            (WalCodec::Json, GOLDEN_JSON.as_bytes()),
+        ] {
+            assert_eq!(encode_logged(&logged, codec).unwrap(), golden, "{codec:?}");
+            let back = decode_logged(golden).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), canon, "{codec:?}");
         }
     }
 

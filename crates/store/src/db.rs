@@ -395,8 +395,8 @@ impl Database {
         Ok(oid)
     }
 
-    /// Insert under a pre-allocated OID (used by the kernel to give data
-    /// objects and their task records the same identifier space).
+    /// Insert under a pre-allocated OID, bumping its version (transaction
+    /// undo re-inserts a deleted tuple under its old OID).
     pub fn insert_with_oid(&mut self, rel: &str, oid: Oid, tuple: Tuple) -> StoreResult<()> {
         self.relation_mut(rel)?.insert(oid, tuple)?;
         self.versions.bump(rel, oid);
@@ -513,11 +513,18 @@ impl Database {
         }
     }
 
-    /// WAL replay: insert a tuple under its logged OID with no version
-    /// bump — the clock history is replayed separately from the journal.
+    /// Insert a tuple under a given OID with no version bump: WAL replay
+    /// (the clock history replays from the journal) and the live task
+    /// commit, which ticks with [`Database::stamp_version`].
     pub fn replay_insert(&mut self, rel: &str, oid: Oid, tuple: Tuple) -> StoreResult<()> {
         self.relation_mut(rel)?.insert(oid, tuple)?;
         Ok(())
+    }
+
+    /// Tick the clock and stamp `oid` within `rel` — the version half of
+    /// [`Database::insert`].
+    pub fn stamp_version(&mut self, rel: &str, oid: Oid) {
+        self.versions.bump(rel, oid);
     }
 
     /// WAL replay: update in place, no version bump.

@@ -1,8 +1,11 @@
 //! Slotted heap storage with free-slot reuse.
 //!
 //! A heap stores `(Oid, Tuple)` pairs in slots; deletion leaves a free slot
-//! that later inserts reuse. An OID→slot map gives O(1) point lookups, and
-//! scans walk the slot array in storage order.
+//! that later inserts reuse (newest first), except that deleting the last
+//! slot while none is free shrinks the heap. So a delete exactly undoes
+//! the insert before it and vice versa: rollback and compensation leave
+//! no trace. An OID→slot map gives O(1) point lookups, and scans walk the
+//! slot array in storage order.
 
 use crate::error::{StoreError, StoreResult};
 use crate::oid::Oid;
@@ -27,8 +30,14 @@ impl Heap {
         Heap::default()
     }
 
-    /// Rebuild the OID map (after snapshot load).
+    /// Rebuild the OID map (after snapshot load). A heap saved before
+    /// deletes could shrink it may hold its last slot at the bottom of the
+    /// free stack, where no delete leaves it now: shrink that away.
     pub fn rebuild_index(&mut self) {
+        while self.free.first().is_some_and(|s| s + 1 == self.slots.len()) {
+            self.free.remove(0);
+            self.slots.pop();
+        }
         self.by_oid.clear();
         self.len = 0;
         for (slot, entry) in self.slots.iter().enumerate() {
@@ -92,7 +101,13 @@ impl Heap {
             .remove(&oid.0)
             .ok_or(StoreError::NoSuchTuple(oid.0))?;
         let (_, tuple) = self.slots[slot].take().expect("live slot");
-        self.free.push(slot);
+        // An insert with no free slot grew the heap: shrink it back, and a
+        // re-insert grows it to the same slot.
+        if slot + 1 == self.slots.len() && self.free.is_empty() {
+            self.slots.pop();
+        } else {
+            self.free.push(slot);
+        }
         self.len -= 1;
         Ok(tuple)
     }
@@ -149,6 +164,45 @@ mod tests {
         assert_eq!(h.len(), 2);
         let oids: Vec<u64> = h.iter().map(|(o, _)| o.0).collect();
         assert_eq!(oids, vec![3, 2]); // storage order, slot 0 first
+    }
+
+    #[test]
+    fn delete_and_insert_undo_each_other_exactly() {
+        let json = |h: &Heap| serde_json::to_string(h).unwrap();
+        let mut h = Heap::new();
+        for oid in 1..=3 {
+            h.insert(Oid(oid), t(oid as i32)).unwrap();
+        }
+        // Insert then delete, from a full heap and from one with a
+        // free slot: the heap is as it was.
+        for free in [None, Some(Oid(1))] {
+            if let Some(oid) = free {
+                h.delete(oid).unwrap();
+            }
+            let before = json(&h);
+            h.insert(Oid(9), t(9)).unwrap();
+            h.delete(Oid(9)).unwrap();
+            assert_eq!(json(&h), before);
+        }
+        // Delete then re-insert, newest first: every tuple is back in
+        // its slot.
+        let before = json(&h);
+        h.delete(Oid(2)).unwrap();
+        h.delete(Oid(3)).unwrap();
+        h.insert(Oid(3), t(3)).unwrap();
+        h.insert(Oid(2), t(2)).unwrap();
+        assert_eq!(json(&h), before);
+    }
+
+    #[test]
+    fn legacy_trailing_free_slot_shrinks_on_load() {
+        // Saved when a delete of the last slot still free-listed it.
+        let legacy = r#"{"slots":[[1,{"values":[{"Int4":1}]}],null],"free":[1],"len":1}"#;
+        let mut h: Heap = serde_json::from_str(legacy).unwrap();
+        h.rebuild_index();
+        assert_eq!(h.slots.len(), 1);
+        assert!(h.free.is_empty());
+        assert!(h.get(Oid(1)).is_ok());
     }
 
     #[test]

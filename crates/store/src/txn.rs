@@ -56,16 +56,6 @@ impl<'a> Txn<'a> {
         Ok(oid)
     }
 
-    /// Logged insert under a pre-allocated OID.
-    pub fn insert_with_oid(&mut self, rel: &str, oid: Oid, tuple: Tuple) -> StoreResult<()> {
-        self.db.insert_with_oid(rel, oid, tuple)?;
-        self.log.push(UndoOp::Remove {
-            rel: rel.into(),
-            oid,
-        });
-        Ok(())
-    }
-
     /// Logged delete.
     pub fn delete(&mut self, rel: &str, oid: Oid) -> StoreResult<Tuple> {
         let tuple = self.db.delete(rel, oid)?;

@@ -1,16 +1,20 @@
 //! Property tests on the write-ahead event log (durability tentpole):
 //! a reopened kernel is *serde-identical* to the live one for any
-//! random sequence of committed mutations, under any group-commit and
-//! snapshot cadence; a torn log tail is dropped cleanly; a corrupted
-//! record is detected (not silently replayed) and recovery keeps the
-//! valid prefix.
+//! random sequence of committed mutations — object CRUD plus every way
+//! a task enters the history (firing, compound success and compensated
+//! failure, manual record, `DERIVE` wave commit, interpolation,
+//! interactive finish) — under any group-commit and snapshot cadence; a
+//! torn log tail is dropped cleanly; a corrupted record is detected
+//! (not silently replayed) and recovery keeps the valid prefix.
 //!
-//! CI runs this file in the `props` job at `PROPTEST_CASES=256`.
+//! CI runs this file in the `props` job at `PROPTEST_CASES=256`, once
+//! with the default scheduler and once with `GAEA_SCHED_WORKERS=4`.
 
-use gaea::adt::{TypeTag, Value};
+use gaea::adt::{AbsTime, GeoBox, Image, TypeTag, Value};
 use gaea::core::kernel::{ClassSpec, DurabilityOptions, Gaea, ProcessSpec, WalCodec};
+use gaea::core::schema::StepSource;
 use gaea::core::template::{Expr, Mapping, Template};
-use gaea::core::ObjectId;
+use gaea::core::{ObjectId, Query, QueryStrategy};
 use proptest::prelude::*;
 use std::fs::OpenOptions;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -52,6 +56,123 @@ fn define_schema(g: &mut Gaea) {
     .unwrap();
 }
 
+const DAY: i64 = 86_400;
+
+fn window() -> GeoBox {
+    GeoBox::new(0.0, 0.0, 1.0, 1.0)
+}
+
+/// What the random ops target: the live `obs` oids, and the days that
+/// hold a stored `snap` image.
+struct Live {
+    obs: Vec<ObjectId>,
+    days: Vec<i64>,
+}
+
+/// [`define_schema`] plus one process per remaining task-entry path:
+/// the compound `CHAIN` (COPY → NEXT) and its twin `CHAIN_BAD` whose
+/// second step's guard is `1 = 2`, the non-applicative `SURVEY`, the
+/// interactive `TUNE` (one `PARAM`), and `SNAPX: snap → snapx` for
+/// `DERIVE` — with `snap` images stored at days 0 and 30 so queries in
+/// between interpolate. `snap` is a derived class: the lazily registered
+/// `interpolate_snap` process outputs into it, and the derivation net
+/// rejects a transition into a base place.
+fn define_task_schema(g: &mut Gaea) -> Live {
+    define_schema(g);
+    for class in ["tri", "note", "tuned"] {
+        g.define_class(
+            ClassSpec::derived(class)
+                .attr("v", TypeTag::Int4)
+                .no_extents(),
+        )
+        .unwrap();
+    }
+    g.define_class(ClassSpec::derived("snap").attr("data", TypeTag::Image))
+        .unwrap();
+    g.define_class(ClassSpec::derived("snapx").attr("data", TypeTag::Image))
+        .unwrap();
+    let copy = |arg: &str, attrs: &[&str]| -> Vec<Mapping> {
+        attrs
+            .iter()
+            .map(|a| Mapping {
+                attr: a.to_string(),
+                expr: Expr::proj(arg, a),
+            })
+            .collect()
+    };
+    for (name, guard) in [
+        ("NEXT", vec![]),
+        ("BAD", vec![Expr::eq(Expr::int(1), Expr::int(2))]),
+    ] {
+        g.define_process(
+            ProcessSpec::new(name, "tri")
+                .arg("y", "dbl")
+                .template(Template {
+                    assertions: guard,
+                    mappings: copy("y", &["v"]),
+                }),
+        )
+        .unwrap();
+    }
+    for (name, last) in [("CHAIN", "NEXT"), ("CHAIN_BAD", "BAD")] {
+        g.define_compound_process(
+            name,
+            "tri",
+            &[("x".into(), "obs".into(), false, 1)],
+            &[
+                ("COPY".into(), vec![StepSource::OuterArg(0)]),
+                (last.into(), vec![StepSource::StepOutput(0)]),
+            ],
+            "",
+        )
+        .unwrap();
+    }
+    g.define_nonapplicative_process(
+        "SURVEY",
+        "note",
+        &[("x".into(), "obs".into(), false, 1)],
+        "read the gauge by hand",
+        "",
+    )
+    .unwrap();
+    g.define_process(
+        ProcessSpec::new("TUNE", "tuned")
+            .arg("x", "obs")
+            .interact("k", "pick k", TypeTag::Int4)
+            .template(Template {
+                assertions: vec![],
+                mappings: vec![Mapping {
+                    attr: "v".into(),
+                    expr: Expr::param("k"),
+                }],
+            }),
+    )
+    .unwrap();
+    g.define_process(
+        ProcessSpec::new("SNAPX", "snapx")
+            .arg("s", "snap")
+            .template(Template {
+                assertions: vec![],
+                mappings: copy("s", &["data", "spatialextent", "timestamp"]),
+            }),
+    )
+    .unwrap();
+    let days = vec![0, 30];
+    for &d in &days {
+        let img = Image::from_f64(2, 2, vec![d as f64; 4]).unwrap();
+        g.insert_object(
+            "snap",
+            vec![
+                ("data", Value::image(img)),
+                ("spatialextent", Value::GeoBox(window())),
+                ("timestamp", Value::AbsTime(AbsTime(d * DAY))),
+            ],
+        )
+        .unwrap();
+    }
+    Live { obs: vec![], days }
+}
+
 /// Serialize a kernel's full persistent state (store manifest +
 /// catalog) through [`Gaea::save`] and return both documents. Two
 /// kernels whose digests match are indistinguishable to every
@@ -75,6 +196,12 @@ enum Op {
     Update(usize, i32),
     Delete(usize),
     Fire(usize),
+    Compound(usize),
+    CompoundFail(usize),
+    Manual(usize, i32),
+    Derive(usize),
+    Interpolate(i64),
+    Interactive(usize, i32),
     Index,
     Checkpoint,
 }
@@ -85,37 +212,87 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => ((0usize..32), any::<i32>()).prop_map(|(i, v)| Op::Update(i, v)),
         1 => (0usize..32).prop_map(Op::Delete),
         2 => (0usize..32).prop_map(Op::Fire),
+        1 => (0usize..32).prop_map(Op::Compound),
+        1 => (0usize..32).prop_map(Op::CompoundFail),
+        1 => ((0usize..32), any::<i32>()).prop_map(|(i, v)| Op::Manual(i, v)),
+        1 => (0usize..32).prop_map(Op::Derive),
+        1 => (1i64..30).prop_map(Op::Interpolate),
+        1 => ((0usize..32), any::<i32>()).prop_map(|(i, k)| Op::Interactive(i, k)),
         1 => Just(Op::Index),
         1 => Just(Op::Checkpoint),
     ]
 }
 
 /// Apply one op against the kernel, tracking live `obs` oids so update
-/// / delete / fire always target an existing object.
-fn apply(g: &mut Gaea, live: &mut Vec<ObjectId>, op: &Op) {
+/// / delete / fire always target an existing object (ops on an empty
+/// `obs` extent are no-ops), and the days holding a `snap` so `DERIVE`
+/// always has a source at its instant.
+fn apply(g: &mut Gaea, live: &mut Live, op: &Op) {
+    let pick = |i: usize| (!live.obs.is_empty()).then(|| live.obs[i % live.obs.len()]);
     match op {
         Op::Insert(v) => {
             let oid = g
                 .insert_object("obs", vec![("v", Value::Int4(*v))])
                 .unwrap();
-            live.push(oid);
+            live.obs.push(oid);
         }
         Op::Update(i, v) => {
-            if !live.is_empty() {
-                let oid = live[i % live.len()];
+            if let Some(oid) = pick(*i) {
                 g.update_object(oid, vec![("v", Value::Int4(*v))]).unwrap();
             }
         }
         Op::Delete(i) => {
-            if !live.is_empty() {
-                let oid = live.remove(i % live.len());
+            if !live.obs.is_empty() {
+                let oid = live.obs.remove(i % live.obs.len());
                 g.delete_object(oid).unwrap();
             }
         }
         Op::Fire(i) => {
-            if !live.is_empty() {
-                let oid = live[i % live.len()];
+            if let Some(oid) = pick(*i) {
                 g.run_process("COPY", &[("x", vec![oid])]).unwrap();
+            }
+        }
+        Op::Compound(i) => {
+            if let Some(oid) = pick(*i) {
+                g.run_process("CHAIN", &[("x", vec![oid])]).unwrap();
+            }
+        }
+        Op::CompoundFail(i) => {
+            if let Some(oid) = pick(*i) {
+                assert!(g.run_process("CHAIN_BAD", &[("x", vec![oid])]).is_err());
+            }
+        }
+        Op::Manual(i, v) => {
+            if let Some(oid) = pick(*i) {
+                g.record_manual_task(
+                    "SURVEY",
+                    &[("x", vec![oid])],
+                    vec![("v", Value::Int4(*v))],
+                    "by hand",
+                )
+                .unwrap();
+            }
+        }
+        Op::Derive(i) => {
+            let day = live.days[i % live.days.len()];
+            let q = Query::class("snapx")
+                .over(window())
+                .at(AbsTime(day * DAY))
+                .with_strategy(QueryStrategy::PreferDerivation);
+            g.query(&q).unwrap();
+        }
+        Op::Interpolate(day) => {
+            g.query(&Query::class("snap").over(window()).at(AbsTime(day * DAY)))
+                .unwrap();
+            if !live.days.contains(day) {
+                live.days.push(*day);
+            }
+        }
+        Op::Interactive(i, k) => {
+            if let Some(oid) = pick(*i) {
+                let mut session = g.begin_interactive("TUNE", &[("x", vec![oid])]).unwrap();
+                session.supply(Value::Int4(*k)).unwrap();
+                g.finish_interactive(session).unwrap();
             }
         }
         Op::Index => g.define_index("obs", "v").unwrap(),
@@ -136,8 +313,7 @@ proptest! {
         let dir = fresh_dir("replay");
         let options = DurabilityOptions { fsync_every, snapshot_every, ..Default::default() };
         let mut g = Gaea::open_with(&dir, options).unwrap();
-        define_schema(&mut g);
-        let mut live = Vec::new();
+        let mut live = define_task_schema(&mut g);
         for op in &ops {
             apply(&mut g, &mut live, op);
         }
@@ -167,8 +343,7 @@ proptest! {
 
         // Interrupted run: restart between the two op batches.
         let mut g = Gaea::open_with(&dir, options).unwrap();
-        define_schema(&mut g);
-        let mut live = Vec::new();
+        let mut live = define_task_schema(&mut g);
         for op in &first {
             apply(&mut g, &mut live, op);
         }
@@ -182,8 +357,7 @@ proptest! {
 
         // Twin: same ops, no restart, no durability at all.
         let mut t = Gaea::in_memory();
-        define_schema(&mut t);
-        let mut live = Vec::new();
+        let mut live = define_task_schema(&mut t);
         for op in first.iter().chain(&second) {
             if matches!(op, Op::Checkpoint) {
                 continue; // no-op without a log
@@ -214,8 +388,7 @@ proptest! {
                 ..Default::default()
             };
             let mut g = Gaea::open_with(&dir, options).unwrap();
-            define_schema(&mut g);
-            let mut live = Vec::new();
+            let mut live = define_task_schema(&mut g);
             for op in &ops {
                 apply(&mut g, &mut live, op);
             }
@@ -253,8 +426,7 @@ proptest! {
         let base = DurabilityOptions { fsync_every: 1, snapshot_every: 0, ..Default::default() };
 
         let mut g = Gaea::open_with(&dir, DurabilityOptions { codec: WalCodec::Json, ..base }).unwrap();
-        define_schema(&mut g);
-        let mut live = Vec::new();
+        let mut live = define_task_schema(&mut g);
         for op in &first {
             apply(&mut g, &mut live, op);
         }

@@ -9,10 +9,12 @@
 //! the remote site, so nothing has committed yet and everything must
 //! come back from the job journal alone.
 
-use gaea::adt::{AbsTime, TypeTag, Value};
+use gaea::adt::{AbsTime, GeoBox, Image, TypeTag, Value};
 use gaea::core::external::SimulatedSite;
 use gaea::core::kernel::{ClassSpec, DurabilityOptions, Gaea, JobStatus, ProcessSpec};
-use gaea::core::{JobId, KernelError, KernelResult};
+use gaea::core::schema::StepSource;
+use gaea::core::template::{Expr, Mapping, Template};
+use gaea::core::{JobId, KernelError, KernelResult, Query, QueryMethod};
 use gaea::lang::Retrieve as _;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -303,6 +305,117 @@ fn synchronous_external_firings_replay_exactly() {
     );
     drop(g);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A compound whose second step fails compensates its first step, and
+/// the compensation is an exact inverse: a reopened kernel (which never
+/// sees the failed firing in the log) is serde-identical to the live
+/// one — the task clock and the step-0 output relation's heap included.
+#[test]
+fn compensated_compound_replays_identically() {
+    let dir = fresh_dir("compensated");
+    let mut g = Gaea::open_with(&dir, options()).unwrap();
+    g.define_class(ClassSpec::base("raw").attr("v", TypeTag::Int4).no_extents())
+        .unwrap();
+    for class in ["mid", "final"] {
+        g.define_class(
+            ClassSpec::derived(class)
+                .attr("v", TypeTag::Int4)
+                .no_extents(),
+        )
+        .unwrap();
+    }
+    let copy_v = |arg: &str, guard: Vec<Expr>| Template {
+        assertions: guard,
+        mappings: vec![Mapping {
+            attr: "v".into(),
+            expr: Expr::proj(arg, "v"),
+        }],
+    };
+    g.define_process(
+        ProcessSpec::new("P_ok", "mid")
+            .arg("r", "raw")
+            .template(copy_v("r", vec![])),
+    )
+    .unwrap();
+    g.define_process(
+        ProcessSpec::new("P_bad", "final")
+            .arg("m", "mid")
+            .template(copy_v("m", vec![Expr::eq(Expr::int(1), Expr::int(2))])),
+    )
+    .unwrap();
+    g.define_compound_process(
+        "P_chain",
+        "final",
+        &[("r".to_string(), "raw".to_string(), false, 1)],
+        &[
+            ("P_ok".to_string(), vec![StepSource::OuterArg(0)]),
+            ("P_bad".to_string(), vec![StepSource::StepOutput(0)]),
+        ],
+        "",
+    )
+    .unwrap();
+    let r = g.insert_object("raw", vec![("v", Value::Int4(7))]).unwrap();
+    let err = g.run_process("P_chain", &[("r", vec![r])]).unwrap_err();
+    assert!(matches!(err, KernelError::AssertionFailed { .. }), "{err}");
+    let before = state_digest(&g, "compensated-live");
+    drop(g);
+
+    let g = Gaea::open_with(&dir, options()).unwrap();
+    let after = state_digest(&g, "compensated-replayed");
+    assert_eq!(before.0, after.0, "store manifest diverged after replay");
+    assert_eq!(before.1, after.1, "catalog diverged after replay");
+    drop(g);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The first interpolation of a class registers its interpolation
+/// process and records a task. Whichever event a synchronous snapshot
+/// lands on, a reopened kernel is serde-identical to the live one (the
+/// snapshot never folds in the object of a commit it does not cover).
+#[test]
+fn interpolation_replays_identically_at_every_snapshot_cadence() {
+    let window = GeoBox::new(0.0, 0.0, 1.0, 1.0);
+    for every in 1..=8 {
+        let dir = fresh_dir("interp");
+        let options = DurabilityOptions {
+            snapshot_every: every,
+            background_compaction: false,
+            ..options()
+        };
+        let mut g = Gaea::open_with(&dir, options).unwrap();
+        g.define_class(ClassSpec::base("ndvi").attr("data", TypeTag::Image))
+            .unwrap();
+        for d in [1, 21] {
+            g.insert_object(
+                "ndvi",
+                vec![
+                    (
+                        "data",
+                        Value::image(Image::from_f64(2, 2, vec![d as f64; 4]).unwrap()),
+                    ),
+                    ("spatialextent", Value::GeoBox(window)),
+                    ("timestamp", Value::AbsTime(day(d))),
+                ],
+            )
+            .unwrap();
+        }
+        let out = g
+            .query(&Query::class("ndvi").over(window).at(day(11)))
+            .unwrap();
+        assert_eq!(out.method, QueryMethod::Interpolated);
+        let before = state_digest(&g, "interp-live");
+        drop(g);
+
+        let g = Gaea::open_with(&dir, options).unwrap();
+        assert_eq!(
+            state_digest(&g, "interp-replayed"),
+            before,
+            "snapshot_every {every}"
+        );
+        drop(g);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ----------------------------------------------------------------------
