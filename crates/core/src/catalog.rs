@@ -53,14 +53,29 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Register a class (name must be fresh).
-    pub fn add_class(&mut self, def: ClassDef) -> KernelResult<()> {
-        if self.class_names.contains_key(&def.name) {
+    /// Refuse `name` if a definition of `kind` ("class", "concept",
+    /// "process" or "experiment") already holds it. Read-only, so a
+    /// definer checks before it allocates the new definition's id.
+    pub(crate) fn check_fresh(&self, kind: &'static str, name: &str) -> KernelResult<()> {
+        let taken = match kind {
+            "class" => self.class_names.contains_key(name),
+            "concept" => self.concept_names.contains_key(name),
+            "process" => self.process_names.contains_key(name),
+            "experiment" => self.experiment_names.contains_key(name),
+            _ => unreachable!("no definition kind {kind}"),
+        };
+        if taken {
             return Err(KernelError::Duplicate {
-                kind: "class",
-                name: def.name,
+                kind,
+                name: name.into(),
             });
         }
+        Ok(())
+    }
+
+    /// Register a class (name must be fresh).
+    pub fn add_class(&mut self, def: ClassDef) -> KernelResult<()> {
+        self.check_fresh("class", &def.name)?;
         self.class_names.insert(def.name.clone(), def.id);
         self.classes.insert(def.id, def);
         Ok(())
@@ -68,12 +83,7 @@ impl Catalog {
 
     /// Register a concept.
     pub fn add_concept(&mut self, def: Concept) -> KernelResult<()> {
-        if self.concept_names.contains_key(&def.name) {
-            return Err(KernelError::Duplicate {
-                kind: "concept",
-                name: def.name,
-            });
-        }
+        self.check_fresh("concept", &def.name)?;
         self.concept_names.insert(def.name.clone(), def.id);
         self.concepts.insert(def.id, def);
         Ok(())
@@ -81,12 +91,7 @@ impl Catalog {
 
     /// Register a process and link it into its output class's DERIVED BY.
     pub fn add_process(&mut self, def: ProcessDef) -> KernelResult<()> {
-        if self.process_names.contains_key(&def.name) {
-            return Err(KernelError::Duplicate {
-                kind: "process",
-                name: def.name,
-            });
-        }
+        self.check_fresh("process", &def.name)?;
         let out = def.output;
         self.process_names.insert(def.name.clone(), def.id);
         let id = def.id;
@@ -99,12 +104,7 @@ impl Catalog {
 
     /// Register an experiment.
     pub fn add_experiment(&mut self, def: Experiment) -> KernelResult<()> {
-        if self.experiment_names.contains_key(&def.name) {
-            return Err(KernelError::Duplicate {
-                kind: "experiment",
-                name: def.name,
-            });
-        }
+        self.check_fresh("experiment", &def.name)?;
         self.experiment_names.insert(def.name.clone(), def.id);
         self.experiments.insert(def.id, def);
         Ok(())

@@ -24,16 +24,21 @@
 //! threads.
 //!
 //! A commit is **build → apply**: `apply_result` builds the firing's
-//! `TaskCommit` record from read-only state, then applies it with
-//! `apply_commit` — the one function that adds a task to the catalog,
-//! which WAL replay calls too. Manual records, interactive finishes and
-//! interpolations commit as prepared firings as well. `run_process`
-//! adds compound expansion on top: each step applies its own record (the
-//! next step reads its output), and the compound's record holds the
-//! steps' records plus the umbrella task.
+//! `TaskCommit` record from read-only state — the output tuple is
+//! validated before any id is allocated, so a rejected commit leaves no
+//! trace — and applies it through `event::apply`, the one interpreter of
+//! committed events, which WAL replay calls too. Manual records,
+//! interactive finishes and interpolations commit as prepared firings as
+//! well. `run_process` adds compound expansion on top: each step applies
+//! its own record (the next step reads its output), and the compound's
+//! record holds the steps' records plus the umbrella task. A failing step
+//! undoes the steps before it and rewinds the store to a savepoint taken
+//! before the first, so a compensated compound leaves no trace either —
+//! not even a version tick.
 
 use crate::catalog::Catalog;
 use crate::error::{KernelError, KernelResult};
+use crate::event::{apply, Event, NewObject, TaskCommit};
 use crate::external::{ExternalExecutor, ExternalInputs, ExternalRegistry};
 use crate::ids::{ClassId, ObjectId, ProcessId, TaskId};
 use crate::object::DataObject;
@@ -42,7 +47,6 @@ use crate::task::{Task, TaskKind};
 use crate::template::{Binding, EvalContext, NO_PARAMS};
 use gaea_adt::{OperatorRegistry, Value};
 use gaea_store::{Database, Oid, Tuple};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -59,66 +63,19 @@ pub struct TaskRun {
     pub outputs: Vec<ObjectId>,
 }
 
-/// One commit's worth of new history: the task records (compound steps
-/// and their umbrella together) plus the output objects they
-/// materialized. The live commit builds it and `apply_commit`s it; the
-/// log carries it verbatim as `Event::TaskCommit`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub(crate) struct TaskCommit {
-    pub(crate) objects: Vec<NewObject>,
-    pub(crate) tasks: Vec<Task>,
-}
-
-/// An object materialized by a task commit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct NewObject {
-    pub(crate) rel: String,
-    pub(crate) class: ClassId,
-    pub(crate) oid: u64,
-    pub(crate) tuple: Tuple,
-}
-
-impl TaskCommit {
-    /// What the commit answers: its last task — a compound's umbrella —
-    /// and that task's outputs.
-    pub(crate) fn run(&self) -> TaskRun {
-        let last = self.tasks.last().expect("a task commit records a task");
-        TaskRun {
-            task: last.id,
-            outputs: last.outputs.clone(),
-        }
-    }
-}
-
-/// Apply a task-commit record: store each object under its oid, register
-/// its class, and add each task — the only way a task enters the
-/// catalog, live and at WAL replay alike. The store writes tick no
-/// versions; the live `commit` stamps them.
-pub(crate) fn apply_commit(
+/// Apply a built task-commit record and hand it back for the kernel to
+/// log.
+fn commit(
     db: &mut Database,
     catalog: &mut Catalog,
-    commit: &TaskCommit,
-) -> KernelResult<()> {
-    for obj in &commit.objects {
-        db.replay_insert(&obj.rel, Oid(obj.oid), obj.tuple.clone())?;
-        catalog
-            .object_class
-            .insert(ObjectId(Oid(obj.oid)), obj.class);
-    }
-    for task in &commit.tasks {
-        catalog.add_task(task.clone());
-    }
-    Ok(())
-}
-
-/// The live commit of a built record: `apply_commit`, then stamp each
-/// new object's version with the tick [`Database::insert`] takes.
-fn commit(db: &mut Database, catalog: &mut Catalog, record: &TaskCommit) -> KernelResult<()> {
-    apply_commit(db, catalog, record)?;
-    for obj in &record.objects {
-        db.stamp_version(&obj.rel, Oid(obj.oid));
-    }
-    Ok(())
+    record: TaskCommit,
+) -> KernelResult<TaskCommit> {
+    let event = Event::TaskCommit(record);
+    apply(db, catalog, &event)?;
+    let Event::TaskCommit(record) = event else {
+        unreachable!("built as a task commit")
+    };
+    Ok(record)
 }
 
 /// A firing that has been computed but not yet committed: the output of
@@ -185,11 +142,9 @@ pub(crate) fn apply_result(
     user: &str,
 ) -> KernelResult<TaskCommit> {
     let class = catalog.class(prepared.output_class)?;
-    let rel = class.relation_name();
-    let tuple = validated_tuple(catalog, class, &prepared.attrs)?;
-    db.relation(&rel)?.schema().validate(&tuple)?;
+    let tuple = validated_tuple(db, catalog, class, &prepared.attrs)?;
     let object = NewObject {
-        rel,
+        rel: class.relation_name(),
         class: class.id,
         oid: db.allocate_oid().0,
         tuple,
@@ -211,8 +166,7 @@ pub(crate) fn apply_result(
         objects: vec![object],
         tasks: vec![task],
     };
-    commit(db, catalog, &record)?;
-    Ok(record)
+    commit(db, catalog, record)
 }
 
 /// A staged firing: everything that needs the store, the catalog or the
@@ -372,10 +326,12 @@ pub fn load_object(db: &Database, catalog: &Catalog, oid: ObjectId) -> KernelRes
 }
 
 /// Shared write-path validation: unknown attribute names are rejected,
-/// and reference attributes (§4.3 extension) must point at live objects
-/// of the declared class. Returns the full tuple in schema column order,
-/// with missing attributes as nulls.
-fn validated_tuple(
+/// reference attributes (§4.3 extension) must point at live objects of
+/// the declared class, and the values must fit the class's relation.
+/// Returns the full tuple in schema column order, with missing
+/// attributes as nulls. Read-only, so a rejected write allocates nothing.
+pub(crate) fn validated_tuple(
+    db: &Database,
     catalog: &Catalog,
     class: &ClassDef,
     attrs: &BTreeMap<String, Value>,
@@ -410,43 +366,16 @@ fn validated_tuple(
             }
         }
     }
-    let values: Vec<Value> = names
-        .iter()
-        .map(|n| attrs.get(n).cloned().unwrap_or(Value::Null))
-        .collect();
-    Ok(Tuple::new(values))
-}
-
-/// Insert an object of `class` from an attribute map; unknown attribute
-/// names are rejected, missing ones stored as nulls. Reference attributes
-/// (§4.3 extension) are checked to point at live objects of the declared
-/// class.
-pub fn insert_object(
-    db: &mut Database,
-    catalog: &mut Catalog,
-    class: &ClassDef,
-    attrs: &BTreeMap<String, Value>,
-) -> KernelResult<ObjectId> {
-    let tuple = validated_tuple(catalog, class, attrs)?;
-    let oid = db.insert(&class.relation_name(), tuple)?;
-    let obj = ObjectId(oid);
-    catalog.object_class.insert(obj, class.id);
-    Ok(obj)
-}
-
-/// Overwrite a stored object's tuple from a full attribute map, with the
-/// same unknown-attribute and reference checks as [`insert_object`]. The
-/// object keeps its oid and class; callers own cache invalidation.
-pub fn update_object(
-    db: &mut Database,
-    catalog: &Catalog,
-    class: &ClassDef,
-    oid: ObjectId,
-    attrs: &BTreeMap<String, Value>,
-) -> KernelResult<()> {
-    let tuple = validated_tuple(catalog, class, attrs)?;
-    db.update(&class.relation_name(), oid.0, tuple)?;
-    Ok(())
+    let tuple = Tuple::new(
+        names
+            .iter()
+            .map(|n| attrs.get(n).cloned().unwrap_or(Value::Null))
+            .collect(),
+    );
+    db.relation(&class.relation_name())?
+        .schema()
+        .validate(&tuple)?;
+    Ok(tuple)
 }
 
 /// Fire a process on explicit object bindings, recording the task, and
@@ -704,7 +633,8 @@ fn stage_external(
 /// Undo a recorded task: drop the record, undo its children newest first
 /// (compound steps may themselves be compounds), and delete its output
 /// objects. Keeps compound execution atomic when a later step fails, as
-/// an exact inverse: store and catalog end as the compound found them.
+/// an exact inverse: heap and catalog end as the compound found them,
+/// and the compound's savepoint then rewinds the version ticks.
 fn undo_task(db: &mut Database, catalog: &mut Catalog, task_id: TaskId) {
     let Some(task) = catalog.remove_task(task_id) else {
         return;
@@ -732,89 +662,72 @@ fn run_compound(
     user: &str,
 ) -> KernelResult<TaskCommit> {
     validate_bindings(catalog, def, bindings)?;
-    let steps = def.steps().expect("compound kind").to_vec();
-    let mut step_outputs: Vec<Vec<ObjectId>> = Vec::with_capacity(steps.len());
-    let mut children: Vec<TaskId> = Vec::with_capacity(steps.len());
-    // Every step's applied record, in order; with the umbrella task
-    // appended this is the compound's one logged record.
-    let mut record = TaskCommit::default();
-    // A failing step must not leave earlier steps' objects/tasks behind:
-    // compound firing is atomic (a compound is "merely an abstraction" —
+    // Compound firing is atomic (a compound is "merely an abstraction" —
     // its observable effect is the whole network's effect or nothing).
-    let undo_all = |db: &mut Database, catalog: &mut Catalog, children: &[TaskId]| {
-        for t in children.iter().rev() {
-            undo_task(db, catalog, *t);
-        }
-    };
-    for (i, step) in steps.iter().enumerate() {
-        let child_def = match catalog.process(step.process) {
-            Ok(d) => d.clone(),
-            Err(e) => {
-                undo_all(db, catalog, &children);
-                return Err(e);
+    // Each step applies its own record, since the next step reads its
+    // output; when one fails, the steps already run are undone and the
+    // store rewinds its version counters and OID allocator to here.
+    let savepoint = db.savepoint();
+    let mut children: Vec<TaskId> = Vec::new();
+    let mut fire_steps = || -> KernelResult<TaskCommit> {
+        let steps = def.steps().expect("compound kind");
+        let mut step_outputs: Vec<Vec<ObjectId>> = Vec::with_capacity(steps.len());
+        // Every step's applied record, in order; with the umbrella task
+        // appended this is the compound's one logged record.
+        let mut record = TaskCommit::default();
+        for (i, step) in steps.iter().enumerate() {
+            let child_def = catalog.process(step.process)?;
+            if step.inputs.len() != child_def.args.len() {
+                return Err(KernelError::Schema(format!(
+                    "compound {}: step {i} wires {} input(s) into {} which takes {}",
+                    def.name,
+                    step.inputs.len(),
+                    child_def.name,
+                    child_def.args.len()
+                )));
             }
-        };
-        if step.inputs.len() != child_def.args.len() {
-            undo_all(db, catalog, &children);
-            return Err(KernelError::Schema(format!(
-                "compound {}: step {i} wires {} input(s) into {} which takes {}",
-                def.name,
-                step.inputs.len(),
-                child_def.name,
-                child_def.args.len()
-            )));
-        }
-        let mut child_bindings: Vec<(String, Vec<ObjectId>)> = Vec::new();
-        for (arg, src) in child_def.args.iter().zip(&step.inputs) {
-            let objs = match src {
-                StepSource::OuterArg(k) => match bindings.get(*k) {
-                    Some(b) => b.1.clone(),
-                    None => {
-                        undo_all(db, catalog, &children);
-                        return Err(KernelError::Schema(format!(
-                            "compound {}: step {i} references outer arg {k} of {}",
-                            def.name,
-                            bindings.len()
-                        )));
+            let mut child_bindings: Vec<(String, Vec<ObjectId>)> = Vec::new();
+            for (arg, src) in child_def.args.iter().zip(&step.inputs) {
+                let objs = match src {
+                    StepSource::OuterArg(k) => bindings
+                        .get(*k)
+                        .ok_or_else(|| {
+                            KernelError::Schema(format!(
+                                "compound {}: step {i} references outer arg {k} of {}",
+                                def.name,
+                                bindings.len()
+                            ))
+                        })?
+                        .1
+                        .clone(),
+                    StepSource::StepOutput(k) => {
+                        if *k >= i {
+                            return Err(KernelError::Schema(format!(
+                                "compound {}: step {i} references later/own step {k}",
+                                def.name
+                            )));
+                        }
+                        step_outputs[*k].clone()
                     }
-                },
-                StepSource::StepOutput(k) => {
-                    if *k >= i {
-                        undo_all(db, catalog, &children);
-                        return Err(KernelError::Schema(format!(
-                            "compound {}: step {i} references later/own step {k}",
-                            def.name
-                        )));
-                    }
-                    step_outputs[*k].clone()
-                }
-            };
-            child_bindings.push((arg.name.clone(), objs));
-        }
-        let step_record = match run_process(
-            db,
-            catalog,
-            registry,
-            externals,
-            step.process,
-            &child_bindings,
-            user,
-        ) {
-            Ok(record) => record,
-            Err(e) => {
-                undo_all(db, catalog, &children);
-                return Err(e);
+                };
+                child_bindings.push((arg.name.clone(), objs));
             }
-        };
-        let run = step_record.run();
-        children.push(run.task);
-        step_outputs.push(run.outputs);
-        record.objects.extend(step_record.objects);
-        record.tasks.extend(step_record.tasks);
-    }
-    let umbrella = TaskCommit {
-        objects: vec![],
-        tasks: vec![Task {
+            let step_record = run_process(
+                db,
+                catalog,
+                registry,
+                externals,
+                step.process,
+                &child_bindings,
+                user,
+            )?;
+            let run = step_record.run();
+            children.push(run.task);
+            step_outputs.push(run.outputs);
+            record.objects.extend(step_record.objects);
+            record.tasks.extend(step_record.tasks);
+        }
+        let umbrella = Task {
             id: TaskId(db.allocate_oid()),
             process: def.id,
             process_name: def.name.clone(),
@@ -825,10 +738,25 @@ fn run_compound(
             seq: catalog.next_seq,
             user: user.into(),
             kind: TaskKind::Compound,
-            children,
-        }],
+            children: children.clone(),
+        };
+        let umbrella = commit(
+            db,
+            catalog,
+            TaskCommit {
+                objects: vec![],
+                tasks: vec![umbrella],
+            },
+        )?;
+        record.tasks.extend(umbrella.tasks);
+        Ok(record)
     };
-    commit(db, catalog, &umbrella)?;
-    record.tasks.extend(umbrella.tasks);
-    Ok(record)
+    let result = fire_steps();
+    if result.is_err() {
+        for t in children.iter().rev() {
+            undo_task(db, catalog, *t);
+        }
+        db.rollback_to(savepoint);
+    }
+    result
 }

@@ -18,9 +18,9 @@
 //! grid, tuned by `gaea_raster::suggest_cell_size`) — or explicitly, via
 //! the `DEFINE INDEX attr ON class` DDL.
 
-use super::durability::Event;
 use super::Gaea;
 use crate::error::KernelResult;
+use crate::event::Event;
 use crate::query::{AccessPath, Query, ScanPlan};
 use crate::schema::ClassDef;
 use gaea_adt::{GeoBox, Value};
@@ -327,10 +327,7 @@ impl Gaea {
             // Genuinely-oversize data re-suggests the same cell; only
             // rebuild when the scale actually moved, so this converges.
             if cell > old_cell * 2.0 || cell < old_cell * 0.5 {
-                self.db
-                    .relation_mut(&def.relation_name())?
-                    .retune_grid(pos, cell)?;
-                self.wal_append(Event::RetuneGrid {
+                self.commit_event(Event::RetuneGrid {
                     rel: def.relation_name(),
                     pos,
                     cell,
@@ -342,15 +339,14 @@ impl Gaea {
 
     /// Idempotently create an ordered index on one class attribute.
     pub(crate) fn ensure_index(&mut self, def: &ClassDef, attr: &str) -> KernelResult<bool> {
-        let rel = self.db.relation_mut(&def.relation_name())?;
+        let rel = self.db.relation(&def.relation_name())?;
         let pos = rel.schema().position(attr)?;
         if rel.index_for(pos).is_some() {
             return Ok(false);
         }
-        rel.create_index(attr)?;
         // Access paths are physical state a snapshot carries but the log
         // must re-create — queries create them, so queries journal too.
-        self.wal_append(Event::CreateIndex {
+        self.commit_event(Event::CreateIndex {
             rel: def.relation_name(),
             attr: attr.to_string(),
         })?;
@@ -371,12 +367,9 @@ impl Gaea {
             .filter_map(|(_, t)| t.get(pos).as_geobox())
             .collect();
         let cell = gaea_raster::suggest_cell_size(&sample);
-        self.db
-            .relation_mut(&def.relation_name())?
-            .create_grid(attr, cell)?;
         // The journal records the cell chosen from the live sample, so
         // replay rebuilds the identical grid instead of re-sampling.
-        self.wal_append(Event::CreateGrid {
+        self.commit_event(Event::CreateGrid {
             rel: def.relation_name(),
             attr: attr.to_string(),
             cell,

@@ -9,9 +9,9 @@
 //! and then write catalog records. Nothing here executes: execution
 //! belongs to [`super::exec`], planning to [`super::query`].
 
-use super::durability::Event;
 use super::Gaea;
 use crate::error::{KernelError, KernelResult};
+use crate::event::Event;
 use crate::ids::{ClassId, ConceptId, ProcessId};
 use crate::query::CostHint;
 use crate::schema::{
@@ -196,15 +196,24 @@ impl Gaea {
     /// Reference attributes are resolved against already-defined classes
     /// (self-references are permitted: the class may reference itself).
     pub fn define_class(&mut self, spec: ClassSpec) -> KernelResult<ClassId> {
+        self.catalog.check_fresh("class", &spec.name)?;
+        // Resolve references before allocating the id, so a failed
+        // definition leaves no trace; `None` is a self-reference.
+        let targets = spec
+            .ref_attrs
+            .iter()
+            .map(|(_, class_name)| {
+                if *class_name == spec.name {
+                    Ok(None)
+                } else {
+                    self.catalog.class_by_name(class_name).map(|c| Some(c.id))
+                }
+            })
+            .collect::<KernelResult<Vec<_>>>()?;
         let id = ClassId(self.db.allocate_oid());
         let mut attrs = spec.attrs;
-        for (attr_name, class_name) in &spec.ref_attrs {
-            let target = if *class_name == spec.name {
-                id // self-reference (e.g. a scene derived from a prior scene)
-            } else {
-                self.catalog.class_by_name(class_name)?.id
-            };
-            attrs.push(AttrDef::reference(attr_name, target));
+        for ((attr_name, _), target) in spec.ref_attrs.iter().zip(targets) {
+            attrs.push(AttrDef::reference(attr_name, target.unwrap_or(id)));
         }
         let def = ClassDef {
             id,
@@ -216,21 +225,8 @@ impl Gaea {
             derived_by: vec![],
             doc: spec.doc,
         };
-        self.db
-            .create_relation(&def.relation_name(), def.storage_schema())?;
-        let rel = def.relation_name();
-        let logged = def.clone();
-        match self.catalog.add_class(def) {
-            Ok(()) => {
-                self.wal_append(Event::DefineClass { def: logged })?;
-                Ok(id)
-            }
-            Err(e) => {
-                // Roll the relation back so a failed definition leaves no junk.
-                let _ = self.db.drop_relation(&rel);
-                Err(e)
-            }
-        }
+        self.commit_event(Event::DefineClass { def })?;
+        Ok(id)
     }
 
     /// Define an access path on one class attribute (`DEFINE INDEX attr
@@ -269,16 +265,17 @@ impl Gaea {
         for p in parents {
             parent_ids.push(self.catalog.concept_by_name(p)?.id);
         }
+        self.catalog.check_fresh("concept", name)?;
         let id = ConceptId(self.db.allocate_oid());
-        let concept = Concept {
-            id,
-            name: name.into(),
-            members: member_ids,
-            parents: parent_ids,
-            doc: doc.into(),
-        };
-        self.catalog.add_concept(concept.clone())?;
-        self.wal_append(Event::DefineConcept { def: concept })?;
+        self.commit_event(Event::DefineConcept {
+            def: Concept {
+                id,
+                name: name.into(),
+                members: member_ids,
+                parents: parent_ids,
+                doc: doc.into(),
+            },
+        })?;
         Ok(id)
     }
 
@@ -286,17 +283,22 @@ impl Gaea {
     /// and is derived, argument classes exist, template argument references
     /// are declared, and mapped attributes exist on the output class.
     pub fn define_process(&mut self, spec: ProcessSpec) -> KernelResult<ProcessId> {
-        let id = self.define_process_unlogged(spec)?;
-        self.wal_append(Event::DefineProcess {
-            def: self.catalog.process(id)?.clone(),
-        })?;
+        let def = self.primitive_process_def(spec)?;
+        self.commit_process(def)
+    }
+
+    /// Commit a validated process definition under its freshly allocated
+    /// id.
+    fn commit_process(&mut self, def: ProcessDef) -> KernelResult<ProcessId> {
+        let id = def.id;
+        self.commit_event(Event::DefineProcess { def })?;
         Ok(id)
     }
 
-    /// [`Gaea::define_process`] without the event-log append — the
-    /// external-process path rewrites the definition's kind after this
-    /// and must journal the *final* definition exactly once.
-    fn define_process_unlogged(&mut self, spec: ProcessSpec) -> KernelResult<ProcessId> {
+    /// Validate a primitive process and build its definition, allocating
+    /// its id last — the external-process path rewrites the kind before
+    /// committing it.
+    fn primitive_process_def(&self, spec: ProcessSpec) -> KernelResult<ProcessDef> {
         let output = self.catalog.class_by_name(&spec.output)?;
         if !output.is_derived() {
             return Err(KernelError::Schema(format!(
@@ -396,9 +398,9 @@ impl Gaea {
                 }
             }
         }
-        let id = ProcessId(self.db.allocate_oid());
-        self.catalog.add_process(ProcessDef {
-            id,
+        self.catalog.check_fresh("process", &spec.name)?;
+        Ok(ProcessDef {
+            id: ProcessId(self.db.allocate_oid()),
             name: spec.name,
             output: output_id,
             args,
@@ -407,8 +409,7 @@ impl Gaea {
             interactions: spec.interactions,
             cost: spec.cost,
             doc: spec.doc,
-        })?;
-        Ok(id)
+        })
     }
 
     /// Define an external process (§5 extension): the guard assertions run
@@ -434,22 +435,11 @@ impl Gaea {
                 spec.name
             )));
         }
-        // Reuse the primitive validation, then rewrite the kind. The
-        // journal append happens after the rewrite, so replay sees the
-        // final (external) definition.
-        let site = site.to_string();
-        let name = spec.name.clone();
-        let id = self.define_process_unlogged(spec)?;
-        let def = self
-            .catalog
-            .processes
-            .get_mut(&id)
-            .unwrap_or_else(|| unreachable!("process {name} was just defined"));
-        def.kind = ProcessKind::External { site };
-        self.wal_append(Event::DefineProcess {
-            def: self.catalog.process(id)?.clone(),
-        })?;
-        Ok(id)
+        // Reuse the primitive validation, then rewrite the kind before
+        // the definition commits.
+        let mut def = self.primitive_process_def(spec)?;
+        def.kind = ProcessKind::External { site: site.into() };
+        self.commit_process(def)
     }
 
     /// Define a non-applicative process (§5 extension): the mapping "is
@@ -481,9 +471,9 @@ impl Gaea {
                 min_card: if *setof { *min_card } else { 1 },
             });
         }
-        let id = ProcessId(self.db.allocate_oid());
-        let def = ProcessDef {
-            id,
+        self.catalog.check_fresh("process", name)?;
+        self.commit_process(ProcessDef {
+            id: ProcessId(self.db.allocate_oid()),
             name: name.into(),
             output: output_id,
             args: arg_defs,
@@ -494,10 +484,7 @@ impl Gaea {
             interactions: vec![],
             cost: None,
             doc: doc.into(),
-        };
-        self.catalog.add_process(def.clone())?;
-        self.wal_append(Event::DefineProcess { def })?;
-        Ok(id)
+        })
     }
 
     /// Define a compound process from named steps (§2.1.4, Figure 5).
@@ -586,9 +573,9 @@ impl Gaea {
         } else {
             return Err(KernelError::Schema(format!("compound {name} has no steps")));
         }
-        let id = ProcessId(self.db.allocate_oid());
-        let def = ProcessDef {
-            id,
+        self.catalog.check_fresh("process", name)?;
+        self.commit_process(ProcessDef {
+            id: ProcessId(self.db.allocate_oid()),
             name: name.into(),
             output: output_id,
             args: arg_defs,
@@ -597,9 +584,6 @@ impl Gaea {
             interactions: vec![],
             cost: None,
             doc: doc.into(),
-        };
-        self.catalog.add_process(def.clone())?;
-        self.wal_append(Event::DefineProcess { def })?;
-        Ok(id)
+        })
     }
 }

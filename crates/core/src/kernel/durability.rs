@@ -11,21 +11,28 @@
 //! * task commits — every way a task enters the history (firing,
 //!   compound, manual record, interactive finish, interpolation) builds
 //!   one `TaskCommit` record of new task records and the output objects
-//!   they materialized, applies it, and logs that very record. Replay
-//!   applies it through the same `executor::apply_commit`, so the log
-//!   holds what the commit did rather than a reconstruction of it;
+//!   they materialized;
 //! * job lifecycle — background submissions (`JobSubmit`, with the
 //!   recorded bindings) and their resolution (`JobResolved`), so
 //!   in-flight derivations survive a restart and re-stage.
 //!
-//! Every event envelope also carries the version-clock ticks since the
-//! previous event (drained from the store's bump journal — including
-//! ticks from *failed* operations, which have no event of their own)
-//! and the OID allocator high-water mark. Replay therefore restores
-//! store, catalog, version counters and allocator to serde-identical
-//! state: reopen-after-crash equals the last logged event, and a clean
-//! drop (which flushes residual ticks as a `VersionAdvance`) equals the
-//! live kernel exactly.
+//! Each event is built from read-only state, applied by the one
+//! interpreter `event::apply`, and logged as that same value; replay
+//! decodes it and calls the same `apply`, so the log holds what the
+//! statement did rather than a reconstruction of it. `apply` ticks the
+//! store's version clock through the ordinary write calls, so the clock
+//! replays itself, and a failed statement builds no event and leaves
+//! nothing to replay (a compensated compound rewinds to a savepoint).
+//! The envelope adds the sequence number and the OID allocator
+//! high-water mark, so replay restores store, catalog, version counters
+//! and allocator to serde-identical state: reopen-after-crash equals the
+//! last logged event, and a clean drop equals the live kernel exactly.
+//!
+//! Envelopes written while version ticks were journaled also carry
+//! `bumps`: the ticks of failed statements since the previous event,
+//! then the event's own. Replay applies the leading ones and lets
+//! `apply` take the rest; new envelopes carry none, and a legacy
+//! `VersionAdvance` record is ticks alone.
 //!
 //! Records are encoded by `kernel/wal_codec.rs` — binary v1
 //! by default, with per-record format dispatch so pre-codec JSON logs
@@ -55,17 +62,16 @@
 
 use super::{jobs, Gaea, SharedCache};
 use crate::catalog::Catalog;
-use crate::derivation::executor::{apply_commit, TaskCommit, TaskRun};
+use crate::derivation::executor::TaskRun;
 use crate::error::{KernelError, KernelResult};
-use crate::experiment::Experiment;
+use crate::event::{apply, Event, TaskCommit};
 use crate::external::ExternalRegistry;
-use crate::ids::{ClassId, ObjectId, ProcessId};
-use crate::schema::{ClassDef, Concept, ProcessDef};
+use crate::ids::{ObjectId, ProcessId};
 use gaea_adt::OperatorRegistry;
 use gaea_sched::{JobId, Scheduler};
 use gaea_store::snapshot::Capture;
 use gaea_store::wal::WalWriter;
-use gaea_store::{CrashPoint, CrashSwitch, Oid, StoreError, Tuple};
+use gaea_store::{CrashPoint, CrashSwitch, StoreError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs;
@@ -172,77 +178,11 @@ fn publish_recovery_gauges(stats: &RecoveryStats) {
     m.recovery_wal_corrupt.set(stats.wal_corrupt as u64);
 }
 
-/// One committed mutation, as recorded in the log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum Event {
-    DefineClass {
-        def: ClassDef,
-    },
-    DefineConcept {
-        def: Concept,
-    },
-    DefineProcess {
-        def: ProcessDef,
-    },
-    DefineExperiment {
-        def: Experiment,
-    },
-    /// Ordered index created (DDL or the optimizer's auto-indexer).
-    CreateIndex {
-        rel: String,
-        attr: String,
-    },
-    /// Spatial grid created, with the cell size chosen live — replay
-    /// reuses it rather than re-sampling, for determinism.
-    CreateGrid {
-        rel: String,
-        attr: String,
-        cell: f64,
-    },
-    /// Grid rebuilt at a new cell size.
-    RetuneGrid {
-        rel: String,
-        pos: usize,
-        cell: f64,
-    },
-    InsertObject {
-        rel: String,
-        class: ClassId,
-        oid: u64,
-        tuple: Tuple,
-    },
-    UpdateObject {
-        rel: String,
-        oid: u64,
-        tuple: Tuple,
-    },
-    DeleteObject {
-        rel: String,
-        oid: u64,
-    },
-    /// One commit's worth of new history, exactly as the commit applied it.
-    TaskCommit(TaskCommit),
-    /// A background derivation was submitted; the bindings re-stage it
-    /// after a restart.
-    JobSubmit {
-        job: u64,
-        process: ProcessId,
-        bindings: Vec<(String, Vec<ObjectId>)>,
-    },
-    /// The submission committed, failed its commit, or was cancelled —
-    /// either way it must not re-stage.
-    JobResolved {
-        job: u64,
-    },
-    /// No content — carries version ticks left over from failed or
-    /// rolled-back operations (see the envelope's `bumps`).
-    VersionAdvance,
-}
-
 /// The envelope around each logged event: its sequence number, the OID
-/// allocator high-water mark after the event, and every version-clock
-/// tick since the previous event (in order — including ticks from
-/// failed operations that no event accounts for).
+/// allocator high-water mark after the event, and — in records written
+/// while version ticks were journaled — the ticks since the previous
+/// event, failed statements' first and then the event's own. New
+/// records carry no ticks: `apply` takes them.
 #[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct LoggedEvent {
     pub(crate) seq: u64,
@@ -362,8 +302,26 @@ impl Gaea {
             if logged.seq <= watermark {
                 continue;
             }
-            replay_event(&mut g, &logged.event, &mut pending, &mut max_job)?;
-            g.db.replay_bumps(&logged.bumps);
+            // A legacy envelope's leading ticks are failed statements';
+            // the rest are the event's own, which `apply` takes itself.
+            let failed = logged.bumps.len().saturating_sub(logged.event.own_ticks());
+            g.db.replay_bumps(&logged.bumps[..failed]);
+            apply(&mut g.db, &mut g.catalog, &logged.event)?;
+            match logged.event {
+                Event::JobSubmit {
+                    job,
+                    process,
+                    bindings,
+                } => {
+                    pending.insert(job, (process, bindings));
+                    max_job = max_job.max(job);
+                }
+                Event::JobResolved { job } => {
+                    pending.remove(&job);
+                    max_job = max_job.max(job);
+                }
+                _ => {}
+            }
             g.db.resume_oids(logged.next_oid);
             last_seq = logged.seq;
             events_replayed += 1;
@@ -387,10 +345,8 @@ impl Gaea {
             g.jobs.recovered.insert(JobId(job));
         }
         g.jobs.resume_ids(max_job);
-        // 4. Arm the log for new events: version ticks journal from here
-        //    on, and the writer opens at the valid prefix (dropping any
-        //    torn tail).
-        g.db.enable_version_journal();
+        // 4. Arm the log for new events: the writer opens at the valid
+        //    prefix (dropping any torn tail).
         let wal =
             WalWriter::open(&wal_path, scan.valid_len, options.fsync_every).map_err(io_err)?;
         g.durability = Some(Durability {
@@ -420,48 +376,41 @@ impl Gaea {
         self.recovery.as_ref()
     }
 
-    /// Is this kernel writing a log?
-    pub(crate) fn wal_enabled(&self) -> bool {
-        self.durability.is_some()
+    /// Apply a built event to the store and catalog, then log that same
+    /// event — a committed statement's whole write path.
+    pub(crate) fn commit_event(&mut self, event: Event) -> KernelResult<()> {
+        apply(&mut self.db, &mut self.catalog, &event)?;
+        self.wal_append(event)
     }
 
-    /// Append one event (no-op for non-durable kernels), draining the
-    /// version-tick journal into its envelope and snapshotting when the
-    /// cadence says so.
+    /// Append one event (no-op for non-durable kernels), snapshotting
+    /// when the cadence says so.
     pub(crate) fn wal_append(&mut self, event: Event) -> KernelResult<()> {
-        self.wal_append_inner(event, true)
-    }
-
-    fn wal_append_inner(&mut self, event: Event, may_snapshot: bool) -> KernelResult<()> {
-        if self.durability.is_none() {
-            return Ok(());
-        }
-        let bumps = self.db.take_version_journal();
         let next_oid = self.db.next_oid();
-        let d = self.durability.as_mut().expect("checked above");
+        let Some(d) = self.durability.as_mut() else {
+            return Ok(());
+        };
         d.seq += 1;
         let logged = LoggedEvent {
             seq: d.seq,
             next_oid,
-            bumps,
+            bumps: Vec::new(),
             event,
         };
         let payload = super::wal_codec::encode_logged(&logged, d.options.codec)?;
         d.wal.append(&payload).map_err(io_err)?;
         d.since_snapshot += 1;
-        if may_snapshot {
-            // A finished background fold hands its prefix truncation back
-            // to this (the committing) thread before the cadence check,
-            // so a due snapshot never queues behind a completed one.
-            self.poll_compaction()?;
-            let d = self.durability.as_ref().expect("checked above");
-            let opts = d.options;
-            if opts.snapshot_every > 0 && d.since_snapshot >= opts.snapshot_every {
-                if opts.background_compaction {
-                    self.begin_background_compaction()?;
-                } else {
-                    self.checkpoint()?;
-                }
+        // A finished background fold hands its prefix truncation back to
+        // this (the committing) thread before the cadence check, so a due
+        // snapshot never queues behind a completed one.
+        self.poll_compaction()?;
+        let d = self.durability.as_ref().expect("checked above");
+        let opts = d.options;
+        if opts.snapshot_every > 0 && d.since_snapshot >= opts.snapshot_every {
+            if opts.background_compaction {
+                self.begin_background_compaction()?;
+            } else {
+                self.checkpoint()?;
             }
         }
         Ok(())
@@ -476,16 +425,9 @@ impl Gaea {
         Ok(run)
     }
 
-    /// Flush pending version ticks and serialize the sidecar state every
-    /// snapshot needs: the catalog and the unresolved job submissions.
-    fn snapshot_sidecars(&mut self) -> KernelResult<(String, String)> {
-        // Ticks from failed operations must not sit in the journal across
-        // the snapshot boundary: the snapshot's counters already include
-        // them, so attaching them to a later event would double-apply on
-        // replay. Flush them as their own event first.
-        if self.db.version_journal_pending() {
-            self.wal_append_inner(Event::VersionAdvance, false)?;
-        }
+    /// Serialize the sidecar state every snapshot needs: the catalog and
+    /// the unresolved job submissions.
+    fn snapshot_sidecars(&self) -> KernelResult<(String, String)> {
         let catalog_json = serde_json::to_string(&self.catalog).map_err(codec_err)?;
         let jobs: Vec<JournaledJob> = self
             .jobs
@@ -517,8 +459,7 @@ impl Gaea {
     /// Take a snapshot now, synchronously, and truncate the log — the
     /// explicit fallback to background compaction (any fold already in
     /// flight is settled first, so at most one runs at a time). The
-    /// sequence is crash-safe at every boundary: residual version ticks
-    /// are flushed into the log first; the snapshot directory (store
+    /// sequence is crash-safe at every boundary: the snapshot directory (store
     /// manifest with the log watermark, catalog, unresolved job
     /// submissions) is written completely and renamed into place before
     /// the `CURRENT` pointer flips to it in one atomic rename; and a
@@ -678,19 +619,13 @@ impl Gaea {
         Ok(())
     }
 
-    /// Flush residual version ticks into the log and fsync it — the
-    /// clean-shutdown tail, also called by `Drop`. Settles any in-flight
-    /// background fold first. After this, replay reconstructs the
-    /// version counters *exactly* (not just up to the last logged
-    /// event).
+    /// Fsync the log — the clean-shutdown tail, also called by `Drop`.
+    /// Settles any in-flight background fold first.
     pub fn flush_wal(&mut self) -> KernelResult<()> {
         if self.durability.is_none() {
             return Ok(());
         }
         self.settle_compaction()?;
-        if self.db.version_journal_pending() {
-            self.wal_append_inner(Event::VersionAdvance, false)?;
-        }
         let d = self.durability.as_mut().expect("checked above");
         d.wal.sync().map_err(io_err)
     }
@@ -776,8 +711,8 @@ fn sweep_stale_snapshots(dir: &Path) {
 }
 
 impl Gaea {
-    /// Consume the kernel with a **checked** clean shutdown: flush the
-    /// residual version ticks and fsync the log, surfacing any error.
+    /// Consume the kernel with a **checked** clean shutdown: fsync the
+    /// log, surfacing any error.
     ///
     /// `Drop` performs the same flush best-effort (an error there has no
     /// one to report to); operator-facing shutdown paths — the server's
@@ -786,8 +721,7 @@ impl Gaea {
     /// nonzero rather than silently discarding the durable tail.
     pub fn close(mut self) -> KernelResult<()> {
         self.flush_wal()
-        // Drop re-flushes; with the journal drained and the log synced
-        // that is a no-op sync.
+        // Drop re-flushes; with the log synced that is a no-op sync.
     }
 }
 
@@ -797,64 +731,4 @@ impl Drop for Gaea {
         // recovery still lands on the last logged event.
         let _ = self.flush_wal();
     }
-}
-
-/// Apply one replayed event to the reconstructing kernel. Content goes
-/// through the store's non-bumping replay entry points — the version
-/// history is replayed separately from each envelope's tick journal.
-fn replay_event(
-    g: &mut Gaea,
-    event: &Event,
-    pending: &mut PendingJobs,
-    max_job: &mut u64,
-) -> KernelResult<()> {
-    match event {
-        Event::DefineClass { def } => {
-            g.db.create_relation(&def.relation_name(), def.storage_schema())?;
-            g.catalog.add_class(def.clone())?;
-        }
-        Event::DefineConcept { def } => g.catalog.add_concept(def.clone())?,
-        Event::DefineProcess { def } => g.catalog.add_process(def.clone())?,
-        Event::DefineExperiment { def } => g.catalog.add_experiment(def.clone())?,
-        Event::CreateIndex { rel, attr } => {
-            g.db.relation_mut(rel)?.create_index(attr)?;
-        }
-        Event::CreateGrid { rel, attr, cell } => {
-            g.db.relation_mut(rel)?.create_grid(attr, *cell)?;
-        }
-        Event::RetuneGrid { rel, pos, cell } => {
-            g.db.relation_mut(rel)?.retune_grid(*pos, *cell)?;
-        }
-        Event::InsertObject {
-            rel,
-            class,
-            oid,
-            tuple,
-        } => {
-            g.db.replay_insert(rel, Oid(*oid), tuple.clone())?;
-            g.catalog.object_class.insert(ObjectId(Oid(*oid)), *class);
-        }
-        Event::UpdateObject { rel, oid, tuple } => {
-            g.db.replay_update(rel, Oid(*oid), tuple.clone())?;
-        }
-        Event::DeleteObject { rel, oid } => {
-            g.db.replay_delete(rel, Oid(*oid))?;
-            g.catalog.object_class.remove(&ObjectId(Oid(*oid)));
-        }
-        Event::TaskCommit(commit) => apply_commit(&mut g.db, &mut g.catalog, commit)?,
-        Event::JobSubmit {
-            job,
-            process,
-            bindings,
-        } => {
-            pending.insert(*job, (*process, bindings.clone()));
-            *max_job = (*max_job).max(*job);
-        }
-        Event::JobResolved { job } => {
-            pending.remove(job);
-            *max_job = (*max_job).max(*job);
-        }
-        Event::VersionAdvance => {}
-    }
-    Ok(())
 }

@@ -19,11 +19,11 @@
 //! object's producing process to bring it current again.
 
 use super::cache::DerivedCache;
-use super::durability::Event;
 use super::Gaea;
 use crate::catalog::Catalog;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
+use crate::event::Event;
 use crate::ids::{ObjectId, ProcessId, TaskId};
 use crate::interact::InteractiveSession;
 use crate::object::DataObject;
@@ -110,18 +110,15 @@ impl Gaea {
         let def = self.catalog.class_by_name(class)?.clone();
         let map: BTreeMap<String, Value> =
             attrs.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        let oid = executor::insert_object(&mut self.db, &mut self.catalog, &def, &map)?;
-        if self.wal_enabled() {
-            let rel = def.relation_name();
-            let tuple = self.db.get(&rel, oid.0)?.clone();
-            self.wal_append(Event::InsertObject {
-                rel,
-                class: def.id,
-                oid: oid.raw(),
-                tuple,
-            })?;
-        }
-        Ok(oid)
+        let tuple = executor::validated_tuple(&self.db, &self.catalog, &def, &map)?;
+        let oid = self.db.allocate_oid();
+        self.commit_event(Event::InsertObject {
+            rel: def.relation_name(),
+            class: def.id,
+            oid: oid.0,
+            tuple,
+        })?;
+        Ok(ObjectId(oid))
     }
 
     /// Load a stored object.
@@ -173,18 +170,13 @@ impl Gaea {
         for (name, value) in attrs {
             merged.insert(name.to_string(), value);
         }
-        executor::update_object(&mut self.db, &self.catalog, &class, oid, &merged)?;
+        let tuple = executor::validated_tuple(&self.db, &self.catalog, &class, &merged)?;
         self.cache.invalidate_object(oid);
-        if self.wal_enabled() {
-            let rel = class.relation_name();
-            let tuple = self.db.get(&rel, oid.0)?.clone();
-            self.wal_append(Event::UpdateObject {
-                rel,
-                oid: oid.raw(),
-                tuple,
-            })?;
-        }
-        Ok(())
+        self.commit_event(Event::UpdateObject {
+            rel: class.relation_name(),
+            oid: oid.raw(),
+            tuple,
+        })
     }
 
     /// Delete a stored object, returning its last state. The store bump
@@ -226,10 +218,8 @@ impl Gaea {
                 }
             }
         }
-        self.db.delete(&class.relation_name(), oid.0)?;
-        self.catalog.object_class.remove(&oid);
         self.cache.invalidate_object(oid);
-        self.wal_append(Event::DeleteObject {
+        self.commit_event(Event::DeleteObject {
             rel: class.relation_name(),
             oid: oid.raw(),
         })?;

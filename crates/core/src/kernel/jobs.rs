@@ -35,11 +35,12 @@
 //! site is re-registered, then re-stages and re-runs them (see
 //! [`super::durability`]).
 
-use super::durability::{Event, RecordedBindings};
+use super::durability::RecordedBindings;
 use super::query::dedup_key_for;
 use super::Gaea;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
+use crate::event::Event;
 use crate::ids::{ObjectId, ProcessId, TaskId};
 use crate::query::Query;
 use gaea_sched::{jobs as sched_jobs, JobPhase, JobPool};

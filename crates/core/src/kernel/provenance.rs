@@ -183,16 +183,17 @@ impl Gaea {
         for t in &tasks {
             self.catalog.task(*t)?;
         }
+        self.catalog.check_fresh("experiment", name)?;
         let id = ExperimentId(self.db.allocate_oid());
-        let experiment = Experiment {
-            id,
-            name: name.into(),
-            description: description.into(),
-            user: self.user.clone(),
-            tasks,
-        };
-        self.catalog.add_experiment(experiment.clone())?;
-        self.wal_append(super::durability::Event::DefineExperiment { def: experiment })?;
+        self.commit_event(crate::event::Event::DefineExperiment {
+            def: Experiment {
+                id,
+                name: name.into(),
+                description: description.into(),
+                user: self.user.clone(),
+                tasks,
+            },
+        })?;
         Ok(id)
     }
 

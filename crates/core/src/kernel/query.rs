@@ -54,13 +54,13 @@
 //! projection prunes returned attributes after every stage has run.
 
 use super::access::scan_class;
-use super::durability::Event;
 use super::jobs::{pending_jobs_for, JobId};
 use super::Gaea;
 use crate::catalog::Catalog;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::derivation::net::DerivationNet;
 use crate::error::{KernelError, KernelResult};
+use crate::event::Event;
 use crate::ids::{ClassId, ObjectId, ProcessId, TaskId};
 use crate::object::{DataObject, SPATIAL_ATTR, TEMPORAL_ATTR};
 use crate::query::{
@@ -370,24 +370,24 @@ impl Gaea {
             return Ok(p.id);
         }
         let id = ProcessId(self.db.allocate_oid());
-        let def = ProcessDef {
-            id,
-            name,
-            output: class.id,
-            args: vec![
-                ProcessArg::one("earlier", class.id),
-                ProcessArg::one("later", class.id),
-            ],
-            template: Template::default(),
-            kind: ProcessKind::Primitive,
-            interactions: vec![],
-            cost: None,
-            doc: "built-in linear temporal interpolation (kernel §2.1.5 step 2); \
+        self.commit_event(Event::DefineProcess {
+            def: ProcessDef {
+                id,
+                name,
+                output: class.id,
+                args: vec![
+                    ProcessArg::one("earlier", class.id),
+                    ProcessArg::one("later", class.id),
+                ],
+                template: Template::default(),
+                kind: ProcessKind::Primitive,
+                interactions: vec![],
+                cost: None,
+                doc: "built-in linear temporal interpolation (kernel §2.1.5 step 2); \
                   the target instant is recorded as task parameter `at`"
-                .into(),
-        };
-        self.catalog.add_process(def.clone())?;
-        self.wal_append(Event::DefineProcess { def })?;
+                    .into(),
+            },
+        })?;
         Ok(id)
     }
 

@@ -29,9 +29,9 @@
 //! they are rare, schema-rich and version-tolerant there, and a
 //! length-prefixed blob costs one varint.
 
-use super::durability::{Event, LoggedEvent, WalCodec};
-use crate::derivation::executor::{NewObject, TaskCommit};
+use super::durability::{LoggedEvent, WalCodec};
 use crate::error::{KernelError, KernelResult};
+use crate::event::{Event, NewObject, TaskCommit};
 use crate::ids::{ClassId, ObjectId, ProcessId, TaskId};
 use crate::task::{Task, TaskKind};
 use gaea_store::codec::{decode_tuple, decode_value, encode_tuple, encode_value, Dec, Enc};

@@ -22,6 +22,7 @@
 pub mod catalog;
 pub mod derivation;
 pub mod error;
+mod event;
 pub mod experiment;
 pub mod external;
 pub mod ids;

@@ -10,7 +10,7 @@ use crate::schema::Schema;
 use crate::stats::{ColumnStats, TableStats};
 use crate::tuple::Tuple;
 use crate::txn::Txn;
-use crate::version::{StoreSnapshot, VersionMap};
+use crate::version::{Savepoint, StoreSnapshot, VersionMap};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -490,53 +490,30 @@ impl Database {
         }
     }
 
-    /// Start recording every version tick (see
-    /// [`VersionMap`]-level journaling). Durable databases only.
-    pub fn enable_version_journal(&mut self) {
-        self.versions.enable_journal();
-    }
-
-    /// Drain version ticks recorded since the last take.
-    pub fn take_version_journal(&mut self) -> Vec<(String, Vec<u64>)> {
-        self.versions.take_journal()
-    }
-
-    /// True when un-drained version ticks are pending.
-    pub fn version_journal_pending(&self) -> bool {
-        self.versions.journal_pending()
-    }
-
-    /// Replay a journaled version tick without bumping or re-journaling.
+    /// Replay version ticks recorded as `(relation, stamped oids)` — the
+    /// `bumps` of write-ahead log records written while the clock history
+    /// was journaled — each exactly as it first ticked.
     pub fn replay_bumps(&mut self, bumps: &[(String, Vec<u64>)]) {
         for (rel, oids) in bumps {
             self.versions.apply_recorded(rel, oids);
         }
     }
 
-    /// Insert a tuple under a given OID with no version bump: WAL replay
-    /// (the clock history replays from the journal) and the live task
-    /// commit, which ticks with [`Database::stamp_version`].
-    pub fn replay_insert(&mut self, rel: &str, oid: Oid, tuple: Tuple) -> StoreResult<()> {
-        self.relation_mut(rel)?.insert(oid, tuple)?;
-        Ok(())
+    /// A rewind point for the version counters and the OID allocator —
+    /// the store half of compensating a multi-step commit. Heap contents
+    /// are not captured: the caller undoes its own writes, then
+    /// [`Database::rollback_to`] erases the ticks they took.
+    pub fn savepoint(&self) -> Savepoint {
+        self.versions.savepoint(self.allocator.peek())
     }
 
-    /// Tick the clock and stamp `oid` within `rel` — the version half of
-    /// [`Database::insert`].
-    pub fn stamp_version(&mut self, rel: &str, oid: Oid) {
-        self.versions.bump(rel, oid);
-    }
-
-    /// WAL replay: update in place, no version bump.
-    pub fn replay_update(&mut self, rel: &str, oid: Oid, tuple: Tuple) -> StoreResult<()> {
-        self.relation_mut(rel)?.update(oid, tuple)?;
-        Ok(())
-    }
-
-    /// WAL replay: delete, no version bump.
-    pub fn replay_delete(&mut self, rel: &str, oid: Oid) -> StoreResult<()> {
-        self.relation_mut(rel)?.delete(oid)?;
-        Ok(())
+    /// Rewind the version counters and the OID allocator to `sp`. Exact
+    /// when every write since `sp` touched objects allocated since and has
+    /// been undone: the database is then as it was at `sp`, and the oids
+    /// allocated in between are issued again.
+    pub fn rollback_to(&mut self, sp: Savepoint) {
+        self.allocator = OidAllocator::resume_after(sp.next_oid.saturating_sub(1));
+        self.versions.rewind(sp);
     }
 
     /// Restore from snapshot parts.
@@ -560,13 +537,12 @@ impl Database {
     /// relation plus the version counters frozen at the same instant
     /// ([`crate::view::PinnedStore`]). Taken through `&self` under the
     /// owner's borrow discipline, so the copy is of one committed state,
-    /// never a half-applied mutation. The copy's journal is off — a view
-    /// replays nothing into any WAL.
+    /// never a half-applied mutation.
     pub fn pin(&self) -> crate::view::PinnedStore {
         let db = Database {
             relations: self.relations.clone(),
             allocator: OidAllocator::resume_after(self.allocator.peek().saturating_sub(1)),
-            versions: self.versions.clone_counters(),
+            versions: self.versions.clone(),
         };
         crate::view::PinnedStore::new(db, self.store_snapshot())
     }
@@ -741,6 +717,29 @@ mod tests {
             .insert("landcover", Tuple::new(vec![Value::Int4(1)]))
             .is_err());
         assert_eq!(db.version_clock(), 3);
+    }
+
+    #[test]
+    fn rollback_to_a_savepoint_leaves_no_trace() {
+        let mut db = db_with_rel();
+        db.insert("landcover", t("africa", 1)).unwrap();
+        let before = (
+            db.version_clock(),
+            db.relation_version("landcover"),
+            db.next_oid(),
+        );
+        let sp = db.savepoint();
+        let oid = db.insert("landcover", t("asia", 2)).unwrap();
+        db.delete("landcover", oid).unwrap();
+        db.rollback_to(sp);
+        let after = (
+            db.version_clock(),
+            db.relation_version("landcover"),
+            db.next_oid(),
+        );
+        assert_eq!(after, before);
+        assert_eq!(db.object_version(oid), 0);
+        assert_eq!(db.allocate_oid(), oid, "the rewound oid is issued again");
     }
 
     #[test]

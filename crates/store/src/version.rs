@@ -11,10 +11,18 @@
 //!
 //! Version entries survive deletion (a deleted object's counter keeps
 //! advancing rather than disappearing), so re-inserting under a recycled
-//! OID can never present an old version again (no ABA). Rollback also
-//! advances versions — the content is restored but the counters only move
-//! forward, which is conservative: a validator may re-derive needlessly,
-//! but can never serve a stale result.
+//! OID can never present an old version again (no ABA). Transaction
+//! rollback also advances versions — the content is restored but the
+//! counters only move forward, which is conservative: a validator may
+//! re-derive needlessly, but can never serve a stale result.
+//!
+//! A multi-step commit that compensates is exact instead. It undoes its
+//! own writes, then [`crate::Database::rollback_to`] rewinds the clock,
+//! the relation stamps and the OID allocator to a [`Savepoint`] taken
+//! before its first step, so the failed statement leaves no tick behind;
+//! nothing outside the statement saw the oids it rewinds. There is no
+//! tick journal: in the kernel every other tick belongs to a committed
+//! write, so a log that replays the writes replays the clock.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -23,23 +31,28 @@ use crate::oid::Oid;
 
 /// Per-database version state: a logical clock plus the last-mutation
 /// stamp of every object and relation. Persisted inside snapshots so
-/// validity checks survive a save/load cycle.
+/// validity checks survive a save/load cycle; a write-ahead log rebuilds
+/// it by re-applying the logged writes.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct VersionMap {
     /// Logical clock; strictly increases with every mutation.
     clock: u64,
     /// Relation name → clock value of its last mutation.
     relations: BTreeMap<String, u64>,
-    /// OID → clock value of its last mutation. Entries are never removed:
-    /// deletion is a mutation like any other.
+    /// OID → clock value of its last mutation. A mutation never removes
+    /// an entry — deletion is a mutation like any other — only a
+    /// [`VersionMap::rewind`] does.
     objects: BTreeMap<u64, u64>,
-    /// When enabled (durable databases only), every tick is also recorded
-    /// here as `(relation, stamped oids)` so a write-ahead log can replay
-    /// the exact clock history — including bumps from rolled-back or
-    /// failed operations that no logged event otherwise accounts for.
-    /// Runtime-only: never serialized, absent after deserialization.
-    #[serde(skip)]
-    journal: Option<Vec<(String, Vec<u64>)>>,
+}
+
+/// A rewind point for the version counters and the OID allocator, taken
+/// by [`crate::Database::savepoint`] and restored by
+/// [`crate::Database::rollback_to`].
+#[derive(Debug, Clone)]
+pub struct Savepoint {
+    clock: u64,
+    relations: BTreeMap<String, u64>,
+    pub(crate) next_oid: u64,
 }
 
 impl VersionMap {
@@ -53,58 +66,42 @@ impl VersionMap {
                 self.relations.insert(rel.to_string(), self.clock);
             }
         }
-        if let Some(journal) = self.journal.as_mut() {
-            journal.push((rel.to_string(), vec![oid.0]));
-        }
     }
 
     /// Advance the clock and stamp every given oid plus the relation —
     /// used when a whole relation is dropped.
     pub(crate) fn bump_all(&mut self, rel: &str, oids: impl Iterator<Item = Oid>) {
         self.clock += 1;
-        let mut stamped = Vec::new();
         for oid in oids {
             self.objects.insert(oid.0, self.clock);
-            stamped.push(oid.0);
         }
         self.relations.insert(rel.to_string(), self.clock);
-        if let Some(journal) = self.journal.as_mut() {
-            journal.push((rel.to_string(), stamped));
-        }
     }
 
-    /// Start journaling ticks (idempotent). Only durable databases pay
-    /// the recording cost; everyone else keeps `journal = None`.
-    pub(crate) fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Vec::new());
-        }
-    }
-
-    /// Drain the recorded ticks since the last take (empty when
-    /// journaling is off).
-    pub(crate) fn take_journal(&mut self) -> Vec<(String, Vec<u64>)> {
-        self.journal
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// True when journaling is on and ticks have accumulated since the
-    /// last [`VersionMap::take_journal`].
-    pub(crate) fn journal_pending(&self) -> bool {
-        self.journal.as_ref().is_some_and(|j| !j.is_empty())
-    }
-
-    /// Replay one recorded tick exactly as [`VersionMap::bump_all`]
-    /// applied it — one clock advance, stamping `oids` and `rel` — but
-    /// without re-journaling it.
+    /// Replay one tick a write-ahead log recorded as `(relation, stamped
+    /// oids)`, exactly as [`VersionMap::bump_all`] took it.
     pub(crate) fn apply_recorded(&mut self, rel: &str, oids: &[u64]) {
-        self.clock += 1;
-        for &oid in oids {
-            self.objects.insert(oid, self.clock);
+        self.bump_all(rel, oids.iter().map(|&oid| Oid(oid)));
+    }
+
+    /// A rewind point at the current clock. `next_oid` is the allocator's
+    /// next oid: every object first stamped after the savepoint has an
+    /// oid at or above it.
+    pub(crate) fn savepoint(&self, next_oid: u64) -> Savepoint {
+        Savepoint {
+            clock: self.clock,
+            relations: self.relations.clone(),
+            next_oid,
         }
-        self.relations.insert(rel.to_string(), self.clock);
+    }
+
+    /// Return to `sp`, given that every tick since it stamped an oid
+    /// allocated since it: the clock and the relation stamps come back,
+    /// and those oids' stamps go.
+    pub(crate) fn rewind(&mut self, sp: Savepoint) {
+        self.clock = sp.clock;
+        self.relations = sp.relations;
+        self.objects.split_off(&sp.next_oid);
     }
 
     /// Current clock value.
@@ -120,18 +117,6 @@ impl VersionMap {
     /// Version of a relation; 0 means it has never been mutated.
     pub fn relation(&self, rel: &str) -> u64 {
         self.relations.get(rel).copied().unwrap_or(0)
-    }
-
-    /// A copy of the counters with journaling off — what a pinned read
-    /// view freezes. The live map may be mid-journal (ticks not yet
-    /// drained into the WAL); the copy must never re-log them.
-    pub(crate) fn clone_counters(&self) -> VersionMap {
-        VersionMap {
-            clock: self.clock,
-            relations: self.relations.clone(),
-            objects: self.objects.clone(),
-            journal: None,
-        }
     }
 
     /// A point-in-time copy of the counters.
@@ -215,28 +200,38 @@ mod tests {
     }
 
     #[test]
-    fn journal_replay_reproduces_the_exact_counters() {
+    fn recorded_ticks_replay_the_exact_counters() {
         let mut live = VersionMap::default();
-        live.enable_journal();
         live.bump("r", Oid(1));
         live.bump_all("s", [Oid(2), Oid(3)].into_iter());
         live.bump("r", Oid(1));
         live.bump_all("t", std::iter::empty());
-        assert!(live.journal_pending());
-        let ticks = live.take_journal();
-        assert!(!live.journal_pending());
-        assert_eq!(ticks.len(), 4);
 
         let mut replayed = VersionMap::default();
-        for (rel, oids) in &ticks {
-            replayed.apply_recorded(rel, oids);
+        for (rel, oids) in [
+            ("r", vec![1]),
+            ("s", vec![2, 3]),
+            ("r", vec![1]),
+            ("t", vec![]),
+        ] {
+            replayed.apply_recorded(rel, &oids);
         }
-        assert_eq!(replayed.clock(), live.clock());
-        for oid in [1, 2, 3] {
-            assert_eq!(replayed.object(Oid(oid)), live.object(Oid(oid)));
-        }
-        for rel in ["r", "s", "t"] {
-            assert_eq!(replayed.relation(rel), live.relation(rel));
-        }
+        assert_eq!(
+            serde_json::to_string(&replayed).unwrap(),
+            serde_json::to_string(&live).unwrap()
+        );
+    }
+
+    #[test]
+    fn rewind_forgets_every_tick_since_the_savepoint() {
+        let mut v = VersionMap::default();
+        v.bump("r", Oid(1));
+        let before = serde_json::to_string(&v).unwrap();
+        let sp = v.savepoint(2);
+        v.bump("r", Oid(2));
+        v.bump("s", Oid(3));
+        v.bump("r", Oid(2));
+        v.rewind(sp);
+        assert_eq!(serde_json::to_string(&v).unwrap(), before);
     }
 }

@@ -25,7 +25,9 @@
 //! * `verify <dir>` — reopen with injection off and check the
 //!   recovered state is a clean prefix of the workload: `obs` values
 //!   are exactly `0..n` with no gap and no phantom, every `dbl` object
-//!   is the copy of a committed `obs`, task records match the derived
+//!   is the copy of a committed `obs`, a copy whose source was never
+//!   updated reads current (the replayed version counters match the
+//!   task records' fingerprints), task records match the derived
 //!   objects, and the log reports no corruption.
 //!
 //! `scripts/crash_matrix.sh` drives the matrix: every crash point ×
@@ -174,6 +176,19 @@ fn verify(dir: &Path) -> KernelResult<()> {
             v % 5 == 0 && obs_set.contains(v),
             "derived value {v} has no committed source observation"
         );
+    }
+    // Version replay: a lost or invented tick shifts every later counter
+    // against the input fingerprints the recovered task records carry,
+    // so a copy whose source was never updated (`v % 7 != 0`) must
+    // still read current.
+    for oid in g.objects_of("dbl").unwrap_or_default() {
+        let v = g.object(oid)?.attr("v").and_then(Value::as_i64);
+        if v.is_some_and(|v| v % 7 != 0) {
+            assert!(
+                !g.is_stale(oid),
+                "derived copy {oid} of unmodified v={v:?} reads stale after recovery"
+            );
+        }
     }
     let tasks = g.catalog().tasks.len();
     assert_eq!(

@@ -3,7 +3,9 @@
 //! random sequence of committed mutations — object CRUD plus every way
 //! a task enters the history (firing, compound success and compensated
 //! failure, manual record, `DERIVE` wave commit, interpolation,
-//! interactive finish) — under any group-commit and snapshot cadence; a
+//! interactive finish), interleaved with statements that fail (duplicate
+//! definitions, rejected inserts) — under any group-commit and snapshot
+//! cadence; a
 //! torn log tail is dropped cleanly; a corrupted record is detected
 //! (not silently replayed) and recovery keeps the valid prefix.
 //!
@@ -74,7 +76,8 @@ struct Live {
 /// second step's guard is `1 = 2`, the non-applicative `SURVEY`, the
 /// interactive `TUNE` (one `PARAM`), and `SNAPX: snap → snapx` for
 /// `DERIVE` — with `snap` images stored at days 0 and 30 so queries in
-/// between interpolate. `snap` is a derived class: the lazily registered
+/// between interpolate — and the concept `copies` and experiment
+/// `baseline`, so every definition kind can be duplicated. `snap` is a derived class: the lazily registered
 /// `interpolate_snap` process outputs into it, and the derivation net
 /// rejects a transition into a base place.
 fn define_task_schema(g: &mut Gaea) -> Live {
@@ -157,6 +160,9 @@ fn define_task_schema(g: &mut Gaea) -> Live {
             }),
     )
     .unwrap();
+    g.define_concept("copies", &["dbl", "tri"], &[], "")
+        .unwrap();
+    g.record_experiment("baseline", "", vec![]).unwrap();
     let days = vec![0, 30];
     for &d in &days {
         let img = Image::from_f64(2, 2, vec![d as f64; 4]).unwrap();
@@ -204,6 +210,8 @@ enum Op {
     Interactive(usize, i32),
     Index,
     Checkpoint,
+    DuplicateDefine(usize),
+    BadInsert(bool),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -220,6 +228,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => ((0usize..32), any::<i32>()).prop_map(|(i, k)| Op::Interactive(i, k)),
         1 => Just(Op::Index),
         1 => Just(Op::Checkpoint),
+        1 => (0usize..7).prop_map(Op::DuplicateDefine),
+        1 => any::<bool>().prop_map(Op::BadInsert),
     ]
 }
 
@@ -297,6 +307,40 @@ fn apply(g: &mut Gaea, live: &mut Live, op: &Op) {
         }
         Op::Index => g.define_index("obs", "v").unwrap(),
         Op::Checkpoint => g.checkpoint().unwrap(),
+        Op::DuplicateDefine(kind) => {
+            let args = [("x".to_string(), "obs".to_string(), false, 1)];
+            let copy = || ProcessSpec::new("COPY", "dbl").arg("x", "obs");
+            let result = match kind {
+                0 => g
+                    .define_class(ClassSpec::base("obs").attr("v", TypeTag::Int4))
+                    .map(drop),
+                1 => g.define_concept("copies", &["dbl"], &[], "").map(drop),
+                2 => g.define_process(copy()).map(drop),
+                3 => g.define_external_process(copy(), "site").map(drop),
+                4 => g
+                    .define_nonapplicative_process("SURVEY", "note", &args, "", "")
+                    .map(drop),
+                5 => g
+                    .define_compound_process(
+                        "CHAIN",
+                        "dbl",
+                        &args,
+                        &[("COPY".into(), vec![StepSource::OuterArg(0)])],
+                        "",
+                    )
+                    .map(drop),
+                _ => g.record_experiment("baseline", "", vec![]).map(drop),
+            };
+            assert!(result.is_err(), "duplicate definition {kind} accepted");
+        }
+        Op::BadInsert(unknown_attr) => {
+            let attrs = if *unknown_attr {
+                vec![("nope", Value::Int4(1))]
+            } else {
+                vec![("v", Value::Text("mistyped".into()))]
+            };
+            assert!(g.insert_object("obs", attrs).is_err());
+        }
     }
 }
 

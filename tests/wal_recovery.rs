@@ -369,6 +369,221 @@ fn compensated_compound_replays_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The schema the failed-statement tests build on: base `raw {v}`,
+/// derived `mid`/`final`, `note` (whose `of` references `raw`), the
+/// processes `P_ok: raw → mid` and `P_bad: mid → final` (guard `1 = 2`),
+/// the compound `P_chain` (P_ok then P_bad), a concept and an experiment
+/// — one of every definition kind, so each can be duplicated.
+fn define_failure_schema(g: &mut Gaea) {
+    g.define_class(ClassSpec::base("raw").attr("v", TypeTag::Int4).no_extents())
+        .unwrap();
+    for class in ["mid", "final"] {
+        g.define_class(
+            ClassSpec::derived(class)
+                .attr("v", TypeTag::Int4)
+                .no_extents(),
+        )
+        .unwrap();
+    }
+    g.define_class(ClassSpec::base("note").ref_attr("of", "raw").no_extents())
+        .unwrap();
+    let copy_v = |arg: &str, guard: Vec<Expr>| Template {
+        assertions: guard,
+        mappings: vec![Mapping {
+            attr: "v".into(),
+            expr: Expr::proj(arg, "v"),
+        }],
+    };
+    g.define_process(
+        ProcessSpec::new("P_ok", "mid")
+            .arg("r", "raw")
+            .template(copy_v("r", vec![])),
+    )
+    .unwrap();
+    g.define_process(
+        ProcessSpec::new("P_bad", "final")
+            .arg("m", "mid")
+            .template(copy_v("m", vec![Expr::eq(Expr::int(1), Expr::int(2))])),
+    )
+    .unwrap();
+    g.define_compound_process(
+        "P_chain",
+        "final",
+        &[("r".to_string(), "raw".to_string(), false, 1)],
+        &[
+            ("P_ok".to_string(), vec![StepSource::OuterArg(0)]),
+            ("P_bad".to_string(), vec![StepSource::StepOutput(0)]),
+        ],
+        "",
+    )
+    .unwrap();
+    g.define_concept("stages", &["mid", "final"], &[], "")
+        .unwrap();
+    g.record_experiment("baseline", "", vec![]).unwrap();
+}
+
+/// Every way a definition can be rejected as a duplicate, by name.
+const DUPLICATE_DEFINES: [&str; 7] = [
+    "class",
+    "concept",
+    "process",
+    "external",
+    "nonapplicative",
+    "compound",
+    "experiment",
+];
+
+/// Re-define one of [`define_failure_schema`]'s names; it must fail.
+fn duplicate_define(g: &mut Gaea, kind: &str) {
+    let args = [("r".to_string(), "raw".to_string(), false, 1)];
+    let failed = match kind {
+        "class" => g
+            .define_class(ClassSpec::base("raw").attr("v", TypeTag::Int4).no_extents())
+            .is_err(),
+        "concept" => g.define_concept("stages", &["mid"], &[], "").is_err(),
+        "process" => g
+            .define_process(ProcessSpec::new("P_ok", "mid").arg("r", "raw"))
+            .is_err(),
+        "external" => g
+            .define_external_process(ProcessSpec::new("P_ok", "mid").arg("r", "raw"), "site")
+            .is_err(),
+        "nonapplicative" => g
+            .define_nonapplicative_process("P_ok", "mid", &args, "by hand", "")
+            .is_err(),
+        "compound" => g
+            .define_compound_process(
+                "P_chain",
+                "mid",
+                &args,
+                &[("P_ok".to_string(), vec![StepSource::OuterArg(0)])],
+                "",
+            )
+            .is_err(),
+        "experiment" => g.record_experiment("baseline", "", vec![]).is_err(),
+        other => unreachable!("no duplicate define {other}"),
+    };
+    assert!(failed, "a duplicate {kind} definition must be rejected");
+}
+
+/// A rejected duplicate definition is the last statement before a clean
+/// close: the reopened kernel must still equal the live one — its OID
+/// allocator included, which a definer that allocated its id before the
+/// name check left one ahead of anything the log recorded.
+#[test]
+fn failed_ddl_replays_identically() {
+    for kind in DUPLICATE_DEFINES {
+        let dir = fresh_dir("dup-ddl");
+        let mut g = Gaea::open_with(&dir, options()).unwrap();
+        define_failure_schema(&mut g);
+        duplicate_define(&mut g, kind);
+        let before = state_digest(&g, "dup-ddl-live");
+        drop(g);
+
+        let g = Gaea::open_with(&dir, options()).unwrap();
+        assert_eq!(
+            state_digest(&g, "dup-ddl-replayed"),
+            before,
+            "duplicate {kind} definition"
+        );
+        drop(g);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A statement expected to fail; answers whether it did.
+type Failure = Box<dyn Fn(&mut Gaea) -> bool>;
+
+/// A failed statement changes nothing: store, version counters, OID
+/// allocator and catalog are exactly as they were before it ran.
+#[test]
+fn failed_statements_leave_no_trace() {
+    let mut g = Gaea::in_memory();
+    define_failure_schema(&mut g);
+    let r = g.insert_object("raw", vec![("v", Value::Int4(7))]).unwrap();
+    let m = g.run_process("P_ok", &[("r", vec![r])]).unwrap().outputs[0];
+    g.insert_object("note", vec![("of", Value::ObjRef(r.raw()))])
+        .unwrap();
+    let mut failures: Vec<(String, Failure)> = vec![
+        (
+            "compensated compound".into(),
+            Box::new(move |g| g.run_process("P_chain", &[("r", vec![r])]).is_err()),
+        ),
+        (
+            "guard-failing firing".into(),
+            Box::new(move |g| g.run_process("P_bad", &[("m", vec![m])]).is_err()),
+        ),
+        (
+            "insert with an unknown attribute".into(),
+            Box::new(|g| {
+                g.insert_object("raw", vec![("nope", Value::Int4(1))])
+                    .is_err()
+            }),
+        ),
+        (
+            "insert of a mistyped value".into(),
+            Box::new(|g| {
+                g.insert_object("raw", vec![("v", Value::Text("x".into()))])
+                    .is_err()
+            }),
+        ),
+        (
+            "update with an unknown attribute".into(),
+            Box::new(move |g| g.update_object(r, vec![("nope", Value::Int4(1))]).is_err()),
+        ),
+        (
+            "delete of a referenced object".into(),
+            Box::new(move |g| g.delete_object(r).is_err()),
+        ),
+    ];
+    for kind in DUPLICATE_DEFINES {
+        failures.push((
+            format!("duplicate {kind}"),
+            Box::new(move |g| {
+                duplicate_define(g, kind);
+                true
+            }),
+        ));
+    }
+    for (what, fail) in failures {
+        let before = state_digest(&g, "no-trace-before");
+        assert!(fail(&mut g), "{what} must fail");
+        assert_eq!(state_digest(&g, "no-trace-after"), before, "{what}");
+    }
+}
+
+/// Logs written before version ticks replayed themselves carry the
+/// ticks in each record's `bumps`, failed statements' ticks first. Each
+/// fixture under `tests/golden/legacy_wal/` (one per codec) is the log
+/// of this durable session, closed cleanly, and `manifest.json` plus
+/// `catalog.json` are that live kernel's [`Gaea::save`] digest:
+///
+/// base `obs {v}`, derived `dbl`/`tri`, `COPY: obs → dbl`, `BAD: dbl →
+/// tri` (guard `1 = 2`), compound `CHAIN_BAD` (COPY then BAD); insert
+/// a = 1, b = 2; fire COPY on a; CHAIN_BAD on b fails; update a to 10;
+/// insert then delete c = 3; fire COPY on b; duplicate `DEFINE CLASS
+/// obs` fails (it created and dropped a relation); CHAIN_BAD on a fails
+/// (its ticks ride in the closing `VersionAdvance` record).
+///
+/// Opening a copy must reproduce the digest byte for byte.
+#[test]
+fn legacy_logs_replay_to_their_recorded_state() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/legacy_wal");
+    let read = |name: &str| std::fs::read_to_string(golden.join(name)).unwrap();
+    let expected = (read("manifest.json"), read("catalog.json"));
+    for codec in ["binary", "json"] {
+        let dir = fresh_dir("legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(golden.join(codec).join("wal.log"), dir.join("wal.log")).unwrap();
+        let g = Gaea::open_with(&dir, options()).unwrap();
+        let stats = g.recovery_stats().unwrap();
+        assert!(!stats.wal_corrupt, "{codec}");
+        assert_eq!(stats.events_replayed, 14, "{codec}");
+        assert_eq!(state_digest(&g, "legacy"), expected, "{codec}");
+        drop(g);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// The first interpolation of a class registers its interpolation
 /// process and records a task. Whichever event a synchronous snapshot
 /// lands on, a reopened kernel is serde-identical to the live one (the
