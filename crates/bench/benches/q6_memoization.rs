@@ -1,19 +1,18 @@
-//! Experiment Q6 — precomputed vs re-derived retrieval (task memoization).
+//! Experiment Q6 — precomputed vs re-derived retrieval (task reuse).
 //!
 //! §2.1.5's point of recording tasks: a previously derived object answers
 //! later queries by retrieval. Measures the first (deriving) query against
-//! subsequent (retrieving) queries, the `DerivedCache` memo on repeated
-//! identical firings against from-scratch re-derivation, and the
-//! amortization over k queries. Expected shape: retrieval and the memo
-//! beat re-derivation by orders of magnitude after the first use; the
-//! crossover is immediate (reuse ≥ 1).
+//! subsequent (retrieving) queries, an explicit re-firing against the
+//! same derivation from scratch, and the amortization over k queries.
+//! Expected shape: retrieval beats re-derivation by orders of magnitude
+//! after the first use; the crossover is immediate (reuse ≥ 1).
 //!
-//! The `invalidation_*` scenarios cover the write side of memoization:
-//! `update_object` cost as recorded history grows (MVCC version counters
-//! make it O(1) in the number of recorded tasks — the curve must stay
-//! flat from 4 to 256 tasks), the cached-hit cost after a long history,
-//! and the full invalidate-then-re-derive cycle. CI condenses these three
-//! into `BENCH_q6_invalidation.json` (see `scripts/bench_summary.sh`).
+//! The `invalidation_*` scenarios cover the write side: `update_object`
+//! cost as recorded history grows (MVCC version counters make it O(1) in
+//! the number of recorded tasks — the curve must stay flat from 4 to 256
+//! tasks), and the full invalidate-then-re-derive cycle. CI condenses
+//! these into `BENCH_q6_invalidation.json` (see
+//! `scripts/bench_summary.sh`).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use gaea_adt::{AbsTime, Image, PixType, Value};
@@ -23,12 +22,11 @@ use gaea_core::{ObjectId, Query, QueryMethod, QueryStrategy};
 use std::hint::black_box;
 
 /// A kernel with `tasks` recorded P20 derivations (one per synthetic
-/// scene, each at its own instant) and a warm memo. Returns the first
-/// scene's bands: mutating one of them invalidates exactly one entry, so
-/// the dependent-entry count stays constant while history length varies.
+/// scene, each at its own instant). Returns the first scene's bands:
+/// mutating one of them falsifies exactly one derivation, so the
+/// dependent count stays constant while history length varies.
 fn kernel_with_history(tasks: usize) -> (Gaea, Vec<ObjectId>) {
     let mut g = figure2_kernel();
-    g.enable_memoization(true);
     let mut first_bands = Vec::new();
     for i in 0..tasks {
         let t = AbsTime::from_ymd(1900 + i as i64, 1, 15).expect("valid date");
@@ -92,34 +90,10 @@ fn bench(c: &mut Criterion) {
             },
         );
     }
-    // DerivedCache: repeated identical firings answered from the memo vs
-    // executed from scratch. The memoized rerun skips binding validation,
-    // input loading, and template evaluation entirely.
+    // An explicit re-firing of an already recorded derivation: it
+    // executes and records a task again (§4.2 duplicate detection
+    // reports the pair).
     for side in [32u32, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("rerun_process_memoized", side * side),
-            &side,
-            |b, side| {
-                let mut g = figure2_kernel();
-                g.enable_memoization(true);
-                let bands = store_scene(&mut g, "rectified_tm", 6, *side, jan86());
-                g.run_process(
-                    "P20_unsupervised_classification",
-                    &[("bands", bands.clone())],
-                )
-                .expect("first derivation populates the cache");
-                b.iter(|| {
-                    black_box(
-                        g.run_process(
-                            "P20_unsupervised_classification",
-                            &[("bands", bands.clone())],
-                        )
-                        .expect("cache hit"),
-                    )
-                });
-                debug_assert!(g.memoization_stats().hits > 0);
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("rerun_process_unmemoized", side * side),
             &side,
@@ -165,23 +139,8 @@ fn bench(c: &mut Criterion) {
             },
         );
     }
-    // Cached hit with a long history behind it (the memo must not slow
-    // down as tasks accumulate).
-    group.bench_function("invalidation_cached_rerun", |b| {
-        let (mut g, bands) = kernel_with_history(64);
-        b.iter(|| {
-            black_box(
-                g.run_process(
-                    "P20_unsupervised_classification",
-                    &[("bands", bands.clone())],
-                )
-                .expect("cache hit"),
-            )
-        });
-        debug_assert!(g.memoization_stats().hits > 0);
-    });
-    // The full cycle: mutate an input (eviction), then re-fire (miss +
-    // re-derivation + re-memoization) — the price of freshness.
+    // The full cycle: mutate an input, then re-fire — the price of
+    // freshness.
     group.bench_function("invalidation_rederive", |b| {
         let (mut g, bands) = kernel_with_history(64);
         let mut fill = 2.0;

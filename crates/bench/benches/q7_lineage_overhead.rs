@@ -94,32 +94,6 @@ fn bench(c: &mut Criterion) {
             },
         );
     }
-    // Memoized re-firing: the DerivedCache answers an identical firing
-    // from its memo — the floor on provenance-preserving deduplication.
-    for side in [8u32, 32, 128] {
-        group.bench_with_input(
-            BenchmarkId::new("task_img_diff_memoized", side * side),
-            &side,
-            |bch, side| {
-                let mut g = kernel();
-                g.enable_memoization(true);
-                let oa = g
-                    .insert_object("raster", vec![("data", Value::image(image(*side, 1)))])
-                    .expect("insert");
-                let ob = g
-                    .insert_object("raster", vec![("data", Value::image(image(*side, 2)))])
-                    .expect("insert");
-                g.run_process("diff", &[("a", vec![oa]), ("b", vec![ob])])
-                    .expect("first firing populates the cache");
-                bch.iter(|| {
-                    black_box(
-                        g.run_process("diff", &[("a", vec![oa]), ("b", vec![ob])])
-                            .expect("cache hit"),
-                    )
-                })
-            },
-        );
-    }
     // Lineage queries over a deep chain.
     for depth in [10usize, 100] {
         let mut g = kernel();

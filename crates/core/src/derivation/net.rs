@@ -61,7 +61,15 @@ impl DerivationNet {
         let mut transition_of = BTreeMap::new();
         let mut process_of = BTreeMap::new();
         for (id, def) in &catalog.processes {
-            if def.is_compound() || !include(def) {
+            // A query that interpolates a *base* class registers an
+            // interpolation process whose output is base data (§2.1.5
+            // step 2); no transition may produce a base place, and
+            // interpolation is query-driven, never planned.
+            let derives = catalog
+                .classes
+                .get(&def.output)
+                .is_some_and(|c| c.is_derived());
+            if def.is_compound() || !derives || !include(def) {
                 continue;
             }
             // Several args over the same class accumulate their thresholds

@@ -60,7 +60,7 @@
 //! `scripts/crash_matrix.sh` for the fault-injection lane that drives
 //! aborts through every boundary, background ones included.
 
-use super::{jobs, Gaea, SharedCache};
+use super::{jobs, Gaea};
 use crate::catalog::Catalog;
 use crate::derivation::executor::TaskRun;
 use crate::error::{KernelError, KernelResult};
@@ -280,10 +280,8 @@ impl Gaea {
             registry,
             externals: ExternalRegistry::new(),
             user: "scientist".into(),
-            cache: SharedCache::new(),
             scheduler: Scheduler::from_env(),
             jobs: jobs::JobManager::new(),
-            reuse_tasks: true,
             binding_budget: 32,
             durability: None,
             recovery: None,

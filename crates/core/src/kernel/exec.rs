@@ -4,9 +4,7 @@
 //! automatic firing ([`Gaea::run_process`]), manual recording of
 //! non-applicative procedures, and scientist-driven interactive sessions.
 //! Firing delegates to `derivation::executor` for atomic template
-//! evaluation; this layer adds the [`super::cache::DerivedCache`] memo in
-//! front of it — a repeated firing with identical canonical bindings
-//! returns the recorded task without re-deriving.
+//! evaluation.
 //!
 //! Consistency between the store and everything derived from it rides on
 //! the store's MVCC version counters. Each task fingerprints the input
@@ -14,11 +12,18 @@
 //! derivation as *current* (every fingerprint still matches the live
 //! counters, transitively) or *stale* (some input was mutated or deleted
 //! since). [`Gaea::update_object`] is O(1) in the recorded history — the
-//! store bump plus cache-edge eviction replace the old transitive walk
-//! over all task records — and [`Gaea::refresh_object`] re-fires a stale
-//! object's producing process to bring it current again.
+//! store bump alone falsifies every derivation that consumed the old
+//! version — and [`Gaea::refresh_object`] re-fires a stale object's
+//! producing process to bring it current again.
+//!
+//! Derivation identity is one question, asked by every path about to
+//! fire automatically (the query's choose phase, `refresh_object`,
+//! `refresh_all`'s waves and the job commit pump): `prior_derivation`
+//! — is an identical derivation already current on record, or in
+//! flight as a background job?
 
-use super::cache::DerivedCache;
+use super::jobs::JobId;
+use super::query::dedup_key_for;
 use super::Gaea;
 use crate::catalog::Catalog;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
@@ -27,7 +32,7 @@ use crate::event::Event;
 use crate::ids::{ObjectId, ProcessId, TaskId};
 use crate::interact::InteractiveSession;
 use crate::object::DataObject;
-use crate::schema::ProcessKind;
+use crate::schema::{ProcessDef, ProcessKind};
 use crate::task::{Task, TaskKind};
 use crate::template::EvalContext;
 use gaea_adt::Value;
@@ -38,16 +43,15 @@ use std::collections::BTreeMap;
 /// query may flag dozens of hits whose derivations share ancestors).
 pub(crate) type StaleMemo = BTreeMap<ObjectId, bool>;
 
-/// Outcome of consulting the derived-result cache before a firing
-/// ([`Gaea::probe_cache`]): shared by [`Gaea::run_process`] and
-/// [`Gaea::commit_prepared`] so both treat memoization identically.
-pub(crate) enum CacheProbe {
-    /// Memoization is off; fire and record nothing.
-    Disabled,
-    /// No valid entry; fire, then record under this canonical key.
-    Miss { hash: u64, canonical: String },
-    /// A validated entry answered the firing.
-    Hit(TaskRun),
+/// What the history says about a prospective firing ([`prior_derivation`]).
+pub(crate) enum Prior {
+    /// An identical derivation is on record, its outputs are still
+    /// stored and it is current: its record answers the firing.
+    Current(TaskRun),
+    /// The identical derivation is in flight as this background job.
+    InFlight(JobId),
+    /// Nothing answers: the firing must run.
+    Fresh,
 }
 
 /// Is `obj` a stale derived object? Base objects (no producing task) are
@@ -94,6 +98,51 @@ pub(crate) fn task_is_stale(
     task.all_inputs()
         .into_iter()
         .any(|input| object_is_stale(db, catalog, input, memo))
+}
+
+/// Is a firing of `def` on `bindings` already done (§2.1.2: a recorded
+/// task says so)? The one derivation-identity check every automatic
+/// firing path asks before it fires, so the kernel avoids "unnecessary
+/// duplication of experiments" (§2.1.1).
+///
+/// One pass over the process's recorded tasks: the first whose key
+/// matches ([`dedup_key_for`]), whose outputs are all still stored and
+/// which is not stale answers [`Prior::Current`]. Several records can
+/// share a key — a stale derivation and its re-fire bind identically
+/// when only input *versions* drifted — and stale or output-deleted
+/// records are history, not answers. Otherwise a key in `in_flight`
+/// (the caller's [`Gaea::jobs_in_flight_keys`]) answers
+/// [`Prior::InFlight`], and anything else is [`Prior::Fresh`].
+/// `Current` ticks the `cache_hits` metric, `Fresh` ticks `cache_misses`.
+pub(crate) fn prior_derivation(
+    db: &Database,
+    catalog: &Catalog,
+    in_flight: &BTreeMap<String, JobId>,
+    def: &ProcessDef,
+    bindings: &[(String, Vec<ObjectId>)],
+) -> Prior {
+    let key = dedup_key_for(def, bindings);
+    let mut memo = StaleMemo::new();
+    let current = catalog.tasks_of_process(def.id).find(|t| {
+        t.dedup_key() == key
+            && t.outputs
+                .iter()
+                .all(|o| catalog.class_of_object(*o).is_ok())
+            && !task_is_stale(db, catalog, t, &mut memo)
+    });
+    let metrics = gaea_obs::metrics();
+    if let Some(t) = current {
+        metrics.cache_hits.inc();
+        return Prior::Current(TaskRun {
+            task: t.id,
+            outputs: t.outputs.clone(),
+        });
+    }
+    if let Some(job) = in_flight.get(&key) {
+        return Prior::InFlight(*job);
+    }
+    metrics.cache_misses.inc();
+    Prior::Fresh
 }
 
 impl Gaea {
@@ -147,20 +196,15 @@ impl Gaea {
     /// names are rejected; reference attributes are checked like inserts.
     ///
     /// Invalidation is O(1) in the recorded history. The store write bumps
-    /// `oid`'s MVCC version, which by itself falsifies every memoized
-    /// derivation and recorded task that fingerprinted the old version —
-    /// they fail their version check the next time anything consults them.
-    /// The only extra work done here is dropping the [`DerivedCache`]
-    /// entries linked to `oid` through the cache's own input→output edges
-    /// (cost proportional to dependent *cache entries*, never to the
-    /// number of recorded tasks — the old implementation walked the entire
-    /// task history on every update).
+    /// `oid`'s MVCC version, which by itself falsifies every recorded
+    /// task that fingerprinted the old version — it fails its version
+    /// check the next time anything consults it.
     ///
     /// Recorded tasks and stored derived objects are §2.1.1 history — they
     /// faithfully describe the derivation that happened — so they survive
     /// the update. But they are no longer silently servable as current:
     /// step-1 retrieval flags them in [`crate::query::QueryOutcome::stale`],
-    /// [`Gaea::reuse_tasks`] dedup refuses to reuse a stale derivation
+    /// derivation reuse (`prior_derivation`) refuses a stale derivation
     /// (it re-fires instead), and [`Gaea::refresh_object`] re-derives a
     /// stale object on demand.
     pub fn update_object(&mut self, oid: ObjectId, attrs: Vec<(&str, Value)>) -> KernelResult<()> {
@@ -171,7 +215,6 @@ impl Gaea {
             merged.insert(name.to_string(), value);
         }
         let tuple = executor::validated_tuple(&self.db, &self.catalog, &class, &merged)?;
-        self.cache.invalidate_object(oid);
         self.commit_event(Event::UpdateObject {
             rel: class.relation_name(),
             oid: oid.raw(),
@@ -182,8 +225,8 @@ impl Gaea {
     /// Delete a stored object, returning its last state. The store bump
     /// on deletion advances the object's MVCC version (its counter
     /// outlives it), so every recorded derivation that consumed it
-    /// classifies as stale from now on, and memo entries linked to it are
-    /// dropped. Task records are history and stay untouched.
+    /// classifies as stale from now on. Task records are history and stay
+    /// untouched.
     ///
     /// Deletion refuses to orphan references: insert and update guarantee
     /// that reference attributes (§4.3) point at live objects, so an
@@ -218,7 +261,6 @@ impl Gaea {
                 }
             }
         }
-        self.cache.invalidate_object(oid);
         self.commit_event(Event::DeleteObject {
             rel: class.relation_name(),
             oid: oid.raw(),
@@ -345,28 +387,23 @@ impl Gaea {
             }
             owned.push((arg.name.clone(), fresh));
         }
-        // Duplicate guard: an identical current derivation may already be
-        // on record — e.g. an earlier refresh call re-derived this shared
-        // upstream along another path of a diamond. Reuse it instead of
-        // re-firing, so each distinct derivation happens exactly once
-        // however many refresh calls reach it.
-        let run = match self.reuse_current_firing(task.process, &owned) {
-            Some(run) => run,
-            None => {
-                // In-flight guard: a background job may already be
-                // computing exactly this re-derivation (submitting a
-                // stale goal is the documented background-refresh
-                // pattern). Re-firing would repeat the remote round-trip
-                // and block the session on it — refuse with the job to
-                // await instead, like the query walker does.
-                let def = self.catalog.process(task.process)?;
-                let key = super::query::dedup_key_for(def, &owned);
-                let process = def.name.clone();
-                if let Some(job) = self.jobs_in_flight_keys().get(&key) {
-                    return Err(KernelError::DerivationPending { process, job: *job });
-                }
-                self.run_process_owned(task.process, owned)?
+        // An identical current derivation may already be on record (an
+        // earlier refresh re-derived this shared upstream along another
+        // path of a diamond): reuse it, so each distinct derivation
+        // happens once however many refresh calls reach it. One already
+        // in flight as a background job (submitting a stale goal is the
+        // documented background-refresh pattern) is refused with the job
+        // to await, like the query walker does.
+        let in_flight = self.jobs_in_flight_keys();
+        let run = match prior_derivation(&self.db, &self.catalog, &in_flight, &def, &owned) {
+            Prior::Current(run) => run,
+            Prior::InFlight(job) => {
+                return Err(KernelError::DerivationPending {
+                    process: def.name,
+                    job,
+                })
             }
+            Prior::Fresh => self.run_process_owned(task.process, owned)?,
         };
         refreshed.insert(obj, run.clone());
         Ok(run)
@@ -378,13 +415,12 @@ impl Gaea {
 
     /// Fire a process by name on explicit bindings.
     ///
-    /// With memoization enabled ([`Gaea::enable_memoization`]), a firing
-    /// whose canonical bindings match a live *and still-valid* cache entry
-    /// returns the recorded task and outputs without re-deriving. Validity
-    /// is an O(inputs + outputs) MVCC check: every store version the entry
-    /// recorded must still match the live counters, and no input may be a
-    /// stale derived object. Otherwise the firing executes and (on
-    /// success) is memoized with the versions observed now.
+    /// An explicit firing always executes and records a task, even when
+    /// an identical current derivation is on record: the scientist asked
+    /// for this experiment, and §4.2 duplicate detection
+    /// ([`Gaea::duplicate_tasks`]) reports the repeat. Queries, refreshes
+    /// and background jobs reuse prior derivations instead
+    /// (`prior_derivation`).
     pub fn run_process(
         &mut self,
         process: &str,
@@ -405,11 +441,6 @@ impl Gaea {
         pid: ProcessId,
         owned: Vec<(String, Vec<ObjectId>)>,
     ) -> KernelResult<TaskRun> {
-        let key = match self.probe_cache(pid, &owned) {
-            CacheProbe::Hit(run) => return Ok(run),
-            CacheProbe::Miss { hash, canonical } => Some((hash, canonical)),
-            CacheProbe::Disabled => None,
-        };
         let commit = executor::run_process(
             &mut self.db,
             &mut self.catalog,
@@ -419,129 +450,11 @@ impl Gaea {
             &owned,
             &self.user,
         )?;
-        let run = self.log_commit(commit)?;
-        if let Some((hash, canonical)) = key {
-            self.record_cache(hash, canonical, &owned, &run);
-        }
-        Ok(run)
+        self.log_commit(commit)
     }
 
-    /// An identical *current* prior derivation of `pid` on exactly these
-    /// bindings, if [`Gaea::reuse_tasks`] allows reusing it — the
-    /// refresh machinery's duplicate guard. Without this check, two
-    /// refresh calls whose stale chains share an upstream (the diamond
-    /// case split across calls, or a `FRESH` query looping over several
-    /// stale hits) would each re-fire the shared derivation once per
-    /// path, recording duplicate tasks. Priors whose outputs were
-    /// deleted do not count (a refresh must re-materialize them), and
-    /// stale priors are history, not answers.
-    pub(crate) fn reuse_current_firing(
-        &self,
-        pid: ProcessId,
-        owned: &[(String, Vec<ObjectId>)],
-    ) -> Option<TaskRun> {
-        if !self.reuse_tasks {
-            return None;
-        }
-        let def = self.catalog.process(pid).ok()?;
-        let key = super::query::dedup_key_for(def, owned);
-        // Several records can share one key (a stale derivation and its
-        // later re-fire bind identically when only input *versions*
-        // drifted): any current, still-stored match answers.
-        let mut memo = StaleMemo::new();
-        let task = self
-            .catalog
-            .tasks_of_process(pid)
-            .filter(|t| t.dedup_key() == key)
-            .find(|t| {
-                t.outputs
-                    .iter()
-                    .all(|o| self.catalog.class_of_object(*o).is_ok())
-                    && !task_is_stale(&self.db, &self.catalog, t, &mut memo)
-            })?;
-        Some(TaskRun {
-            task: task.id,
-            outputs: task.outputs.clone(),
-        })
-    }
-
-    /// Consult the derived-result cache for a firing of `pid` on `owned`
-    /// bindings: a validated hit (every recorded input/output version
-    /// still matches the live counters and no input is a stale derived
-    /// object), or the canonical key to record under after firing.
-    pub(crate) fn probe_cache(
-        &self,
-        pid: ProcessId,
-        owned: &[(String, Vec<ObjectId>)],
-    ) -> CacheProbe {
-        if !self.cache.enabled() {
-            return CacheProbe::Disabled;
-        }
-        let (hash, canonical) = DerivedCache::canonical_key(pid, owned);
-        let db = &self.db;
-        let catalog = &self.catalog;
-        let hit = self
-            .cache
-            .lookup_where(hash, &canonical, |inputs, outputs| {
-                let mut memo = StaleMemo::new();
-                inputs
-                    .iter()
-                    .chain(outputs)
-                    .all(|(o, v)| db.object_version(o.0) == *v)
-                    && !inputs
-                        .iter()
-                        .any(|(o, _)| object_is_stale(db, catalog, *o, &mut memo))
-            });
-        match hit {
-            Some((task, outputs)) => CacheProbe::Hit(TaskRun { task, outputs }),
-            None => CacheProbe::Miss { hash, canonical },
-        }
-    }
-
-    /// Memoize a completed firing under its canonical key, with the
-    /// input/output store versions observed now.
-    pub(crate) fn record_cache(
-        &mut self,
-        hash: u64,
-        canonical: String,
-        owned: &[(String, Vec<ObjectId>)],
-        run: &TaskRun,
-    ) {
-        let inputs: Vec<(ObjectId, u64)> = owned
-            .iter()
-            .flat_map(|(_, o)| o.iter().copied())
-            .map(|o| (o, self.db.object_version(o.0)))
-            .collect();
-        let outputs: Vec<(ObjectId, u64)> = run
-            .outputs
-            .iter()
-            .map(|o| (*o, self.db.object_version(o.0)))
-            .collect();
-        self.cache
-            .insert(hash, canonical, run.task, inputs, outputs);
-    }
-
-    /// Commit a [`PreparedFiring`] computed by a scheduler worker — the
-    /// serialized tail of [`Gaea::run_process_owned`]: consult the memo
-    /// (an identical *current* derivation recorded meanwhile is reused
-    /// instead of duplicated), otherwise materialize the prepared output
-    /// and record the firing in the cache.
-    pub(crate) fn commit_prepared(&mut self, prepared: PreparedFiring) -> KernelResult<TaskRun> {
-        let key = match self.probe_cache(prepared.process, &prepared.bindings) {
-            CacheProbe::Hit(run) => return Ok(run),
-            CacheProbe::Miss { hash, canonical } => Some((hash, canonical)),
-            CacheProbe::Disabled => None,
-        };
-        let owned = prepared.bindings.clone();
-        let run = self.commit_firing(prepared)?;
-        if let Some((hash, canonical)) = key {
-            self.record_cache(hash, canonical, &owned, &run);
-        }
-        Ok(run)
-    }
-
-    /// Commit a prepared firing with no memo in front: build and apply
-    /// its record ([`executor::apply_result`]), then log it.
+    /// Commit a prepared firing: build and apply its record
+    /// ([`executor::apply_result`]), then log it.
     pub(crate) fn commit_firing(&mut self, prepared: PreparedFiring) -> KernelResult<TaskRun> {
         let commit = executor::apply_result(&mut self.db, &mut self.catalog, prepared, &self.user)?;
         self.log_commit(commit)

@@ -23,8 +23,9 @@
 //!   answers list it in `QueryOutcome::pending`, the bind/fire walker
 //!   refuses to double-fire the identical derivation
 //!   ([`KernelError::DerivationPending`]), a duplicate
-//!   [`Gaea::submit_derivation`] dedups to the existing job (mirroring
-//!   [`Gaea::reuse_tasks`]), and `Gaea::refresh_all` reports the stale
+//!   [`Gaea::submit_derivation`] dedups to the existing job (the
+//!   in-flight answer of the one derivation-identity check), and
+//!   `Gaea::refresh_all` reports the stale
 //!   objects it covers as pending instead of re-firing them.
 //!
 //! Jobs are runtime state, like registered sites: they are not
@@ -36,6 +37,7 @@
 //! [`super::durability`]).
 
 use super::durability::RecordedBindings;
+use super::exec::{prior_derivation, Prior};
 use super::query::dedup_key_for;
 use super::Gaea;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
@@ -181,9 +183,9 @@ impl Gaea {
     /// identical to a synchronous run.
     ///
     /// Semantics mirroring the synchronous walker:
-    /// * an identical *current* derivation already on record is reused
-    ///   ([`Gaea::reuse_tasks`]): the returned job is born `Done` with
-    ///   the recorded task, nothing re-fires;
+    /// * an identical *current* derivation already on record (its
+    ///   outputs still stored) is reused: the returned job is born
+    ///   `Done` with the recorded task, nothing re-fires;
     /// * an identical derivation already *in flight* dedups to the
     ///   existing job id;
     /// * a goal whose plan needs several firings is refused (derive the
@@ -270,7 +272,7 @@ impl Gaea {
         use super::query::ChosenFiring;
         match self.choose_or_fire(pid, q, &BTreeSet::new())? {
             // The identical derivation is already in flight: duplicate
-            // submissions dedup to one job, mirroring `reuse_tasks`.
+            // submissions dedup to one job.
             ChosenFiring::Pending(job) => Ok(job),
             // An identical current derivation is on record: the job is
             // born Done with the recorded task.
@@ -332,9 +334,9 @@ impl Gaea {
 
     /// Commit every job result the workers have finished: the serialized
     /// tail of each background firing, in job-id (= submission) order.
-    /// An identical current derivation recorded meanwhile is reused
-    /// instead of duplicated, exactly like the wave executor's commit
-    /// step; a commit failure resolves the job as `Failed` without
+    /// An identical current derivation recorded since the submission
+    /// chose its bindings is reused instead of duplicated; a commit
+    /// failure resolves the job as `Failed` without
     /// disturbing the others. Invoked by every job accessor and by the
     /// query/refresh entry points, so finished results become visible
     /// wherever the kernel next looks.
@@ -358,10 +360,21 @@ impl Gaea {
             let Some(prepared) = self.jobs.pool.take_done(id) else {
                 continue;
             };
-            let pid = prepared.process();
-            let outcome = match self.reuse_current_firing(pid, prepared.bindings()) {
-                Some(run) => Ok(run),
-                None => self.commit_prepared(prepared),
+            // This job's own key is in flight, so only a current prior
+            // recorded meanwhile answers instead of the prepared result.
+            let prior = self.catalog.process(prepared.process()).map(|def| {
+                let none_in_flight = BTreeMap::new();
+                prior_derivation(
+                    &self.db,
+                    &self.catalog,
+                    &none_in_flight,
+                    def,
+                    prepared.bindings(),
+                )
+            });
+            let outcome = match prior {
+                Ok(Prior::Current(run)) => Ok(run),
+                _ => self.commit_firing(prepared),
             };
             let record = self
                 .jobs

@@ -1,16 +1,16 @@
 //! The Gaea kernel facade, decomposed into the paper's semantic layers.
 //!
-//! [`Gaea`] owns the store, the catalog, the operator registry and the
-//! derived-result cache, and *delegates* everything else to one of four
-//! layer modules:
+//! [`Gaea`] owns the store, the catalog and the operator registry, and
+//! *delegates* everything else to one of four layer modules:
 //!
 //! * [`ddl`] — definition-time semantics (§2.1.2–§2.1.4): class, concept
 //!   and process definition with full template validation.
 //! * [`exec`] — execution semantics (§2.1.4, §4.3, §5): object CRUD,
-//!   process firing, manual tasks, interactive sessions, the memoized
-//!   [`cache::DerivedCache`], and MVCC staleness classification
-//!   ([`Gaea::is_stale`] / [`Gaea::refresh_object`]) over the store's
-//!   version counters.
+//!   process firing, manual tasks, interactive sessions, MVCC staleness
+//!   classification ([`Gaea::is_stale`] / [`Gaea::refresh_object`]) over
+//!   the store's version counters, and the one derivation-identity check
+//!   every automatic firing asks first (is an identical derivation
+//!   current on record, or in flight?).
 //! * [`query`] — the §2.1.5 three-step query mechanism: direct retrieval
 //!   → temporal interpolation → planned derivation, staged as
 //!   plan / bind / fire / project; step-1 answers flag stale derived
@@ -34,7 +34,6 @@
 //! catalog persistence; every behavioural method lives in its layer.
 
 pub mod access;
-pub mod cache;
 pub mod ddl;
 pub mod durability;
 pub mod exec;
@@ -50,7 +49,6 @@ mod wal_codec;
 mod tests;
 
 pub use access::AUTO_INDEX_THRESHOLD;
-pub use cache::{CacheStats, DerivedCache, SharedCache};
 pub use ddl::{ClassSpec, ProcessSpec};
 pub use durability::{DurabilityOptions, RecoveryStats, WalCodec};
 pub use jobs::{JobId, JobStatus};
@@ -74,10 +72,6 @@ pub struct Gaea {
     pub(crate) registry: OperatorRegistry,
     pub(crate) externals: ExternalRegistry,
     pub(crate) user: String,
-    /// Memoized `(process, bindings) → outputs` results (off by default;
-    /// see [`Gaea::enable_memoization`]), behind a thread-shareable
-    /// handle so scheduler workers memoize concurrently.
-    pub(crate) cache: SharedCache,
     /// The derivation scheduler: how many workers the prepare phase of
     /// every wave ([`Gaea::refresh_all`] and the query pipeline's fire
     /// stage) may use. Defaults to one worker — prepares run in order on
@@ -88,10 +82,6 @@ pub struct Gaea {
     /// the long-lived worker pool plus per-job records. Runtime state,
     /// like registered sites — not persisted. See [`Gaea::submit_derivation`].
     pub(crate) jobs: jobs::JobManager,
-    /// Reuse existing identical tasks instead of re-deriving (§2.1.1:
-    /// "avoid unnecessary duplication of experiments"). On by default;
-    /// benchmarks toggle it to measure the memoization effect.
-    pub reuse_tasks: bool,
     /// Budget of alternative input bindings tried per process firing.
     pub binding_budget: usize,
     /// The write-ahead event log, when this kernel was opened durably
@@ -115,10 +105,8 @@ impl Gaea {
             registry,
             externals: ExternalRegistry::new(),
             user: "scientist".into(),
-            cache: SharedCache::new(),
             scheduler: Scheduler::from_env(),
             jobs: jobs::JobManager::new(),
-            reuse_tasks: true,
             binding_budget: 32,
             durability: None,
             recovery: None,
@@ -178,31 +166,6 @@ impl Gaea {
         &self.catalog
     }
 
-    /// Turn the derived-result cache on or off. Disabling clears it (a
-    /// re-enabled cache must not serve results recorded while consumers
-    /// could not observe invalidations).
-    pub fn enable_memoization(&mut self, on: bool) {
-        self.cache.set_enabled(on);
-    }
-
-    /// Is the derived-result cache active?
-    pub fn memoization_enabled(&self) -> bool {
-        self.cache.enabled()
-    }
-
-    /// Hit/miss/invalidation counters of the derived-result cache.
-    pub fn memoization_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// A thread-shareable handle on the derived-result cache. Clones
-    /// share the underlying cache, so scheduler workers (and stress
-    /// tests) can look up, insert and invalidate concurrently with the
-    /// kernel's own use.
-    pub fn cache_handle(&self) -> SharedCache {
-        self.cache.clone()
-    }
-
     /// Set the derivation scheduler's worker count. Query derivations
     /// and [`Gaea::refresh_all`] fire in dependency waves of choose →
     /// prepare → commit; the worker count only decides how many firings
@@ -251,11 +214,9 @@ impl Gaea {
             // re-registered by the application after a load.
             externals: ExternalRegistry::new(),
             user: "scientist".into(),
-            cache: SharedCache::new(),
             scheduler: Scheduler::from_env(),
             // Jobs are runtime state: a loaded kernel starts with none.
             jobs: jobs::JobManager::new(),
-            reuse_tasks: true,
             binding_budget: 32,
             durability: None,
             recovery: None,

@@ -19,9 +19,8 @@
 //! independent of the worker count — with one worker (the default) the
 //! prepare step is an in-order loop on the calling thread.
 
-use super::exec::StaleMemo;
+use super::exec::{prior_derivation, Prior, StaleMemo};
 use super::jobs::JobId;
-use super::query::dedup_key_for;
 use super::Gaea;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
@@ -232,7 +231,7 @@ impl Gaea {
                     continue;
                 }
                 Staged::Prepare(_) => {
-                    self.commit_prepared(prepared.next().expect("one prepare per Prepare node")?)?
+                    self.commit_firing(prepared.next().expect("one prepare per Prepare node")?)?
                 }
                 Staged::Reused(run) => run.clone(),
             };
@@ -284,15 +283,13 @@ impl Gaea {
             }
             owned.push((arg.name.clone(), fresh));
         }
-        if let Some(run) = self.reuse_current_firing(task.process, &owned) {
-            return Ok(Staged::Reused(run));
-        }
-        // Checked regardless of `reuse_tasks`: re-firing a derivation a
-        // background job is about to commit would always duplicate it.
-        if let Some(job) = in_flight.get(&dedup_key_for(def, &owned)) {
-            return Ok(Staged::Pending(*job));
-        }
-        Ok(Staged::Prepare(owned))
+        Ok(
+            match prior_derivation(&self.db, &self.catalog, in_flight, def, &owned) {
+                Prior::Current(run) => Staged::Reused(run),
+                Prior::InFlight(job) => Staged::Pending(job),
+                Prior::Fresh => Staged::Prepare(owned),
+            },
+        )
     }
 
     /// The prepare phase of a wave: evaluate each firing read-only on the

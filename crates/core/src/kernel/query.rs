@@ -35,7 +35,7 @@
 //! * **fire** — `Gaea::fire_plan` levels the plan's firings into
 //!   dependency waves and runs every wave as choose → prepare → commit:
 //!   `Gaea::choose_or_fire` walks the bounded candidate product, reusing
-//!   identical *current* prior tasks when [`Gaea::reuse_tasks`] allows,
+//!   identical *current* prior tasks (`exec::prior_derivation`),
 //!   re-firing *stale* ones (their inputs were mutated after derivation),
 //!   and skipping derivations the current plan already consumed; the
 //!   chosen firings prepare on the `gaea-sched` workers and commit in
@@ -54,6 +54,7 @@
 //! projection prunes returned attributes after every stage has run.
 
 use super::access::scan_class;
+use super::exec::{prior_derivation, Prior};
 use super::jobs::{pending_jobs_for, JobId};
 use super::Gaea;
 use crate::catalog::Catalog;
@@ -630,7 +631,7 @@ impl Gaea {
             // Prepare phase (parallel), then commit phase (serial, node
             // order).
             for prepared in self.prepare_firings(bound) {
-                tasks.push(self.commit_prepared(prepared?)?.task);
+                tasks.push(self.commit_firing(prepared?)?.task);
             }
         }
         Ok(tasks)
@@ -760,19 +761,16 @@ impl Gaea {
     /// choose phase and [`Gaea::submit_derivation`]'s binding step. Walks
     /// the bounded candidate product of [`Gaea::binding_candidates`]:
     /// bindings whose dedup key is in `exclude` are skipped outright (the
-    /// current plan already consumed that derivation); a binding identical
-    /// to a *current* prior task is reused ([`ChosenFiring::Reused`]) when
-    /// [`Gaea::reuse_tasks`] is on and skipped otherwise, so the kernel
-    /// never silently duplicates a derivation; a *stale* prior is history,
-    /// so re-firing it is allowed. The first fresh binding whose guards
+    /// current plan already consumed that derivation); every other
+    /// binding asks [`prior_derivation`] first. A *current* prior task
+    /// is reused ([`ChosenFiring::Reused`]) and an identical in-flight
+    /// background job attached to ([`ChosenFiring::Pending`]: the
+    /// caller refuses to duplicate it, or dedups a submission to it), so
+    /// the kernel never silently duplicates a derivation. A *stale*
+    /// prior, or one whose outputs were deleted, is history, so
+    /// re-firing it is allowed: the first fresh binding whose guards
     /// pass comes back as [`ChosenFiring::Bound`] for a prepare/commit
     /// cycle (or a background job).
-    ///
-    /// A binding identical to an *in-flight* background job is treated
-    /// like an identical current prior task: with [`Gaea::reuse_tasks`]
-    /// on it short-circuits to [`ChosenFiring::Pending`] (the caller
-    /// attaches to — or refuses to duplicate — the job); with reuse off
-    /// the binding is skipped and the walk continues.
     pub(crate) fn choose_or_fire(
         &self,
         pid: ProcessId,
@@ -787,13 +785,6 @@ impl Gaea {
             let _bind = gaea_obs::span("bind");
             self.binding_candidates(def, q)?
         };
-        // Keys of identical prior derivations (the per-process task
-        // index iterates in task-id order, same as the old full scan).
-        let used_keys: BTreeSet<String> = self
-            .catalog
-            .tasks_of_process(pid)
-            .map(|t| t.dedup_key())
-            .collect();
         // Walk the (bounded) cartesian product.
         let mut budget = self.binding_budget;
         let mut indices = vec![0usize; candidates.len()];
@@ -819,77 +810,31 @@ impl Gaea {
                     degenerate = true;
                 }
             }
-            if !degenerate {
-                let key = dedup_key_for(def, &bindings);
-                if exclude.contains(&key) {
-                    // This derivation was already consumed by the current
-                    // plan; a repetition must find different inputs.
-                } else {
-                    // Classify any identical prior task against the store's
-                    // version counters: a *current* one can be reused (or at
-                    // least must not be duplicated), a *stale* one is
-                    // history only — re-firing it is not duplication, it is
-                    // the refresh the mutated inputs call for.
-                    let current_prior: Option<TaskRun> = if used_keys.contains(&key) {
-                        // Several records can share one key (a stale
-                        // derivation and its re-fire bind identically
-                        // when only input versions drifted): any
-                        // *current* match is reusable.
-                        let mut memo = super::exec::StaleMemo::new();
-                        self.catalog
-                            .tasks_of_process(pid)
-                            .filter(|t| t.dedup_key() == key)
-                            .find(|t| {
-                                !super::exec::task_is_stale(&self.db, &self.catalog, t, &mut memo)
-                            })
-                            .map(|t| TaskRun {
-                                task: t.id,
-                                outputs: t.outputs.clone(),
-                            })
-                    } else {
-                        None
-                    };
-                    match current_prior {
-                        Some(run) => {
-                            if self.reuse_tasks {
-                                // Memoization: an identical current task
-                                // exists; reuse it.
-                                return Ok(ChosenFiring::Reused(run));
-                            }
-                            // Reuse is off but the derivation exists and is
-                            // current: avoid repeating it; next binding.
+            // An excluded key was already consumed by the current plan; a
+            // repetition must find different inputs.
+            if !degenerate && !exclude.contains(&dedup_key_for(def, &bindings)) {
+                // A current prior is reused and an in-flight job attached
+                // to, so the kernel never silently duplicates a
+                // derivation; a stale prior is history, and re-firing it
+                // is the refresh its mutated inputs call for.
+                match prior_derivation(&self.db, &self.catalog, &in_flight, def, &bindings) {
+                    Prior::Current(run) => return Ok(ChosenFiring::Reused(run)),
+                    Prior::InFlight(job) => return Ok(ChosenFiring::Pending(job)),
+                    // The guards alone decide admissibility here; the
+                    // mapping evaluation belongs to the prepare phase.
+                    Prior::Fresh => match executor::check_guards(
+                        &self.db,
+                        &self.catalog,
+                        &self.registry,
+                        def,
+                        &bindings,
+                    ) {
+                        Ok(()) => return Ok(ChosenFiring::Bound(bindings)),
+                        Err(e @ KernelError::AssertionFailed { .. }) => {
+                            last_err = Some(e); // guard rejected: next binding
                         }
-                        None if in_flight.contains_key(&key) => {
-                            if self.reuse_tasks {
-                                // A background job is already deriving
-                                // exactly this; attach instead of
-                                // duplicating (the task record arrives
-                                // when the job commits).
-                                return Ok(ChosenFiring::Pending(in_flight[&key]));
-                            }
-                            // Reuse off: skip the in-flight derivation
-                            // like a current prior; next binding.
-                        }
-                        None => {
-                            // No prior task, or the prior is stale: the
-                            // guards alone decide admissibility here; the
-                            // mapping evaluation belongs to the prepare
-                            // phase.
-                            match executor::check_guards(
-                                &self.db,
-                                &self.catalog,
-                                &self.registry,
-                                def,
-                                &bindings,
-                            ) {
-                                Ok(()) => return Ok(ChosenFiring::Bound(bindings)),
-                                Err(e @ KernelError::AssertionFailed { .. }) => {
-                                    last_err = Some(e); // guard rejected: next binding
-                                }
-                                Err(other) => return Err(other),
-                            }
-                        }
-                    }
+                        Err(other) => return Err(other),
+                    },
                 }
             }
             // Advance the product.

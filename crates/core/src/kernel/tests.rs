@@ -228,7 +228,7 @@ fn lineage_tree_and_comparison() {
 }
 
 #[test]
-fn memoization_reuses_identical_derivations() {
+fn reuse_answers_identical_derivations() {
     let mut g = p20_kernel();
     let t0 = day(1986, 1, 15);
     for i in 0..3 {
@@ -256,11 +256,6 @@ fn memoization_reuses_identical_derivations() {
     let mut exclude = BTreeSet::new();
     exclude.insert(g.catalog.task(run1.task).unwrap().dedup_key());
     let err = g.choose_or_fire(p20, &q, &exclude).err().unwrap();
-    assert!(matches!(err, KernelError::DerivationImpossible(_)));
-    // With reuse disabled the kernel refuses to duplicate silently —
-    // it looks for a *different* binding and reports there is none.
-    g.reuse_tasks = false;
-    let err = g.choose_or_fire(p20, &q, &no_exclude).err().unwrap();
     assert!(matches!(err, KernelError::DerivationImpossible(_)));
 }
 

@@ -121,9 +121,8 @@ pub fn dedup_key_parts(
     use std::hash::{Hash, Hasher};
     let mut key = format!("p{}", process.raw());
     for (arg, objs) in inputs {
-        // `SETOF` bindings are sets, so the key sorts ids — the same
-        // canonical form `DerivedCache::canonical_key` uses, keeping
-        // every dedup layer's notion of derivation identity aligned.
+        // `SETOF` bindings are sets, so the key sorts ids: a permuted
+        // binding is the same derivation.
         let mut ids: Vec<u64> = objs.iter().map(|o| o.raw()).collect();
         ids.sort_unstable();
         key.push_str(&format!(

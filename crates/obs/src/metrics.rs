@@ -3,8 +3,9 @@
 //!
 //! Everything here is a plain `AtomicU64` touched with `Relaxed`
 //! ordering — one uncontended CAS-free add per event — so the hot paths
-//! (WAL appends, cache probes, scheduler waves, every query stage) can
-//! stay instrumented unconditionally. The registry is a *fixed* set of
+//! (WAL appends, derivation-reuse checks, scheduler waves, every query
+//! stage) can stay instrumented unconditionally. The registry is a
+//! *fixed* set of
 //! named instruments rather than a string-keyed map: call sites pay a
 //! field access instead of a hash lookup, and the snapshot key set is
 //! stable by construction (guarded by a golden-file test upstream).
@@ -191,13 +192,11 @@ pub struct MetricsRegistry {
     pub stage_fire_us: Histogram,
     pub stage_project_us: Histogram,
 
-    // ---- derived-result cache ----
+    // ---- derivation reuse ----
+    /// Automatic firings answered by a current prior derivation.
     pub cache_hits: Counter,
+    /// Automatic firings no prior derivation answered.
     pub cache_misses: Counter,
-    /// Entries dropped by version-based invalidation.
-    pub cache_evictions: Counter,
-    /// Live memoized entries.
-    pub cache_entries: Gauge,
 
     // ---- write-ahead log ----
     pub wal_appends: Counter,
@@ -302,8 +301,6 @@ impl MetricsRegistry {
             stage_project_us: Histogram::new(),
             cache_hits: Counter::new(),
             cache_misses: Counter::new(),
-            cache_evictions: Counter::new(),
-            cache_entries: Gauge::new(),
             wal_appends: Counter::new(),
             wal_fsyncs: Counter::new(),
             wal_batch: Histogram::new(),
@@ -356,8 +353,6 @@ impl MetricsRegistry {
         let mut c = |k: &'static str, v: u64| entries.push((k, v));
         c("cache_hits", self.cache_hits.get());
         c("cache_misses", self.cache_misses.get());
-        c("cache_evictions", self.cache_evictions.get());
-        c("cache_entries", self.cache_entries.get());
 
         c("wal_appends", self.wal_appends.get());
         c("wal_fsyncs", self.wal_fsyncs.get());

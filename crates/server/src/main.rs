@@ -30,6 +30,7 @@
 use gaea_adt::{AbsTime, GeoBox, Image, PixType, TypeTag, Value};
 use gaea_core::kernel::{ClassSpec, Gaea, ProcessSpec};
 use gaea_core::template::{Expr, Mapping, Template};
+use gaea_core::{Query, QueryStrategy};
 use gaea_server::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -108,10 +109,10 @@ fn seed(g: &mut Gaea) -> Result<(), String> {
                 .map_err(|e| format!("seed insert: {e}"))?;
         }
     }
-    // A tiny derivation pipeline (field --P_smooth--> smooth), fired
-    // twice with memoization on, so a fresh server's live introspection
-    // reports the derived-result cache in action (one miss, one hit)
-    // rather than a wall of zeros.
+    // A tiny derivation pipeline (field --P_smooth--> smooth), derived
+    // by a query and then submitted again, so a fresh server's live
+    // introspection reports derivation reuse in action (one miss, one
+    // hit) rather than a wall of zeros.
     if g.catalog().class_by_name("field").is_err() {
         g.define_class(ClassSpec::base("field").attr("data", TypeTag::Image))
             .map_err(|e| format!("seed class: {e}"))?;
@@ -140,30 +141,31 @@ fn seed(g: &mut Gaea) -> Result<(), String> {
                 .template(template),
         )
         .map_err(|e| format!("seed process: {e}"))?;
-        let f = g
-            .insert_object(
-                "field",
-                vec![
-                    (
-                        "data",
-                        Value::image(Image::filled(4, 4, PixType::Float8, 1.0)),
-                    ),
-                    (
-                        "spatialextent",
-                        Value::GeoBox(GeoBox::new(-20.0, -35.0, 55.0, 38.0)),
-                    ),
-                    (
-                        "timestamp",
-                        Value::AbsTime(AbsTime::from_ymd(1986, 1, 15).map_err(|e| e.to_string())?),
-                    ),
-                ],
-            )
-            .map_err(|e| format!("seed insert: {e}"))?;
-        g.enable_memoization(true);
-        g.run_process("P_smooth", &[("f", vec![f])])
-            .map_err(|e| format!("seed derive: {e}"))?;
-        g.run_process("P_smooth", &[("f", vec![f])])
-            .map_err(|e| format!("seed derive: {e}"))?;
+        g.insert_object(
+            "field",
+            vec![
+                (
+                    "data",
+                    Value::image(Image::filled(4, 4, PixType::Float8, 1.0)),
+                ),
+                (
+                    "spatialextent",
+                    Value::GeoBox(GeoBox::new(-20.0, -35.0, 55.0, 38.0)),
+                ),
+                (
+                    "timestamp",
+                    Value::AbsTime(AbsTime::from_ymd(1986, 1, 15).map_err(|e| e.to_string())?),
+                ),
+            ],
+        )
+        .map_err(|e| format!("seed insert: {e}"))?;
+        // The query fires P_smooth (a miss); the submission finds that
+        // current derivation on record and resolves as a reused job (a
+        // hit).
+        let derive = Query::class("smooth").with_strategy(QueryStrategy::PreferDerivation);
+        g.query(&derive).map_err(|e| format!("seed derive: {e}"))?;
+        g.submit_derivation(&derive)
+            .map_err(|e| format!("seed submit: {e}"))?;
     }
     Ok(())
 }

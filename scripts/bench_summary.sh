@@ -106,7 +106,7 @@ import json, sys
 
 doc = json.load(open(sys.argv[1]))
 snap = json.load(open(sys.argv[2]))
-keys = ("wal_appends", "wal_fsyncs", "cache_hits", "cache_misses", "cache_evictions")
+keys = ("wal_appends", "wal_fsyncs", "cache_hits", "cache_misses")
 sel = {k: snap[k] for k in keys if k in snap}
 hits, misses = snap.get("cache_hits", 0), snap.get("cache_misses", 0)
 lookups = hits + misses

@@ -287,7 +287,7 @@ fn sync_derivation_refuses_inflight_duplicates() {
 }
 
 /// Duplicate submissions of the identical derivation dedup to one job —
-/// the in-flight mirror of the `reuse_tasks` guarantee — and after the
+/// the in-flight mirror of current-task reuse — and after the
 /// job commits, a re-submission reuses the recorded task as a job that
 /// is born Done.
 #[test]

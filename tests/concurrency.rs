@@ -138,97 +138,3 @@ fn derivation_is_deterministic_across_threads() {
         assert_eq!(w[0], w[1], "derivations diverged across threads");
     }
 }
-
-#[test]
-fn shared_cache_hammered_from_many_threads_loses_nothing() {
-    // Satellite of the gaea-sched work: `DerivedCache` sits behind a
-    // shared handle so scheduler workers can look up, insert and evict
-    // concurrently. Hammer it from N threads over disjoint key ranges
-    // and assert no entry is lost, no lookup observes a torn entry, and
-    // eviction removes exactly what it should.
-    use gaea::core::kernel::{DerivedCache, SharedCache};
-    use gaea::core::{ObjectId, ProcessId, TaskId};
-    use gaea::store::Oid;
-
-    const THREADS: u64 = 8;
-    const PER_THREAD: u64 = 200;
-    let cache = SharedCache::new();
-    cache.set_enabled(true);
-
-    let key_of = |t: u64, i: u64| {
-        let input = ObjectId(Oid(1_000 * t + i));
-        DerivedCache::canonical_key(ProcessId(Oid(t + 1)), &[("x".into(), vec![input])])
-    };
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..THREADS {
-            let cache = cache.clone();
-            handles.push(s.spawn(move || {
-                for i in 0..PER_THREAD {
-                    let (hash, canonical) = key_of(t, i);
-                    let input = ObjectId(Oid(1_000 * t + i));
-                    let output = ObjectId(Oid(100_000 + 1_000 * t + i));
-                    cache.insert(
-                        hash,
-                        canonical.clone(),
-                        TaskId(Oid(10_000 * t + i)),
-                        vec![(input, 1)],
-                        vec![(output, 1)],
-                    );
-                    // The entry this thread just inserted must be
-                    // observable immediately: no other thread touches
-                    // this key range, so a miss here is a lost entry.
-                    let (task, outputs) = cache
-                        .lookup_where(hash, &canonical, |ins, outs| {
-                            ins == [(input, 1)] && outs == [(output, 1)]
-                        })
-                        .expect("freshly inserted entry must hit");
-                    assert_eq!(task, TaskId(Oid(10_000 * t + i)));
-                    assert_eq!(outputs, vec![output]);
-                    // Evict every fourth entry through the derivation
-                    // edges, like an update_object would.
-                    if i % 4 == 0 {
-                        assert_eq!(cache.invalidate_object(input), 1);
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    });
-
-    let expected_live = THREADS * (PER_THREAD - PER_THREAD.div_ceil(4));
-    let stats = cache.stats();
-    assert_eq!(stats.entries as u64, expected_live, "no lost entries");
-    assert_eq!(stats.hits, THREADS * PER_THREAD, "every check-back hit");
-    assert_eq!(stats.invalidations, THREADS * PER_THREAD.div_ceil(4));
-    // Surviving entries are intact: lookups validate recorded versions.
-    for t in 0..THREADS {
-        for i in 0..PER_THREAD {
-            let (hash, canonical) = key_of(t, i);
-            let hit = cache.lookup_where(hash, &canonical, |_, _| true);
-            assert_eq!(hit.is_some(), i % 4 != 0, "thread {t} entry {i}");
-        }
-    }
-}
-
-#[test]
-fn kernel_cache_handle_shares_state_with_the_kernel() {
-    let mut g = loaded_kernel(11);
-    g.enable_memoization(true);
-    let handle = g.cache_handle();
-    assert!(handle.enabled());
-    // A derivation memoized through the kernel is visible through the
-    // handle's stats, from another thread.
-    let q = Query::class("landcover")
-        .at(jan86())
-        .with_strategy(QueryStrategy::PreferDerivation);
-    g.query(&q).unwrap();
-    g.query(&q).unwrap();
-    let entries = std::thread::scope(|s| {
-        let handle = handle.clone();
-        s.spawn(move || handle.stats().entries).join().unwrap()
-    });
-    assert_eq!(entries, g.memoization_stats().entries);
-}

@@ -1,17 +1,17 @@
-//! The derived-result cache: memoized re-derivation, invalidation on
-//! input mutation, and lineage stability across cached re-runs.
+//! Derivation reuse and explicit re-firing: the two ways a repeated
+//! derivation meets the recorded history.
 //!
-//! §2.1.1's goal — avoid unnecessary duplication of experiments — backed
-//! by the execution layer's `DerivedCache`: repeated `run_process` calls
-//! with identical canonical bindings are answered from the memo, mutating
-//! an input invalidates everything derived from it transitively, and a
-//! cached answer carries the same task record (hence the same lineage) as
-//! the original derivation.
+//! §2.1.1's goal — avoid unnecessary duplication of experiments — is
+//! served by reusing a current recorded task wherever the kernel fires on
+//! its own (queries, refreshes, background jobs). An explicit
+//! `run_process` is the scientist asking for the experiment again: it
+//! records a fresh task, which §4.2 duplicate detection reports, and the
+//! two derivations still compare structurally equal.
 
 use gaea::adt::{AbsTime, GeoBox, Image, PixType, TypeTag, Value};
-use gaea::core::kernel::{ClassSpec, Gaea, ProcessSpec};
+use gaea::core::kernel::{ClassSpec, Gaea, JobStatus, ProcessSpec};
 use gaea::core::template::{Expr, Mapping, Template};
-use gaea::core::ObjectId;
+use gaea::core::{ObjectId, Query, QueryStrategy};
 
 const SPATIAL_ATTR: &str = "spatialextent";
 const TEMPORAL_ATTR: &str = "timestamp";
@@ -93,107 +93,22 @@ fn insert_band(g: &mut Gaea, fill: f64, t: AbsTime) -> ObjectId {
 }
 
 #[test]
-fn repeated_run_process_hits_the_cache() {
-    let mut g = p20_kernel();
-    g.enable_memoization(true);
-    let t0 = day(1986, 1, 15);
-    let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
-
-    let first = g.run_process("P20", &[("bands", bands.clone())]).unwrap();
-    let stats = g.memoization_stats();
-    assert_eq!(stats.hits, 0);
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.entries, 1);
-
-    // Same bindings → same task and outputs, no new task record.
-    let tasks_before = g.catalog().tasks.len();
-    let second = g.run_process("P20", &[("bands", bands.clone())]).unwrap();
-    assert_eq!(second, first);
-    assert_eq!(g.catalog().tasks.len(), tasks_before);
-    assert_eq!(g.memoization_stats().hits, 1);
-
-    // SETOF bindings are sets: permuted order is the same derivation.
-    let mut permuted = bands.clone();
-    permuted.rotate_left(1);
-    let third = g.run_process("P20", &[("bands", permuted)]).unwrap();
-    assert_eq!(third.task, first.task);
-    assert_eq!(g.memoization_stats().hits, 2);
-}
-
-#[test]
 fn cache_disabled_by_default_preserves_duplicate_detection() {
     let mut g = p20_kernel();
     let t0 = day(1986, 1, 15);
     let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
-    g.run_process("P20", &[("bands", bands.clone())]).unwrap();
-    g.run_process("P20", &[("bands", bands)]).unwrap();
-    // Without memoization every firing records a task; §4.2 duplicate
-    // detection reports the pair.
-    assert_eq!(g.duplicate_tasks().len(), 1);
-    let stats = g.memoization_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
-}
-
-#[test]
-fn input_update_invalidates_dependent_entries() {
-    let mut g = p20_kernel();
-    g.enable_memoization(true);
-    let t0 = day(1986, 1, 15);
-    let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
     let first = g.run_process("P20", &[("bands", bands.clone())]).unwrap();
-    assert_eq!(g.memoization_stats().entries, 1);
-
-    // Mutate one input band in place: the memo must drop.
-    g.update_object(
-        bands[0],
-        vec![(
-            "data",
-            Value::image(Image::filled(8, 8, PixType::Float8, 99.0)),
-        )],
-    )
-    .unwrap();
-    let stats = g.memoization_stats();
-    assert_eq!(stats.entries, 0);
-    assert_eq!(stats.invalidations, 1);
-
-    // Re-running now derives afresh (new task, new output object) instead
-    // of serving the stale result, and the memo repopulates.
     let second = g.run_process("P20", &[("bands", bands)]).unwrap();
+    // Every explicit firing records a task; §4.2 duplicate detection
+    // reports the pair.
     assert_ne!(second.task, first.task);
-    assert_ne!(second.outputs, first.outputs);
-    let stats = g.memoization_stats();
-    assert_eq!(stats.entries, 1);
-    assert_eq!(stats.misses, 2);
-}
-
-#[test]
-fn output_update_invalidates_the_producing_entry() {
-    let mut g = p20_kernel();
-    g.enable_memoization(true);
-    let t0 = day(1986, 1, 15);
-    let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
-    let first = g.run_process("P20", &[("bands", bands.clone())]).unwrap();
-    // Mutate the *derived output* in place: the memo that produced it is
-    // now falsified and must not be served again.
-    g.update_object(first.outputs[0], vec![("numclass", Value::Int4(5))])
-        .unwrap();
-    assert_eq!(g.memoization_stats().entries, 0);
-    let second = g.run_process("P20", &[("bands", bands)]).unwrap();
-    assert_ne!(
-        second.task, first.task,
-        "stale memo served a mutated output"
-    );
-    assert_eq!(
-        g.object(second.outputs[0]).unwrap().attr("numclass"),
-        Some(&Value::Int4(12))
-    );
+    assert_eq!(g.duplicate_tasks().len(), 1);
 }
 
 #[test]
 fn setof_dedup_key_agrees_with_cache_canonical_form() {
-    // Finding parity: with memoization *off*, a permuted SETOF binding is
-    // the same derivation for the §4.2 duplicate detector, exactly as the
-    // cache treats it when memoization is on.
+    // A permuted SETOF binding is the same derivation for the §4.2
+    // duplicate detector, exactly as derivation reuse treats it.
     let mut g = p20_kernel();
     let t0 = day(1986, 1, 15);
     let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
@@ -207,70 +122,27 @@ fn setof_dedup_key_agrees_with_cache_canonical_form() {
 }
 
 #[test]
-fn invalidation_propagates_to_downstream_derivations() {
-    let mut g = p20_kernel();
-    // A second derivation level: landcover --REFINE--> refined.
-    g.define_class(ClassSpec::derived("refined").attr("numclass", TypeTag::Int4))
-        .unwrap();
-    g.define_process(
-        ProcessSpec::new("REFINE", "refined")
-            .arg("src", "landcover")
-            .template(Template {
-                assertions: vec![],
-                mappings: vec![Mapping {
-                    attr: "numclass".into(),
-                    expr: Expr::proj("src", "numclass"),
-                }],
-            }),
-    )
-    .unwrap();
-    g.enable_memoization(true);
-    let t0 = day(1986, 1, 15);
-    let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
-    let lc = g.run_process("P20", &[("bands", bands.clone())]).unwrap();
-    g.run_process("REFINE", &[("src", lc.outputs.clone())])
-        .unwrap();
-    assert_eq!(g.memoization_stats().entries, 2);
-
-    // Touching a base band invalidates the P20 memo *and* the REFINE memo
-    // downstream of it.
-    g.update_object(
-        bands[1],
-        vec![(
-            "data",
-            Value::image(Image::filled(8, 8, PixType::Float8, 42.0)),
-        )],
-    )
-    .unwrap();
-    let stats = g.memoization_stats();
-    assert_eq!(stats.entries, 0);
-    assert_eq!(stats.invalidations, 2);
-}
-
-#[test]
 fn same_derivation_holds_across_cached_reruns() {
     let mut g = p20_kernel();
-    g.enable_memoization(true);
     let t0 = day(1986, 1, 15);
     let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
-    let first = g.run_process("P20", &[("bands", bands.clone())]).unwrap();
-    let cached = g.run_process("P20", &[("bands", bands.clone())]).unwrap();
-    // The cached re-run returns the recorded derivation: identical output
-    // objects, so lineage is trivially identical…
-    assert_eq!(first.outputs, cached.outputs);
-    assert!(g
-        .same_derivation(first.outputs[0], cached.outputs[0])
-        .unwrap());
-    // …and a *fresh* derivation over the same inputs (memoization off)
-    // still compares structurally equal to the cached one.
-    g.enable_memoization(false);
-    g.reuse_tasks = false;
+    let q = Query::class("landcover")
+        .over(africa())
+        .at(t0)
+        .with_strategy(QueryStrategy::PreferDerivation);
+    let first = g.query(&q).unwrap();
+    let (task, lc) = (first.tasks[0], first.objects[0].id);
+    // Re-requesting the derivation as a background job reuses the
+    // recorded task: the job is born Done with it, nothing re-fires…
+    let job = g.submit_derivation(&q).unwrap();
+    assert_eq!(g.job_status(job).unwrap(), JobStatus::Done(task));
+    assert_eq!(g.duplicate_tasks().len(), 0);
+    // …while an explicit re-firing over the same inputs records a fresh
+    // task that still compares structurally equal to the reused one.
     let fresh = g.run_process("P20", &[("bands", bands)]).unwrap();
-    assert_ne!(fresh.task, first.task);
-    assert!(g
-        .same_derivation(first.outputs[0], fresh.outputs[0])
-        .unwrap());
-    let sig_a = g.lineage(first.outputs[0]).unwrap().signature();
+    assert_ne!(fresh.task, task);
+    assert!(g.same_derivation(lc, fresh.outputs[0]).unwrap());
+    let sig_a = g.lineage(lc).unwrap().signature();
     let sig_b = g.lineage(fresh.outputs[0]).unwrap().signature();
     assert_eq!(sig_a, sig_b);
 }

@@ -8,9 +8,10 @@
 //! replay faithfully.
 
 use gaea::adt::{AbsTime, GeoBox, Image, TypeTag, Value};
-use gaea::core::kernel::{ClassSpec, Gaea};
+use gaea::core::kernel::{ClassSpec, Gaea, ProcessSpec};
 use gaea::core::task::TaskKind;
-use gaea::core::{Query, QueryMethod};
+use gaea::core::template::{Expr, Mapping, Template};
+use gaea::core::{Query, QueryMethod, QueryStrategy};
 use gaea::raster::interp::temporal_interp;
 
 const SPATIAL: &str = "spatialextent";
@@ -131,6 +132,45 @@ fn kernel_refuses_interpolation_outside_the_archive() {
     // After the last snapshot likewise.
     let q = Query::class("ndvi").over(africa()).at(AbsTime(45 * DAY));
     assert!(g.query(&q).is_err());
+}
+
+/// Regression: interpolating a *base* class registers an interpolation
+/// process whose output is base data. The derivation net must leave it
+/// out; it used to panic on the next planned derivation.
+#[test]
+fn deriving_after_interpolating_a_base_class() {
+    let mut g = ndvi_kernel(&[0, 30]);
+    g.define_class(ClassSpec::derived("ndvi_copy").attr("data", TypeTag::Image))
+        .unwrap();
+    let copy = |attr: &str| Mapping {
+        attr: attr.into(),
+        expr: Expr::proj("src", attr),
+    };
+    g.define_process(
+        ProcessSpec::new("P_copy", "ndvi_copy")
+            .arg("src", "ndvi")
+            .template(Template {
+                assertions: vec![],
+                mappings: vec![copy("data"), copy(SPATIAL), copy(TEMPORAL)],
+            }),
+    )
+    .unwrap();
+    let interpolate = Query::class("ndvi")
+        .over(africa())
+        .at(AbsTime(15 * DAY))
+        .with_strategy(QueryStrategy::PreferInterpolation);
+    assert_eq!(
+        g.query(&interpolate).unwrap().method,
+        QueryMethod::Interpolated
+    );
+    let derive = Query::class("ndvi_copy")
+        .over(africa())
+        .at(AbsTime(30 * DAY))
+        .with_strategy(QueryStrategy::PreferDerivation);
+    assert_eq!(g.query(&derive).unwrap().method, QueryMethod::Derived);
+    let net = g.derivation_net();
+    let interp = g.catalog().process_by_name("interpolate_ndvi").unwrap().id;
+    assert!(!net.transition_of.contains_key(&interp));
 }
 
 #[test]

@@ -1,7 +1,6 @@
-//! MVCC staleness detection end to end: version-validated memoization,
-//! O(1)-in-history invalidation on `update_object`, step-1 retrieval
-//! flagging stale derived objects, stale-aware task reuse, and the
-//! `refresh_object` re-derivation path.
+//! MVCC staleness detection end to end: O(1)-in-history invalidation
+//! on `update_object`, step-1 retrieval flagging stale derived objects,
+//! stale-aware task reuse, and the `refresh_object` re-derivation path.
 //!
 //! The scenario throughout is the paper's Figure 3 chain
 //! `tm --P20--> landcover` (optionally `--REFINE--> refined`): mutate a
@@ -9,9 +8,10 @@
 //! walking the recorded task history.
 
 use gaea::adt::{AbsTime, GeoBox, Image, PixType, TypeTag, Value};
-use gaea::core::kernel::{ClassSpec, Gaea, ProcessSpec};
+use gaea::core::kernel::{ClassSpec, Gaea, JobStatus, ProcessSpec};
 use gaea::core::template::{Expr, Mapping, Template};
 use gaea::core::{ObjectId, Query, QueryMethod, QueryStrategy};
+use std::time::Duration;
 
 const SPATIAL_ATTR: &str = "spatialextent";
 const TEMPORAL_ATTR: &str = "timestamp";
@@ -367,37 +367,7 @@ fn delete_object_refuses_while_referenced() {
 }
 
 #[test]
-fn memo_lookup_validates_versions_even_without_eager_edges() {
-    // The gap the lazy check exists for: the REFINE memo entry is recorded
-    // while the P20 derivation predates memoization, so the cache holds no
-    // edge from the base bands to the REFINE entry. Mutating a band must
-    // still falsify it — caught at lookup by the version/staleness check.
-    let mut g = refine_kernel();
-    let bands: Vec<ObjectId> = (0..3)
-        .map(|i| insert_band(&mut g, i as f64, jan86()))
-        .collect();
-    let lc = g.run_process("P20", &[("bands", bands.clone())]).unwrap();
-    g.enable_memoization(true);
-    let refined = g
-        .run_process("REFINE", &[("src", lc.outputs.clone())])
-        .unwrap();
-    assert_eq!(g.memoization_stats().entries, 1);
-
-    touch_band(&mut g, bands[0], 77.0);
-    // Eager propagation cannot reach the entry (no P20 entry exists)…
-    assert_eq!(g.memoization_stats().entries, 1);
-    // …but the lookup rejects and evicts it, then re-derives.
-    let rerun = g
-        .run_process("REFINE", &[("src", lc.outputs.clone())])
-        .unwrap();
-    assert_ne!(rerun.task, refined.task, "stale memo was not served");
-    let stats = g.memoization_stats();
-    assert_eq!(stats.invalidations, 1);
-    assert_eq!(stats.hits, 0);
-}
-
-#[test]
-fn reuse_tasks_refuses_stale_recorded_derivations() {
+fn task_reuse_refuses_stale_recorded_derivations() {
     let mut g = p20_kernel();
     let bands: Vec<ObjectId> = (0..3)
         .map(|i| insert_band(&mut g, i as f64, jan86()))
@@ -418,6 +388,33 @@ fn reuse_tasks_refuses_stale_recorded_derivations() {
         "a stale recorded task must not be reused; the derivation re-fires"
     );
     assert!(!g.is_stale(second.objects[0].id));
+}
+
+/// Regression: a derived object deleted while its task is still current
+/// no longer answers anything, so a `DERIVE` must re-derive it rather
+/// than reuse the task, and a background submission must stage a fresh
+/// job rather than one born `Done` naming the deleted object.
+#[test]
+fn derive_rederives_a_deleted_current_object() {
+    let mut g = p20_kernel();
+    for i in 0..3 {
+        insert_band(&mut g, i as f64, jan86());
+    }
+    let first = g.query(&lc_query()).unwrap();
+    assert_eq!(first.method, QueryMethod::Derived);
+    g.delete_object(first.objects[0].id).unwrap();
+    let second = g.query(&lc_query()).unwrap();
+    assert_eq!(second.method, QueryMethod::Derived);
+    assert_ne!(second.tasks[0], first.tasks[0]);
+
+    g.delete_object(second.objects[0].id).unwrap();
+    let job = g.submit_derivation(&lc_query()).unwrap();
+    let status = g.await_job(job, Duration::from_secs(10)).unwrap();
+    let JobStatus::Done(task) = status else {
+        panic!("the fresh job must commit, got {status:?}");
+    };
+    assert_ne!(task, second.tasks[0], "the job reused a deleted derivation");
+    assert!(g.object(g.task(task).unwrap().outputs[0]).is_ok());
 }
 
 #[test]
@@ -528,7 +525,7 @@ fn staleness_survives_save_and_load() {
 /// Regression (diamond across refresh calls): two derivations share one
 /// stale upstream; refreshing each sink in its own `refresh_object`
 /// call must re-derive the shared upstream exactly once, not once per
-/// path. Before the refresh path consulted `reuse_tasks`, the second
+/// path. Before the refresh path checked for a current prior, the second
 /// call re-fired P20 again — an identical current derivation already
 /// recorded by the first call — duplicating the experiment.
 #[test]
