@@ -228,7 +228,7 @@ fn lineage_tree_and_comparison() {
 }
 
 #[test]
-fn reuse_answers_identical_derivations() {
+fn memoization_reuses_identical_derivations() {
     let mut g = p20_kernel();
     let t0 = day(1986, 1, 15);
     for i in 0..3 {

@@ -3,7 +3,8 @@
 //!
 //! §2.1.1's goal — avoid unnecessary duplication of experiments — is
 //! served by reusing a current recorded task wherever the kernel fires on
-//! its own (queries, refreshes, background jobs). An explicit
+//! its own (queries, refreshes, background jobs) — until an input write
+//! falsifies it, here or anywhere upstream. An explicit
 //! `run_process` is the scientist asking for the experiment again: it
 //! records a fresh task, which §4.2 duplicate detection reports, and the
 //! two derivations still compare structurally equal.
@@ -12,6 +13,7 @@ use gaea::adt::{AbsTime, GeoBox, Image, PixType, TypeTag, Value};
 use gaea::core::kernel::{ClassSpec, Gaea, JobStatus, ProcessSpec};
 use gaea::core::template::{Expr, Mapping, Template};
 use gaea::core::{ObjectId, Query, QueryStrategy};
+use std::time::Duration;
 
 const SPATIAL_ATTR: &str = "spatialextent";
 const TEMPORAL_ATTR: &str = "timestamp";
@@ -119,6 +121,90 @@ fn setof_dedup_key_agrees_with_cache_canonical_form() {
     let dups = g.duplicate_tasks();
     assert_eq!(dups.len(), 1, "permuted SETOF bindings are one derivation");
     assert_eq!(dups[0].len(), 2);
+}
+
+#[test]
+fn input_update_invalidates_dependent_entries() {
+    let mut g = p20_kernel();
+    let t0 = day(1986, 1, 15);
+    let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
+    let q = Query::class("landcover")
+        .over(africa())
+        .at(t0)
+        .with_strategy(QueryStrategy::PreferDerivation);
+    let first = g.query(&q).unwrap();
+    let task = first.tasks[0];
+    let job = g.submit_derivation(&q).unwrap();
+    assert_eq!(g.job_status(job).unwrap(), JobStatus::Done(task));
+
+    // Mutate one input band in place: the recorded derivation no longer
+    // answers, so the resubmission fires afresh (new task, new object).
+    g.update_object(
+        bands[0],
+        vec![(
+            "data",
+            Value::image(Image::filled(8, 8, PixType::Float8, 99.0)),
+        )],
+    )
+    .unwrap();
+    let job = g.submit_derivation(&q).unwrap();
+    let JobStatus::Done(second) = g.await_job(job, Duration::from_secs(10)).unwrap() else {
+        panic!("the fresh job must commit");
+    };
+    assert_ne!(second, task, "a stale derivation was reused");
+    assert_ne!(g.task(second).unwrap().outputs[0], first.objects[0].id);
+
+    // The fresh derivation now answers in its place.
+    let job = g.submit_derivation(&q).unwrap();
+    assert_eq!(g.job_status(job).unwrap(), JobStatus::Done(second));
+}
+
+#[test]
+fn invalidation_propagates_to_downstream_derivations() {
+    let mut g = p20_kernel();
+    // A second derivation level: landcover --REFINE--> refined.
+    g.define_class(ClassSpec::derived("refined").attr("numclass", TypeTag::Int4))
+        .unwrap();
+    g.define_process(
+        ProcessSpec::new("REFINE", "refined")
+            .arg("src", "landcover")
+            .template(Template {
+                assertions: vec![],
+                mappings: vec![Mapping {
+                    attr: "numclass".into(),
+                    expr: Expr::proj("src", "numclass"),
+                }],
+            }),
+    )
+    .unwrap();
+    let t0 = day(1986, 1, 15);
+    let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
+    let lc = g.run_process("P20", &[("bands", bands.clone())]).unwrap();
+    let refined = g
+        .run_process("REFINE", &[("src", lc.outputs.clone())])
+        .unwrap();
+    assert_eq!(g.refresh_object(lc.outputs[0]).unwrap().task, lc.task);
+    assert_eq!(
+        g.refresh_object(refined.outputs[0]).unwrap().task,
+        refined.task
+    );
+
+    // Touching a base band invalidates the P20 derivation *and* the
+    // REFINE derivation downstream of it: both re-fire.
+    g.update_object(
+        bands[1],
+        vec![(
+            "data",
+            Value::image(Image::filled(8, 8, PixType::Float8, 42.0)),
+        )],
+    )
+    .unwrap();
+    let again = g.refresh_object(refined.outputs[0]).unwrap();
+    assert_ne!(again.task, refined.task);
+    let src = g.task(again.task).unwrap().inputs["src"].clone();
+    assert_ne!(src, lc.outputs, "the upstream re-derived first");
+    // The re-fired upstream now answers for the old landcover.
+    assert_eq!(g.refresh_object(lc.outputs[0]).unwrap().outputs, src);
 }
 
 #[test]

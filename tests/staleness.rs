@@ -367,7 +367,37 @@ fn delete_object_refuses_while_referenced() {
 }
 
 #[test]
-fn task_reuse_refuses_stale_recorded_derivations() {
+fn memo_lookup_validates_versions_even_without_eager_edges() {
+    // No write invalidates anything eagerly: the derivation lookup alone
+    // must notice drift, and for REFINE it can only do so through the
+    // chain — its own recorded input (the landcover object) was never
+    // written again, only the band two levels up.
+    let mut g = refine_kernel();
+    let bands: Vec<ObjectId> = (0..3)
+        .map(|i| insert_band(&mut g, i as f64, jan86()))
+        .collect();
+    let lc = g.run_process("P20", &[("bands", bands.clone())]).unwrap();
+    let refined = g
+        .run_process("REFINE", &[("src", lc.outputs.clone())])
+        .unwrap();
+    let reused = g.refresh_object(refined.outputs[0]).unwrap();
+    assert_eq!(reused.task, refined.task, "current derivation is reused");
+
+    touch_band(&mut g, bands[0], 77.0);
+    let report = g.staleness_report(refined.outputs[0]).unwrap();
+    let refine = report
+        .chain
+        .iter()
+        .find(|t| t.process == "REFINE")
+        .expect("REFINE in chain");
+    assert!(refine.drifted_inputs.is_empty(), "no local drift on REFINE");
+    let rerun = g.refresh_object(refined.outputs[0]).unwrap();
+    assert_ne!(rerun.task, refined.task, "stale derivation was not reused");
+    assert!(!g.is_stale(rerun.outputs[0]));
+}
+
+#[test]
+fn reuse_tasks_refuses_stale_recorded_derivations() {
     let mut g = p20_kernel();
     let bands: Vec<ObjectId> = (0..3)
         .map(|i| insert_band(&mut g, i as f64, jan86()))
