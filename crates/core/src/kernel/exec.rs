@@ -112,8 +112,8 @@ pub(crate) fn task_is_stale(
 /// when only input *versions* drifted — and stale or output-deleted
 /// records are history, not answers. Otherwise a key in `in_flight`
 /// (the caller's [`Gaea::jobs_in_flight_keys`]) answers
-/// [`Prior::InFlight`], and anything else is [`Prior::Fresh`].
-/// `Current` ticks the `cache_hits` metric, `Fresh` ticks `cache_misses`.
+/// [`Prior::InFlight`], and anything else is [`Prior::Fresh`]. Counts
+/// nothing: the caller that acts on the answer calls [`count_reuse`].
 pub(crate) fn prior_derivation(
     db: &Database,
     catalog: &Catalog,
@@ -130,19 +130,28 @@ pub(crate) fn prior_derivation(
                 .all(|o| catalog.class_of_object(*o).is_ok())
             && !task_is_stale(db, catalog, t, &mut memo)
     });
-    let metrics = gaea_obs::metrics();
     if let Some(t) = current {
-        metrics.cache_hits.inc();
         return Prior::Current(TaskRun {
             task: t.id,
             outputs: t.outputs.clone(),
         });
     }
-    if let Some(job) = in_flight.get(&key) {
-        return Prior::InFlight(*job);
+    match in_flight.get(&key) {
+        Some(job) => Prior::InFlight(*job),
+        None => Prior::Fresh,
     }
-    metrics.cache_misses.inc();
-    Prior::Fresh
+}
+
+/// Count one automatic firing decision, once, where it is made: a
+/// current prior task answered it (`cache_hits`) or it fires
+/// (`cache_misses`). Attaching to an in-flight job counts neither.
+pub(crate) fn count_reuse(reused: bool) {
+    let metrics = gaea_obs::metrics();
+    if reused {
+        metrics.cache_hits.inc();
+    } else {
+        metrics.cache_misses.inc();
+    }
 }
 
 impl Gaea {
@@ -396,14 +405,20 @@ impl Gaea {
         // to await, like the query walker does.
         let in_flight = self.jobs_in_flight_keys();
         let run = match prior_derivation(&self.db, &self.catalog, &in_flight, &def, &owned) {
-            Prior::Current(run) => run,
+            Prior::Current(run) => {
+                count_reuse(true);
+                run
+            }
             Prior::InFlight(job) => {
                 return Err(KernelError::DerivationPending {
                     process: def.name,
                     job,
                 })
             }
-            Prior::Fresh => self.run_process_owned(task.process, owned)?,
+            Prior::Fresh => {
+                count_reuse(false);
+                self.run_process_owned(task.process, owned)?
+            }
         };
         refreshed.insert(obj, run.clone());
         Ok(run)

@@ -362,6 +362,7 @@ impl Gaea {
             };
             // This job's own key is in flight, so only a current prior
             // recorded meanwhile answers instead of the prepared result.
+            // Nothing is counted: the submission counted this firing.
             let prior = self.catalog.process(prepared.process()).map(|def| {
                 let none_in_flight = BTreeMap::new();
                 prior_derivation(

@@ -19,7 +19,7 @@
 //! independent of the worker count — with one worker (the default) the
 //! prepare step is an in-order loop on the calling thread.
 
-use super::exec::{prior_derivation, Prior, StaleMemo};
+use super::exec::{count_reuse, prior_derivation, Prior, StaleMemo};
 use super::jobs::JobId;
 use super::Gaea;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
@@ -285,9 +285,15 @@ impl Gaea {
         }
         Ok(
             match prior_derivation(&self.db, &self.catalog, in_flight, def, &owned) {
-                Prior::Current(run) => Staged::Reused(run),
+                Prior::Current(run) => {
+                    count_reuse(true);
+                    Staged::Reused(run)
+                }
                 Prior::InFlight(job) => Staged::Pending(job),
-                Prior::Fresh => Staged::Prepare(owned),
+                Prior::Fresh => {
+                    count_reuse(false);
+                    Staged::Prepare(owned)
+                }
             },
         )
     }

@@ -54,7 +54,7 @@
 //! projection prunes returned attributes after every stage has run.
 
 use super::access::scan_class;
-use super::exec::{prior_derivation, Prior};
+use super::exec::{count_reuse, prior_derivation, Prior};
 use super::jobs::{pending_jobs_for, JobId};
 use super::Gaea;
 use crate::catalog::Catalog;
@@ -818,7 +818,10 @@ impl Gaea {
                 // derivation; a stale prior is history, and re-firing it
                 // is the refresh its mutated inputs call for.
                 match prior_derivation(&self.db, &self.catalog, &in_flight, def, &bindings) {
-                    Prior::Current(run) => return Ok(ChosenFiring::Reused(run)),
+                    Prior::Current(run) => {
+                        count_reuse(true);
+                        return Ok(ChosenFiring::Reused(run));
+                    }
                     Prior::InFlight(job) => return Ok(ChosenFiring::Pending(job)),
                     // The guards alone decide admissibility here; the
                     // mapping evaluation belongs to the prepare phase.
@@ -829,7 +832,10 @@ impl Gaea {
                         def,
                         &bindings,
                     ) {
-                        Ok(()) => return Ok(ChosenFiring::Bound(bindings)),
+                        Ok(()) => {
+                            count_reuse(false);
+                            return Ok(ChosenFiring::Bound(bindings));
+                        }
                         Err(e @ KernelError::AssertionFailed { .. }) => {
                             last_err = Some(e); // guard rejected: next binding
                         }

@@ -1,15 +1,19 @@
 //! The observability layer end to end: the golden snapshot key set, the
 //! `EXPLAIN ANALYZE`-style `QueryOutcome::profile` on both the live and
 //! the wire query paths, the server's `Stats`/`Trace` introspection
-//! requests, and the checkpoint-time refresh of the recovery gauges.
+//! requests, the checkpoint-time refresh of the recovery gauges, and
+//! the derivation-reuse counters. No other test here fires a
+//! derivation, so the reuse counters' deltas are exact.
 
-use gaea::adt::{TypeTag, Value};
-use gaea::core::kernel::{ClassSpec, DurabilityOptions, Gaea};
-use gaea::core::Query;
+use gaea::adt::{AbsTime, TypeTag, Value};
+use gaea::core::kernel::{ClassSpec, DurabilityOptions, Gaea, JobStatus, ProcessSpec};
+use gaea::core::template::{CmpOp, Expr, Mapping, Template};
+use gaea::core::{Query, QueryStrategy};
 use gaea::obs::MetricsRegistry;
 use gaea::server::{Client, Server, ServerConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 static DIRS: AtomicUsize = AtomicUsize::new(0);
 
@@ -170,4 +174,66 @@ fn checkpoint_refreshes_recovery_stats_and_gauges() {
 
     drop(g);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `cache_hits`/`cache_misses` count each automatic firing decision
+/// once, where it is made: a submitted job that later commits is one
+/// miss (the commit pump's re-check counts nothing), a binding the
+/// guards reject counts nothing, and resubmitting the same goal is
+/// answered by the recorded task — one hit.
+#[test]
+fn reuse_counters_count_each_firing_decision_once() {
+    let mut g = Gaea::in_memory();
+    g.define_class(ClassSpec::base("obs").attr("v", TypeTag::Int4))
+        .unwrap();
+    g.define_class(ClassSpec::derived("mid").attr("v", TypeTag::Int4))
+        .unwrap();
+    g.define_process(
+        ProcessSpec::new("BIG_COPY", "mid")
+            .arg("x", "obs")
+            .template(Template {
+                assertions: vec![Expr::Cmp {
+                    op: CmpOp::Gt,
+                    lhs: Box::new(Expr::proj("x", "v")),
+                    rhs: Box::new(Expr::int(10)),
+                }],
+                mappings: vec![Mapping {
+                    attr: "v".into(),
+                    expr: Expr::proj("x", "v"),
+                }],
+            }),
+    )
+    .unwrap();
+    // The first candidate binding fails the guard, the second passes.
+    for (v, d) in [(5, 1), (20, 2)] {
+        g.insert_object(
+            "obs",
+            vec![
+                ("v", Value::Int4(v)),
+                (
+                    "timestamp",
+                    Value::AbsTime(AbsTime::from_ymd(1986, 1, d).unwrap()),
+                ),
+            ],
+        )
+        .unwrap();
+    }
+    let m = gaea::obs::metrics();
+    let counts = || (m.cache_hits.get(), m.cache_misses.get());
+    let goal = Query::class("mid").with_strategy(QueryStrategy::PreferDerivation);
+
+    let before = counts();
+    let job = g.submit_derivation(&goal).unwrap();
+    let JobStatus::Done(task) = g.await_job(job, Duration::from_secs(10)).unwrap() else {
+        panic!("the submitted job must commit");
+    };
+    assert_eq!(counts(), (before.0, before.1 + 1), "one fresh firing");
+
+    let again = g.submit_derivation(&goal).unwrap();
+    assert_eq!(
+        g.await_job(again, Duration::from_secs(10)).unwrap(),
+        JobStatus::Done(task),
+        "the resubmission reuses the recorded task"
+    );
+    assert_eq!(counts(), (before.0 + 1, before.1 + 1), "one reuse");
 }
