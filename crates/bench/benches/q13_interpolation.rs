@@ -1,4 +1,4 @@
-//! Experiment Q8 — interpolation as a generic derivation (§2.1.5 step 2).
+//! Experiment Q13 — interpolation as a generic derivation (§2.1.5 step 2).
 //!
 //! Measures bare temporal interpolation across raster sizes, series
 //! bracketing over growing series, and the full kernel interpolation path
@@ -18,7 +18,7 @@ use gaea_workload::ndvi_series;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("q8_interpolation");
+    let mut group = c.benchmark_group("q13_interpolation");
     configure(&mut group);
     // Bare interpolation, size sweep.
     for side in [16u32, 64, 128] {
@@ -96,7 +96,7 @@ fn bench(c: &mut Criterion) {
         0.05,
         9,
     );
-    println!("\nq8_interpolation accuracy: gap (months) vs mean abs error");
+    println!("\nq13_interpolation accuracy: gap (months) vs mean abs error");
     for gap in [2usize, 4, 6, 12] {
         let mut total_err = 0.0;
         let mut count = 0usize;

@@ -17,10 +17,10 @@
 //! producing process to bring it current again.
 //!
 //! Derivation identity is one question, asked by every path about to
-//! fire automatically (the query's choose phase, `refresh_object`,
-//! `refresh_all`'s waves and the job commit pump): `prior_derivation`
-//! — is an identical derivation already current on record, or in
-//! flight as a background job?
+//! fire automatically (the query's choose phase, the refresh waves
+//! behind `refresh_object` and `refresh_all`, and the job commit pump):
+//! `prior_derivation` — is an identical derivation already current on
+//! record, or in flight as a background job?
 
 use super::jobs::JobId;
 use super::query::dedup_key_for;
@@ -29,7 +29,7 @@ use crate::catalog::Catalog;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
 use crate::event::Event;
-use crate::ids::{ObjectId, ProcessId, TaskId};
+use crate::ids::{ObjectId, TaskId};
 use crate::interact::InteractiveSession;
 use crate::object::DataObject;
 use crate::schema::{ProcessDef, ProcessKind};
@@ -300,130 +300,6 @@ impl Gaea {
         Ok(!task_is_stale(&self.db, &self.catalog, task, &mut memo))
     }
 
-    /// Re-fire the producing process of a stale (or deleted) derived
-    /// object against the current store, recording a fresh task. Stale
-    /// *inputs* are refreshed first (recursively, each distinct input at
-    /// most once even when several arguments share it), so the new
-    /// derivation consumes current data end to end; inputs that are still
-    /// current are reused as they are. The freshly derived output is
-    /// current ([`Gaea::is_stale`] is `false` for it); the old object and
-    /// task remain on record as history. Calling this on an object that is
-    /// already current (and still stored) returns its recorded derivation
-    /// unchanged.
-    ///
-    /// Errors: base objects have no producing process; manual
-    /// (non-applicative) tasks cannot be re-fired by the system;
-    /// interpolation tasks are query-driven — re-issue the query
-    /// instead; and a re-derivation that is already in flight as a
-    /// background job is refused with
-    /// [`KernelError::DerivationPending`] rather than fired twice —
-    /// await (or cancel) the named job.
-    pub fn refresh_object(&mut self, obj: ObjectId) -> KernelResult<TaskRun> {
-        let mut refreshed = BTreeMap::new();
-        self.refresh_object_inner(obj, &mut refreshed)
-    }
-
-    /// [`Gaea::refresh_object`] with a per-call memo of already-refreshed
-    /// objects, so a stale input shared by several arguments (or several
-    /// chain levels) re-derives exactly once and every occurrence rebinds
-    /// to the same fresh object.
-    fn refresh_object_inner(
-        &mut self,
-        obj: ObjectId,
-        refreshed: &mut BTreeMap<ObjectId, TaskRun>,
-    ) -> KernelResult<TaskRun> {
-        if let Some(done) = refreshed.get(&obj) {
-            return Ok(done.clone());
-        }
-        let task = match self.catalog.producing_task(obj) {
-            Some(t) => t.clone(),
-            None => {
-                return Err(KernelError::Schema(format!(
-                    "object {obj} is base data; it has no producing process to re-fire"
-                )))
-            }
-        };
-        // No-op only while the object is both still stored and current; a
-        // deleted derived object re-materializes through a fresh firing.
-        let stored = self.catalog.class_of_object(obj).is_ok();
-        if stored && !self.is_stale(obj) {
-            return Ok(TaskRun {
-                task: task.id,
-                outputs: task.outputs.clone(),
-            });
-        }
-        match task.kind {
-            TaskKind::Manual => {
-                return Err(KernelError::NotAutoFirable {
-                    process: task.process_name.clone(),
-                    reason: "non-applicative procedure; record a fresh manual task instead".into(),
-                })
-            }
-            TaskKind::Interpolation => {
-                return Err(KernelError::NotAutoFirable {
-                    process: task.process_name.clone(),
-                    reason: "interpolation is query-driven; re-issue the query to re-interpolate"
-                        .into(),
-                })
-            }
-            _ => {}
-        }
-        // Rebuild the bindings in declared-argument order, refreshing any
-        // stale or deleted input first so the chain re-derives
-        // root-to-leaf.
-        let def = self.catalog.process(task.process)?.clone();
-        let mut owned: Vec<(String, Vec<ObjectId>)> = Vec::with_capacity(def.args.len());
-        for arg in &def.args {
-            let objs = task.inputs.get(&arg.name).cloned().ok_or_else(|| {
-                KernelError::Template(format!(
-                    "task {} lacks recorded input {:?}",
-                    task.id, arg.name
-                ))
-            })?;
-            let mut fresh = Vec::with_capacity(objs.len());
-            for o in objs {
-                let needs_refresh = self.catalog.class_of_object(o).is_err() || self.is_stale(o);
-                if needs_refresh {
-                    let run = self.refresh_object_inner(o, refreshed)?;
-                    fresh.push(*run.outputs.first().ok_or_else(|| {
-                        KernelError::Template(format!(
-                            "refresh of input {o} produced no output object"
-                        ))
-                    })?);
-                } else {
-                    fresh.push(o);
-                }
-            }
-            owned.push((arg.name.clone(), fresh));
-        }
-        // An identical current derivation may already be on record (an
-        // earlier refresh re-derived this shared upstream along another
-        // path of a diamond): reuse it, so each distinct derivation
-        // happens once however many refresh calls reach it. One already
-        // in flight as a background job (submitting a stale goal is the
-        // documented background-refresh pattern) is refused with the job
-        // to await, like the query walker does.
-        let in_flight = self.jobs_in_flight_keys();
-        let run = match prior_derivation(&self.db, &self.catalog, &in_flight, &def, &owned) {
-            Prior::Current(run) => {
-                count_reuse(true);
-                run
-            }
-            Prior::InFlight(job) => {
-                return Err(KernelError::DerivationPending {
-                    process: def.name,
-                    job,
-                })
-            }
-            Prior::Fresh => {
-                count_reuse(false);
-                self.run_process_owned(task.process, owned)?
-            }
-        };
-        refreshed.insert(obj, run.clone());
-        Ok(run)
-    }
-
     // ------------------------------------------------------------------
     // Task execution
     // ------------------------------------------------------------------
@@ -446,16 +322,6 @@ impl Gaea {
             .iter()
             .map(|(n, o)| (n.to_string(), o.clone()))
             .collect();
-        self.run_process_owned(pid, owned)
-    }
-
-    /// [`Gaea::run_process`] over owned bindings and a resolved process id
-    /// (shared with [`Gaea::refresh_object`]).
-    pub(crate) fn run_process_owned(
-        &mut self,
-        pid: ProcessId,
-        owned: Vec<(String, Vec<ObjectId>)>,
-    ) -> KernelResult<TaskRun> {
         let commit = executor::run_process(
             &mut self.db,
             &mut self.catalog,

@@ -7,8 +7,10 @@
 //!   and process definition with full template validation.
 //! * [`exec`] — execution semantics (§2.1.4, §4.3, §5): object CRUD,
 //!   process firing, manual tasks, interactive sessions, MVCC staleness
-//!   classification ([`Gaea::is_stale`] / [`Gaea::refresh_object`]) over
-//!   the store's version counters, and the one derivation-identity check
+//!   classification ([`Gaea::is_stale`]) over the store's version
+//!   counters (re-derivation, [`Gaea::refresh_object`] and
+//!   [`Gaea::refresh_all`], is one wave schedule in [`parallel`]), and
+//!   the one derivation-identity check
 //!   every automatic firing asks first (is an identical derivation
 //!   current on record, or in flight?).
 //! * [`query`] — the §2.1.5 three-step query mechanism: direct retrieval

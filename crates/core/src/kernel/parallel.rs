@@ -1,14 +1,17 @@
 //! The scheduled execution layer: dependency-DAG refresh and parallel
 //! derivation over the `gaea-sched` worker pool.
 //!
-//! Two callers feed the scheduler. [`Gaea::refresh_all`] takes the
-//! store-wide stale impact set ([`Gaea::stale_objects`]) and re-derives
-//! it in dependency order: one DAG node per distinct producing task
-//! (so a diamond's shared upstream re-fires exactly once however many
-//! paths reach it), one edge per output-feeds-input relationship, and a
-//! wave-by-wave execution in which every firing binds against the
-//! *replacements* committed by earlier waves. The query pipeline's fire
-//! stage (`kernel/query`, behind [`Gaea::query`]) builds its DAG from a
+//! Every automatic re-derivation runs one schedule. [`Gaea::refresh_all`]
+//! seeds it with the store-wide stale impact set
+//! ([`Gaea::stale_objects`]); [`Gaea::refresh_object`] — also the engine
+//! of every `FRESH` query — seeds it with one object. The schedule
+//! re-derives its seeds and their stale or deleted inputs in dependency
+//! order: one DAG node per distinct producing task (so a diamond's
+//! shared upstream re-fires exactly once however many paths reach it),
+//! one edge per output-feeds-input relationship, and a wave-by-wave
+//! execution in which every firing binds against the *replacements*
+//! committed by earlier waves. The query pipeline's fire stage
+//! (`kernel/query`, behind [`Gaea::query`]) builds its DAG from a
 //! derivation plan instead.
 //!
 //! Both execute a wave the same way: choose each node's bindings
@@ -25,7 +28,7 @@ use super::Gaea;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
 use crate::ids::{ObjectId, ProcessId, TaskId};
-use crate::task::Task;
+use crate::task::{Task, TaskKind};
 use gaea_sched::{DepGraph, NodeId};
 use std::collections::BTreeMap;
 
@@ -75,24 +78,34 @@ enum Staged {
     /// The identical re-derivation is already in flight as a background
     /// job; recorded in [`RefreshReport::pending`], never re-fired.
     Pending(JobId),
-    /// Cannot be re-fired; recorded in [`RefreshReport::skipped`].
-    Blocked(String),
+    /// An input is stale or deleted and was not re-derived: the text
+    /// recorded in [`RefreshReport::skipped`], and the typed error that
+    /// stopped the input.
+    Blocked(String, KernelError),
+}
+
+/// One run of the refresh schedule: the report, plus the typed error of
+/// every object it could not re-derive (what [`Gaea::refresh_object`]
+/// answers for its object).
+#[derive(Default)]
+struct Refresh {
+    report: RefreshReport,
+    failed: BTreeMap<ObjectId, KernelError>,
 }
 
 impl Gaea {
     /// Re-derive every stale derived object in the store, in dependency
-    /// order, each derivation re-fired exactly once — the
-    /// `refresh_all` surface the PR-2 follow-on asked for.
+    /// order, each derivation re-fired exactly once.
     ///
     /// The stale impact set is grouped by producing task and levelled
     /// into a dependency DAG (an edge wherever one stale derivation's
     /// output feeds another's input), so shared upstreams of diamond
     /// graphs re-fire once and every consumer rebinds to the single
     /// fresh replacement. Inputs that are themselves current are reused
-    /// as they are, exactly like [`Gaea::refresh_object`]. Derivations
-    /// the system cannot re-fire on its own (manual procedures,
-    /// query-driven interpolations) are skipped and reported, along
-    /// with any dependents their staleness blocks.
+    /// as they are. Derivations the system cannot re-fire on its own
+    /// (manual procedures, query-driven interpolations, interactive
+    /// sessions) are skipped and reported, along with any dependents
+    /// their staleness blocks.
     ///
     /// With [`Gaea::set_workers`] above one, the independent firings of
     /// each wave prepare concurrently; commits are serialized in node
@@ -106,39 +119,78 @@ impl Gaea {
         // produced a fresh derivation turns its stale object into a
         // reuse, not a re-fire.
         self.pump_jobs();
-        let mut report = RefreshReport::default();
-        let (graph, skipped) = self.build_refresh_graph()?;
-        report.skipped = skipped;
-        if graph.is_empty() {
-            return Ok(report);
-        }
-        let waves = graph.waves().map_err(|c| {
-            KernelError::Schema(format!(
-                "refresh_all: recorded derivations are not acyclic ({c}); the catalog is corrupt"
-            ))
-        })?;
-        report.waves = waves.len();
-        for wave in &waves {
-            self.run_refresh_wave(&graph, wave, &mut report)?;
-        }
-        Ok(report)
+        let seeds = self.stale_objects();
+        Ok(self.refresh(seeds)?.report)
     }
 
-    /// Group the stale impact set by producing task into a dependency
-    /// DAG. Also pulls in *deleted* derived inputs of stale tasks (their
-    /// counters outlive them, so consumers classify stale; re-firing the
-    /// consumer needs the input re-materialized first, exactly as
-    /// [`Gaea::refresh_object`] would). Returns the DAG plus the objects
-    /// excluded because their producing task cannot be re-fired.
-    #[allow(clippy::type_complexity)]
-    fn build_refresh_graph(&self) -> KernelResult<(DepGraph<Task>, Vec<(ObjectId, String)>)> {
+    /// Re-derive one stale (or deleted) derived object: the
+    /// [`Gaea::refresh_all`] schedule seeded with `obj` alone. Stale or
+    /// deleted inputs re-derive first, each distinct derivation once, and
+    /// current inputs are reused, so the fresh output is current
+    /// ([`Gaea::is_stale`] is `false` for it); the old object and task
+    /// stay on record as history. An object that is already current (and
+    /// still stored) returns its recorded derivation unchanged.
+    ///
+    /// Errors: base objects (and deleted base inputs) have no producing
+    /// process; [`KernelError::NotAutoFirable`] when the producer of `obj`
+    /// or of an input is a manual, interpolation or interactive task; and
+    /// [`KernelError::DerivationPending`] when the re-derivation of `obj`
+    /// or of an input is already in flight as a background job — await
+    /// (or cancel) the named job instead of firing it twice.
+    pub fn refresh_object(&mut self, obj: ObjectId) -> KernelResult<TaskRun> {
+        let task = self
+            .catalog
+            .producing_task(obj)
+            .ok_or_else(|| base_data(obj))?;
+        // No-op only while the object is both still stored and current; a
+        // deleted derived object re-materializes through a fresh firing.
+        if self.catalog.class_of_object(obj).is_ok() && !self.is_stale(obj) {
+            return Ok(TaskRun {
+                task: task.id,
+                outputs: task.outputs.clone(),
+            });
+        }
+        let mut refresh = self.refresh(vec![obj])?;
+        match refresh.failed.remove(&obj) {
+            Some(err) => Err(err),
+            // Every other node is an ancestor of `obj`'s, so `obj`'s
+            // node is alone in the last wave and its run commits last.
+            None => Ok(refresh
+                .report
+                .runs
+                .pop()
+                .expect("a node that did not fail committed a run")),
+        }
+    }
+
+    /// Run the refresh schedule over `seeds` and what they need: build
+    /// the dependency DAG, then execute it wave by wave.
+    fn refresh(&mut self, seeds: Vec<ObjectId>) -> KernelResult<Refresh> {
+        let mut refresh = Refresh::default();
+        let graph = self.build_refresh_graph(seeds, &mut refresh);
+        let waves = graph.waves().map_err(|c| {
+            KernelError::Schema(format!(
+                "refresh: recorded derivations are not acyclic ({c}); the catalog is corrupt"
+            ))
+        })?;
+        refresh.report.waves = waves.len();
+        for wave in &waves {
+            self.run_refresh_wave(&graph, wave, &mut refresh)?;
+        }
+        Ok(refresh)
+    }
+
+    /// Group the objects needing a fresh derivation — `seeds`, plus their
+    /// stale or *deleted* derived inputs, transitively (a deleted input's
+    /// counter outlives it, so consumers classify stale; re-firing the
+    /// consumer needs the input re-materialized first) — by producing
+    /// task into a dependency DAG. Objects whose producing task cannot be
+    /// re-fired are recorded as skipped instead.
+    fn build_refresh_graph(&self, seeds: Vec<ObjectId>, refresh: &mut Refresh) -> DepGraph<Task> {
         let mut graph: DepGraph<Task> = DepGraph::new();
         let mut node_of_task: BTreeMap<TaskId, NodeId> = BTreeMap::new();
-        let mut skipped: Vec<(ObjectId, String)> = Vec::new();
-        // Worklist over objects needing a fresh derivation: the stale
-        // set, plus deleted derived inputs discovered along the way.
-        let mut pending: Vec<ObjectId> = self.stale_objects();
-        pending.reverse(); // pop() walks the OID-sorted set front to back
+        let mut pending = seeds;
+        pending.reverse(); // pop() walks the seeds front to back
         let mut seen: std::collections::BTreeSet<ObjectId> = pending.iter().copied().collect();
         while let Some(obj) = pending.pop() {
             let Some(task) = self.catalog.producing_task(obj) else {
@@ -150,7 +202,15 @@ impl Gaea {
                 continue;
             }
             if !task.kind.auto_firable() {
-                skipped.push((obj, not_auto_firable_reason(task)));
+                let reason = not_auto_firable_reason(task);
+                refresh.failed.insert(
+                    obj,
+                    KernelError::NotAutoFirable {
+                        process: task.process_name.clone(),
+                        reason: reason.clone(),
+                    },
+                );
+                refresh.report.skipped.push((obj, reason));
                 continue;
             }
             node_of_task.insert(task.id, graph.add_node(task.clone()));
@@ -164,16 +224,11 @@ impl Gaea {
         // Edges: producer node → consumer node wherever a node's input
         // is an output of another node.
         let output_node: BTreeMap<ObjectId, NodeId> = node_of_task
-            .iter()
-            .flat_map(|(tid, node)| {
-                self.catalog
-                    .task(*tid)
-                    .map(|t| t.outputs.iter().map(|o| (*o, *node)).collect::<Vec<_>>())
-                    .unwrap_or_default()
-            })
+            .values()
+            .flat_map(|node| graph.payload(*node).outputs.iter().map(|o| (*o, *node)))
             .collect();
-        for (tid, consumer) in &node_of_task {
-            for input in self.catalog.task(*tid)?.all_inputs() {
+        for consumer in node_of_task.values() {
+            for input in graph.payload(*consumer).all_inputs() {
                 if let Some(producer) = output_node.get(&input) {
                     if producer != consumer {
                         graph
@@ -183,7 +238,7 @@ impl Gaea {
                 }
             }
         }
-        Ok((graph, skipped))
+        graph
     }
 
     /// Execute one wave: resolve bindings against the replacements map,
@@ -193,7 +248,7 @@ impl Gaea {
         &mut self,
         graph: &DepGraph<Task>,
         wave: &[NodeId],
-        report: &mut RefreshReport,
+        refresh: &mut Refresh,
     ) -> KernelResult<()> {
         // Phase 1 (serial): bind each node — replacements first, current
         // inputs as they are. Derivations already in flight as background
@@ -202,7 +257,7 @@ impl Gaea {
         let mut staged: Vec<(NodeId, Staged)> = Vec::with_capacity(wave.len());
         for node in wave {
             let task = graph.payload(*node);
-            let stage = self.stage_refresh_node(task, &report.replacements, &in_flight)?;
+            let stage = self.stage_refresh_node(task, refresh, &in_flight)?;
             staged.push((*node, stage));
         }
         // Phase 2 (parallel): read-only prepares on the worker pool.
@@ -215,25 +270,34 @@ impl Gaea {
             .collect();
         let mut prepared = self.prepare_firings(to_prepare).into_iter();
         // Phase 3 (serial): commit in node order.
-        for (node, stage) in &staged {
-            let task = graph.payload(*node);
+        let Refresh { report, failed } = refresh;
+        for (node, stage) in staged {
+            let task = graph.payload(node);
             let run = match stage {
-                Staged::Blocked(reason) => {
+                Staged::Blocked(reason, err) => {
                     for out in &task.outputs {
                         report.skipped.push((*out, reason.clone()));
+                        failed.insert(*out, err.clone());
                     }
                     continue;
                 }
                 Staged::Pending(job) => {
                     for out in &task.outputs {
-                        report.pending.push((*out, *job));
+                        report.pending.push((*out, job));
+                        failed.insert(
+                            *out,
+                            KernelError::DerivationPending {
+                                process: task.process_name.clone(),
+                                job,
+                            },
+                        );
                     }
                     continue;
                 }
                 Staged::Prepare(_) => {
                     self.commit_firing(prepared.next().expect("one prepare per Prepare node")?)?
                 }
-                Staged::Reused(run) => run.clone(),
+                Staged::Reused(run) => run,
             };
             for (old, new) in task.outputs.iter().zip(&run.outputs) {
                 report.replacements.insert(*old, *new);
@@ -246,13 +310,14 @@ impl Gaea {
     /// Resolve one refresh node's bindings: inputs replaced by this
     /// run's fresh derivations where available, reused as they are when
     /// still current, and blocking the node when neither holds (the
-    /// input's producer was skipped or is base data that disappeared).
-    /// A node whose resolved bindings match an in-flight background job
-    /// stages as [`Staged::Pending`] — the job owns that derivation.
+    /// input's producer was skipped, is in flight, or is base data that
+    /// disappeared). A node whose resolved bindings match an in-flight
+    /// background job stages as [`Staged::Pending`] — the job owns that
+    /// derivation.
     fn stage_refresh_node(
         &self,
         task: &Task,
-        replacements: &BTreeMap<ObjectId, ObjectId>,
+        refresh: &Refresh,
         in_flight: &BTreeMap<String, JobId>,
     ) -> KernelResult<Staged> {
         let def = self.catalog.process(task.process)?;
@@ -267,17 +332,28 @@ impl Gaea {
             })?;
             let mut fresh = Vec::with_capacity(objs.len());
             for o in objs {
-                if let Some(new) = replacements.get(o) {
+                if let Some(new) = refresh.report.replacements.get(o) {
                     fresh.push(*new);
                     continue;
                 }
                 let gone = self.catalog.class_of_object(*o).is_err();
                 if gone || super::exec::object_is_stale(&self.db, &self.catalog, *o, &mut memo) {
-                    return Ok(Staged::Blocked(format!(
-                        "input {o} of process {} is {} and could not be re-derived",
-                        def.name,
-                        if gone { "deleted" } else { "stale" }
-                    )));
+                    // Every stale or deleted derived input went through
+                    // the graph and either was replaced or failed; only a
+                    // deleted base input has no entry.
+                    let cause = refresh
+                        .failed
+                        .get(o)
+                        .cloned()
+                        .unwrap_or_else(|| base_data(*o));
+                    return Ok(Staged::Blocked(
+                        format!(
+                            "input {o} of process {} is {} and could not be re-derived",
+                            def.name,
+                            if gone { "deleted" } else { "stale" }
+                        ),
+                        cause,
+                    ));
                 }
                 fresh.push(*o);
             }
@@ -317,14 +393,25 @@ impl Gaea {
 /// Why a recorded task cannot be re-fired by the system.
 fn not_auto_firable_reason(task: &Task) -> String {
     match task.kind {
-        crate::task::TaskKind::Manual => format!(
+        TaskKind::Manual => format!(
             "producing process {} is a non-applicative procedure; record a fresh manual task",
             task.process_name
         ),
-        crate::task::TaskKind::Interpolation => format!(
+        TaskKind::Interpolation => format!(
             "{} is query-driven; re-issue the query to re-interpolate",
+            task.process_name
+        ),
+        TaskKind::Interactive => format!(
+            "{} needs a scientist's answers; finish a fresh interactive session",
             task.process_name
         ),
         _ => unreachable!("auto-firable kinds are never skipped"),
     }
+}
+
+/// The error for re-deriving base data, which no process produced.
+fn base_data(obj: ObjectId) -> KernelError {
+    KernelError::Schema(format!(
+        "object {obj} is base data; it has no producing process to re-fire"
+    ))
 }

@@ -18,7 +18,9 @@
 //! [`Gaea::query`] is the live driver: it adds only the stages that
 //! commit — access-path creation and the job pump inside `plan`, `ASYNC`
 //! submission, interpolation and derivation when step 1 comes back
-//! empty, `FRESH` re-firing inside `project`.
+//! empty, `FRESH` re-firing inside `project` (one
+//! [`Gaea::refresh_object`] per stale hit, on the refresh wave stage of
+//! `kernel/parallel`).
 //! [`ReadView::query`](super::readonly::ReadView::query) is the pinned
 //! driver: it adds only its refusal of committing statements and its
 //! [`KernelError::NoData`] on an empty step 1.
@@ -195,15 +197,18 @@ impl Gaea {
     /// `FRESH`, then [`serve`] the answer.
     ///
     /// `FRESH` is refuse-stale, not serve-history: every stale hit is
-    /// re-fired through [`Gaea::refresh_object`], and the answer is then
-    /// served from the store again, exactly like step 1 — so a
-    /// replacement only appears while it still satisfies the query's own
-    /// predicates (a re-derivation may well move the timestamp or an
-    /// attribute out of the queried window). Stale hits whose producer
-    /// cannot be re-fired automatically (manual procedures, query-driven
-    /// interpolations) are *excluded* from the answer rather than served
-    /// stale or allowed to fail the whole query. A query whose answer
-    /// empties out under those rules errors with [`KernelError::NoData`].
+    /// re-fired through its own [`Gaea::refresh_object`] call (the
+    /// refresh wave stage seeded with that hit: stale inputs re-derive
+    /// first, and a derivation an earlier call re-fired is reused), and
+    /// the answer is then served from the store again, exactly like step
+    /// 1 — so a replacement only appears while it still satisfies the
+    /// query's own predicates (a re-derivation may well move the
+    /// timestamp or an attribute out of the queried window). Stale hits
+    /// whose producer cannot be re-fired automatically (manual
+    /// procedures, query-driven interpolations, interactive sessions)
+    /// are *excluded* from the answer rather than served stale or
+    /// allowed to fail the whole query. A query whose answer empties out
+    /// under those rules errors with [`KernelError::NoData`].
     fn finish_outcome(
         &mut self,
         mut outcome: QueryOutcome,
@@ -219,8 +224,8 @@ impl Gaea {
             let mut refused = 0usize;
             // Each round moves `pending` into `excluded`, so the loop is
             // bounded by the number of stored stale objects; replacements
-            // are current by construction (refresh re-fires stale inputs
-            // recursively).
+            // are current by construction (the refresh schedule re-derives
+            // stale inputs first).
             while !pending.is_empty() {
                 for oid in std::mem::take(&mut pending) {
                     match self.refresh_object(oid) {

@@ -37,12 +37,16 @@ pub enum TaskKind {
 
 impl TaskKind {
     /// Can the system re-fire a task of this kind on its own? `false`
-    /// for manual tasks (the procedure happened outside the system) and
-    /// interpolations (query-driven — re-issue the query instead); the
+    /// for manual tasks (the procedure happened outside the system),
+    /// interpolations (query-driven — re-issue the query instead) and
+    /// interactive tasks (the scientist's answers drove them); the
     /// refresh machinery reports such derivations as skipped rather
     /// than re-firing them.
     pub fn auto_firable(&self) -> bool {
-        !matches!(self, TaskKind::Manual | TaskKind::Interpolation)
+        !matches!(
+            self,
+            TaskKind::Manual | TaskKind::Interpolation | TaskKind::Interactive
+        )
     }
 }
 

@@ -11,7 +11,7 @@
 use gaea::adt::{TypeTag, Value};
 use gaea::core::kernel::{ClassSpec, Gaea, ProcessSpec};
 use gaea::core::template::{Expr, Mapping, Template};
-use gaea::core::{ObjectId, Query, QueryMethod, QueryStrategy};
+use gaea::core::{KernelError, ObjectId, Query, QueryMethod, QueryStrategy};
 
 /// A one-mapping template copying `v` from `arg`.
 fn copy_v(arg: &str) -> Template {
@@ -290,6 +290,90 @@ fn refresh_all_state_is_identical_for_every_worker_count() {
             tasks, tasks1,
             "recorded history diverged at {workers} workers"
         );
+    }
+}
+
+/// A stale interactive derivation is skipped and reported, not a reason
+/// to abort the store-wide refresh: the primitive derivation beside it
+/// still re-derives, and `refresh_object` refuses the interactive one
+/// with the typed error.
+#[test]
+fn refresh_all_skips_stale_interactive_derivations_and_refires_the_rest() {
+    for workers in [1, 4] {
+        let mut g = fan_kernel(workers);
+        int_class(&mut g, "picked", false);
+        g.define_process(
+            ProcessSpec::new("P_PICK", "picked")
+                .arg("x", "src")
+                .template(Template {
+                    assertions: vec![],
+                    mappings: vec![Mapping {
+                        attr: "v".into(),
+                        expr: Expr::param("k"),
+                    }],
+                })
+                .interact("k", "choose the value to keep", TypeTag::Int4),
+        )
+        .unwrap();
+        let s = insert_v(&mut g, "src", 1);
+        let out = g.run_process("STEP", &[("x", vec![s])]).unwrap().outputs[0];
+        let mut session = g.begin_interactive("P_PICK", &[("x", vec![s])]).unwrap();
+        session.supply(Value::Int4(5)).unwrap();
+        let picked = g.finish_interactive(session).unwrap().outputs[0];
+
+        set_v(&mut g, s, 2);
+        assert!(g.is_stale(out) && g.is_stale(picked));
+        let report = g.refresh_all().unwrap();
+        assert_eq!(report.refreshed(), 1, "the primitive derivation re-fired");
+        assert_eq!(v_of(&g, report.replacements[&out]), 2);
+        assert_eq!(report.skipped.len(), 1, "{:?}", report.skipped);
+        let (skipped, reason) = &report.skipped[0];
+        assert_eq!(*skipped, picked);
+        assert!(reason.contains("P_PICK"), "{reason}");
+        assert!(g.is_stale(picked), "reported, not re-fired");
+        match g.refresh_object(picked).unwrap_err() {
+            KernelError::NotAutoFirable { process, .. } => assert_eq!(process, "P_PICK"),
+            other => panic!("unexpected {other}"),
+        }
+    }
+}
+
+/// `refresh_object` and `FRESH` run on the refresh wave stage, so their
+/// committed state is as independent of the worker count as
+/// `refresh_all`'s.
+#[test]
+fn refresh_object_and_fresh_state_is_identical_for_every_worker_count() {
+    let run = |workers: usize| -> (Vec<ObjectId>, String, String) {
+        let mut g = diamond_kernel(workers);
+        let (z, [_, _, _, d]) = fire_diamond(&mut g);
+        set_v(&mut g, z, 77);
+        let refreshed = g.refresh_object(d).unwrap();
+        assert_eq!(v_of(&g, refreshed.outputs[0]), 77);
+        set_v(&mut g, z, 78);
+        let fresh = g.query(&Query::class("d").fresh()).unwrap();
+        assert!(fresh.stale.is_empty());
+        let answer: Vec<ObjectId> = fresh.objects.iter().map(|o| o.id).collect();
+        assert_eq!(answer.len(), 1, "both stale hits rebind to one fresh sink");
+        assert_eq!(v_of(&g, answer[0]), 78);
+        let dir = std::env::temp_dir().join(format!(
+            "gaea-sched-parity-{}-{workers}",
+            std::process::id()
+        ));
+        g.save(&dir).unwrap();
+        let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap();
+        let state = (answer, read("manifest.json"), read("catalog.json"));
+        let _ = std::fs::remove_dir_all(&dir);
+        state
+    };
+    let (answer1, store1, catalog1) = run(1);
+    for workers in [2, 4] {
+        let (answer, store, catalog) = run(workers);
+        assert_eq!(
+            answer, answer1,
+            "FRESH answer diverged at {workers} workers"
+        );
+        assert_eq!(store, store1, "store diverged at {workers} workers");
+        assert_eq!(catalog, catalog1, "catalog diverged at {workers} workers");
     }
 }
 

@@ -611,6 +611,98 @@ fn refresh_object_rederives_a_diamond_shared_upstream_once_across_calls() {
     assert!(!g.is_stale(f2.outputs[0]));
 }
 
+/// Regression (a benchmark finding on the Figure-2 schema): a second
+/// `FRESH` over the same stale history must reuse the first one's
+/// re-derivation, not fire it again. A two-level chain `band --NDVI-->
+/// ndvi --SMOOTH--> smooth` feeds a `SETOF smooth` consumer; after one
+/// band moves, the first `FRESH` re-derives the three stale levels, and
+/// every later one records no task and serves the same object.
+#[test]
+fn a_second_fresh_reuses_the_first_fresh_rederivation() {
+    let mut g = Gaea::in_memory();
+    for (name, base) in [
+        ("band", true),
+        ("ndvi", false),
+        ("smooth", false),
+        ("change", false),
+    ] {
+        let spec = if base {
+            ClassSpec::base(name)
+        } else {
+            ClassSpec::derived(name)
+        };
+        g.define_class(spec.attr("v", TypeTag::Int4).no_extents())
+            .unwrap();
+    }
+    let template = |expr: Expr| Template {
+        assertions: vec![],
+        mappings: vec![Mapping {
+            attr: "v".into(),
+            expr,
+        }],
+    };
+    g.define_process(
+        ProcessSpec::new("NDVI", "ndvi")
+            .arg("b", "band")
+            .template(template(Expr::proj("b", "v"))),
+    )
+    .unwrap();
+    g.define_process(
+        ProcessSpec::new("SMOOTH", "smooth")
+            .arg("n", "ndvi")
+            .template(template(Expr::proj("n", "v"))),
+    )
+    .unwrap();
+    g.define_process(
+        ProcessSpec::new("CHANGE", "change")
+            .setof_arg("series", "smooth", 2)
+            .template(template(Expr::Card(Box::new(Expr::proj("series", "v"))))),
+    )
+    .unwrap();
+    let bands: Vec<ObjectId> = (0..2)
+        .map(|i| {
+            g.insert_object("band", vec![("v", Value::Int4(i))])
+                .unwrap()
+        })
+        .collect();
+    let mut series = Vec::new();
+    for b in &bands {
+        let n = g.run_process("NDVI", &[("b", vec![*b])]).unwrap().outputs[0];
+        series.push(g.run_process("SMOOTH", &[("n", vec![n])]).unwrap().outputs[0]);
+    }
+    let change = g
+        .run_process("CHANGE", &[("series", series)])
+        .unwrap()
+        .outputs[0];
+
+    g.update_object(bands[0], vec![("v", Value::Int4(9))])
+        .unwrap();
+    assert!(g.is_stale(change));
+    let fresh = Query::class("change").fresh();
+    let recorded = g.catalog().tasks.len();
+    let first = g.query(&fresh).unwrap();
+    assert_eq!(
+        g.catalog().tasks.len(),
+        recorded + 3,
+        "NDVI, SMOOTH and CHANGE re-fired once each"
+    );
+    assert_eq!(first.objects.len(), 1);
+    let served = first.objects[0].id;
+    assert_ne!(served, change);
+    assert!(!g.is_stale(served));
+    for _ in 0..2 {
+        let again = g.query(&fresh).unwrap();
+        assert_eq!(
+            g.catalog().tasks.len(),
+            recorded + 3,
+            "a repeated FRESH records no task"
+        );
+        let ids: Vec<ObjectId> = again.objects.iter().map(|o| o.id).collect();
+        assert_eq!(ids, vec![served], "and serves the same object");
+        assert_eq!(again.tasks, first.tasks, "answered by the reused task");
+    }
+}
+
 /// `stale_objects()` is documented to return ascending-OID order, and
 /// `refresh_all` relies on it for a reproducible schedule.
 #[test]
