@@ -383,9 +383,10 @@ pub struct StageTiming {
 /// Per-statement execution profile: the `EXPLAIN ANALYZE` surface.
 ///
 /// Built from the statement's observability trace: `total_us` is the
-/// end-to-end wall time and the depth-1 entries of `stages` are
-/// contiguous laps over the statement body, so their sum tracks
-/// `total_us` closely (the acceptance bound is ±10%).
+/// end-to-end wall time and the depth-1 entries of `stages` are laps
+/// over the statement body. Spans nest inside their parent without
+/// overlapping, so the laps' sum never exceeds `total_us` and, the
+/// laps being contiguous, tracks it closely.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct QueryProfile {
     /// End-to-end statement wall time, microseconds.
@@ -417,8 +418,8 @@ impl QueryProfile {
         }
     }
 
-    /// Sum of the top-level (depth-1) stage wall times — the number the
-    /// ±10% acceptance bound compares against [`QueryProfile::total_us`].
+    /// Sum of the top-level (depth-1) stage wall times — at most
+    /// [`QueryProfile::total_us`].
     pub fn stage_sum_us(&self) -> u64 {
         self.stages
             .iter()

@@ -538,13 +538,17 @@ impl Database {
     /// ([`crate::view::PinnedStore`]). Taken through `&self` under the
     /// owner's borrow discipline, so the copy is of one committed state,
     /// never a half-applied mutation.
+    ///
+    /// One pin copies each relation's heap tuples, its ordered indexes'
+    /// key maps (a key held by one tuple stores its OID inline) and its
+    /// grids' flat cell sets, plus one [`VersionMap`] — the view reads
+    /// its clock from that copy, so nothing is copied twice.
     pub fn pin(&self) -> crate::view::PinnedStore {
-        let db = Database {
+        crate::view::PinnedStore::new(Database {
             relations: self.relations.clone(),
             allocator: OidAllocator::resume_after(self.allocator.peek().saturating_sub(1)),
             versions: self.versions.clone(),
-        };
-        crate::view::PinnedStore::new(db, self.store_snapshot())
+        })
     }
 
     /// Snapshot parts (relation map).

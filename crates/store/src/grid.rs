@@ -9,19 +9,27 @@
 //! insert cost bounded while staying exact, because probes are always
 //! re-filtered by the real intersection predicate.
 //!
-//! Like [`crate::index::OrderedIndex`], the cell map is skip-serialized
-//! (JSON keys must be strings) and rebuilt from the heap on snapshot
-//! load; only the indexed column and cell size persist.
+//! The cells are one flat ordered set of `((cx, cy), oid)` pairs.
+//! Registering an extent is a set insert per overlapped cell, and a
+//! probe scans one key range per cell column,
+//! `((cx, lo_y), 0) ..= ((cx, hi_y), MAX)`. The layout is chosen for
+//! [`crate::db::Database::pin`]: copying the set costs one allocation
+//! per B-tree node, where a `Vec` per cell would cost one per occupied
+//! cell.
+//!
+//! Like [`crate::index::OrderedIndex`], the cell set is skip-serialized
+//! and rebuilt from the heap on snapshot load; only the indexed column
+//! and cell size persist.
 
 use crate::oid::Oid;
 use gaea_adt::GeoBox;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// Boxes overlapping more than this many cells go on the oversize list.
 pub const OVERSIZE_CELLS: usize = 64;
 
-/// Uniform spatial grid: cell coordinate → OIDs of extents overlapping it.
+/// Uniform spatial grid: the set of (cell, OID) registrations.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GridIndex {
     /// Indexed (GeoBox) column position in the relation schema.
@@ -29,7 +37,7 @@ pub struct GridIndex {
     /// Cell edge length in the coordinate units of the indexed extents.
     pub cell: f64,
     #[serde(skip)]
-    cells: BTreeMap<(i64, i64), Vec<Oid>>,
+    cells: BTreeSet<((i64, i64), Oid)>,
     #[serde(skip)]
     oversize: Vec<Oid>,
 }
@@ -45,7 +53,7 @@ impl GridIndex {
             } else {
                 1.0
             },
-            cells: BTreeMap::new(),
+            cells: BTreeSet::new(),
             oversize: Vec::new(),
         }
     }
@@ -77,7 +85,7 @@ impl GridIndex {
         }
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
-                self.cells.entry((cx, cy)).or_default().push(oid);
+                self.cells.insert(((cx, cy), oid));
             }
         }
     }
@@ -91,11 +99,34 @@ impl GridIndex {
         }
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
-                if let Some(oids) = self.cells.get_mut(&(cx, cy)) {
-                    oids.retain(|o| *o != oid);
-                    if oids.is_empty() {
-                        self.cells.remove(&(cx, cy));
-                    }
+                self.cells.remove(&((cx, cy), oid));
+            }
+        }
+    }
+
+    /// Call `f` on every OID registered in a cell of the window's cell
+    /// span, once per (cell, OID) pair. Each cell column is one key
+    /// range of the set. A window spanning more columns than there are
+    /// registrations (a huge window) walks its whole x band once
+    /// instead, so a probe never costs more than the set's size.
+    fn for_each_registration(&self, window: &GeoBox, mut f: impl FnMut(Oid)) {
+        let (lo, hi) = self.cell_span(window);
+        if lo.0 > hi.0 || lo.1 > hi.1 {
+            return;
+        }
+        let columns = hi.0 as i128 - lo.0 as i128 + 1;
+        if columns > self.cells.len() as i128 {
+            let band = ((lo.0, i64::MIN), Oid(0))..=((hi.0, i64::MAX), Oid(u64::MAX));
+            for &((_, cy), oid) in self.cells.range(band) {
+                if (lo.1..=hi.1).contains(&cy) {
+                    f(oid);
+                }
+            }
+        } else {
+            for cx in lo.0..=hi.0 {
+                let column = ((cx, lo.1), Oid(0))..=((cx, hi.1), Oid(u64::MAX));
+                for &(_, oid) in self.cells.range(column) {
+                    f(oid);
                 }
             }
         }
@@ -106,24 +137,8 @@ impl GridIndex {
     /// deduplicated. Callers must re-check the real intersection — a
     /// candidate may only share a cell, not actually overlap.
     pub fn probe(&self, window: &GeoBox) -> Vec<Oid> {
-        let (lo, hi) = self.cell_span(window);
         let mut out: Vec<Oid> = Vec::new();
-        if Self::span_cells(lo, hi) > self.cells.len().max(1) {
-            // Window covers more cells than are occupied: walk the map.
-            for (&(cx, cy), oids) in &self.cells {
-                if cx >= lo.0 && cx <= hi.0 && cy >= lo.1 && cy <= hi.1 {
-                    out.extend_from_slice(oids);
-                }
-            }
-        } else {
-            for cx in lo.0..=hi.0 {
-                for cy in lo.1..=hi.1 {
-                    if let Some(oids) = self.cells.get(&(cx, cy)) {
-                        out.extend_from_slice(oids);
-                    }
-                }
-            }
-        }
+        self.for_each_registration(window, |oid| out.push(oid));
         out.extend_from_slice(&self.oversize);
         out.sort_unstable();
         out.dedup();
@@ -133,21 +148,8 @@ impl GridIndex {
     /// Cheap upper bound on `probe(window).len()` for costing (counts
     /// duplicates across cells rather than deduplicating).
     pub fn probe_estimate(&self, window: &GeoBox) -> usize {
-        let (lo, hi) = self.cell_span(window);
         let mut n = self.oversize.len();
-        if Self::span_cells(lo, hi) > self.cells.len().max(1) {
-            for (&(cx, cy), oids) in &self.cells {
-                if cx >= lo.0 && cx <= hi.0 && cy >= lo.1 && cy <= hi.1 {
-                    n += oids.len();
-                }
-            }
-        } else {
-            for cx in lo.0..=hi.0 {
-                for cy in lo.1..=hi.1 {
-                    n += self.cells.get(&(cx, cy)).map_or(0, Vec::len);
-                }
-            }
-        }
+        self.for_each_registration(window, |_| n += 1);
         n
     }
 

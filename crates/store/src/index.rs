@@ -4,12 +4,33 @@
 //! totally ordered (value identity), any column type can be indexed,
 //! including extents. Indexes are maintained eagerly by
 //! [`crate::db::Relation`] on insert/update/delete.
+//!
+//! A key held by one tuple — every key of a unique column — stores its
+//! OID inline in the map node; only a key shared by several tuples owns
+//! a `Vec`. Copying an index for [`crate::db::Database::pin`] is then one
+//! allocation per B-tree node plus one per shared key, not one per key.
 
 use crate::oid::Oid;
 use gaea_adt::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Bound;
+
+/// The OIDs carrying one key, in insertion order.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(Oid),
+    Many(Vec<Oid>),
+}
+
+impl Postings {
+    fn as_slice(&self) -> &[Oid] {
+        match self {
+            Postings::One(oid) => std::slice::from_ref(oid),
+            Postings::Many(oids) => oids,
+        }
+    }
+}
 
 /// Ordered index: column value → OIDs of tuples carrying it.
 ///
@@ -21,7 +42,7 @@ pub struct OrderedIndex {
     /// Indexed column position in the relation schema.
     pub column: usize,
     #[serde(skip)]
-    map: BTreeMap<Value, Vec<Oid>>,
+    map: BTreeMap<Value, Postings>,
 }
 
 impl OrderedIndex {
@@ -35,22 +56,42 @@ impl OrderedIndex {
 
     /// Register a tuple's column value.
     pub fn insert(&mut self, key: Value, oid: Oid) {
-        self.map.entry(key).or_default().push(oid);
+        self.map
+            .entry(key)
+            .and_modify(|postings| match postings {
+                Postings::One(first) => *postings = Postings::Many(vec![*first, oid]),
+                Postings::Many(oids) => oids.push(oid),
+            })
+            .or_insert(Postings::One(oid));
     }
 
-    /// Unregister.
+    /// Unregister. A key left with one OID stores it inline again.
     pub fn remove(&mut self, key: &Value, oid: Oid) {
-        if let Some(oids) = self.map.get_mut(key) {
-            oids.retain(|o| *o != oid);
-            if oids.is_empty() {
-                self.map.remove(key);
+        let Some(postings) = self.map.get_mut(key) else {
+            return;
+        };
+        match postings {
+            Postings::One(only) => {
+                if *only == oid {
+                    self.map.remove(key);
+                }
+            }
+            Postings::Many(oids) => {
+                oids.retain(|o| *o != oid);
+                match oids[..] {
+                    [] => {
+                        self.map.remove(key);
+                    }
+                    [last] => *postings = Postings::One(last),
+                    _ => {}
+                }
             }
         }
     }
 
     /// Exact-match lookup.
     pub fn lookup(&self, key: &Value) -> &[Oid] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.map.get(key).map_or(&[], Postings::as_slice)
     }
 
     /// Range lookup over the value order (inclusive bounds).
@@ -59,7 +100,7 @@ impl OrderedIndex {
         let upper = hi.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
         self.map
             .range((lower, upper))
-            .flat_map(|(_, oids)| oids.iter().copied())
+            .flat_map(|(_, oids)| oids.as_slice().iter().copied())
             .collect()
     }
 
@@ -78,26 +119,19 @@ impl OrderedIndex {
         self.map.keys().next_back()
     }
 
-    /// All OIDs in key order (ascending or descending). Within one key,
+    /// All OIDs in key order (ascending or descending), lazily: a caller
+    /// that stops early walks only the keys it consumed. Within one key,
     /// OIDs come out in insertion order either way — ties are resolved by
     /// the caller, so reversing the key walk must not reverse ties.
-    pub fn sorted_oids(&self, desc: bool) -> Vec<Oid> {
-        let mut out = Vec::with_capacity(self.len());
-        if desc {
-            for oids in self.map.values().rev() {
-                out.extend_from_slice(oids);
-            }
-        } else {
-            for oids in self.map.values() {
-                out.extend_from_slice(oids);
-            }
-        }
-        out
+    pub fn sorted_oids(&self, desc: bool) -> impl Iterator<Item = Oid> + '_ {
+        let mut keys = self.map.values();
+        std::iter::from_fn(move || if desc { keys.next_back() } else { keys.next() })
+            .flat_map(|oids| oids.as_slice().iter().copied())
     }
 
     /// Total registered entries.
     pub fn len(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.map.values().map(|oids| oids.as_slice().len()).sum()
     }
 
     /// True if empty.
@@ -171,8 +205,9 @@ mod tests {
         idx.insert(Value::Int4(9), Oid(1));
         assert_eq!(idx.min_key(), Some(&Value::Int4(1)));
         assert_eq!(idx.max_key(), Some(&Value::Int4(9)));
-        assert_eq!(idx.sorted_oids(false), vec![Oid(3), Oid(2), Oid(4), Oid(1)]);
+        let walk = |desc| idx.sorted_oids(desc).collect::<Vec<_>>();
+        assert_eq!(walk(false), vec![Oid(3), Oid(2), Oid(4), Oid(1)]);
         // Descending reverses keys but keeps within-key insertion order.
-        assert_eq!(idx.sorted_oids(true), vec![Oid(1), Oid(2), Oid(4), Oid(3)]);
+        assert_eq!(walk(true), vec![Oid(1), Oid(2), Oid(4), Oid(3)]);
     }
 }

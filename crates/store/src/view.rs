@@ -3,20 +3,23 @@
 //! [`crate::version::StoreSnapshot`] freezes the version *counters* —
 //! enough to validate memoized results, not enough to answer a query.
 //! A [`PinnedStore`] freezes the data too: an immutable copy of every
-//! relation (heaps, indexes, grids, statistics) plus the counter
-//! snapshot taken at the same instant, so a reader holding the view
-//! answers retrievals against exactly one committed state no matter how
-//! many commits land after the pin.
+//! relation (heaps, indexes, grids, statistics) together with the
+//! [`crate::version::VersionMap`] of the same instant, so a reader
+//! holding the view answers retrievals against exactly one committed
+//! state no matter how many commits land after the pin. That one
+//! `VersionMap` is the view's only copy of the counters: its clock,
+//! object and relation versions are the frozen `Database`'s own.
 //!
 //! The copy is taken under the owner's exclusive borrow
 //! ([`crate::db::Database::pin`]), so a view can never observe a
 //! half-applied mutation. Views are plain values: wrap one in an `Arc`
 //! and every concurrent reader shares the same frozen state for free.
-//! Cost is one deep copy per pin — callers amortize by caching the view
-//! per clock value and re-pinning only after the clock moves.
+//! Cost is one deep copy per pin — the heaps' tuples, the ordered
+//! indexes' key maps, the grids' cell sets and one `VersionMap` — so
+//! callers amortize by caching the view per clock value and re-pinning
+//! only after the clock moves.
 
 use crate::db::Database;
-use crate::version::StoreSnapshot;
 
 /// An immutable, self-contained copy of the store at one commit point:
 /// the data a reader scans plus the version counters it validates
@@ -26,22 +29,16 @@ use crate::version::StoreSnapshot;
 #[derive(Debug)]
 pub struct PinnedStore {
     db: Database,
-    snapshot: StoreSnapshot,
 }
 
 impl PinnedStore {
-    pub(crate) fn new(db: Database, snapshot: StoreSnapshot) -> PinnedStore {
-        PinnedStore { db, snapshot }
+    pub(crate) fn new(db: Database) -> PinnedStore {
+        PinnedStore { db }
     }
 
     /// The logical-clock value this view was pinned at.
     pub fn clock(&self) -> u64 {
-        self.snapshot.clock
-    }
-
-    /// The version counters frozen with the data.
-    pub fn snapshot(&self) -> &StoreSnapshot {
-        &self.snapshot
+        self.db.version_clock()
     }
 
     /// The frozen data, as a read-only database.
@@ -89,7 +86,36 @@ mod tests {
         assert_eq!(db.relation("r").unwrap().len(), 4);
         // Counters frozen too: the view's clock lags the live clock.
         assert!(view.version_clock() < db.version_clock());
-        assert_eq!(view.snapshot().clock, view.clock());
+    }
+
+    #[test]
+    fn pinned_counters_are_the_live_counters_at_pin_time() {
+        let mut db = db_with_rows(3);
+        let oids: Vec<_> = db
+            .relation("r")
+            .unwrap()
+            .scan_oids(&Predicate::True)
+            .unwrap();
+        let view = db.pin();
+        let clock = db.version_clock();
+        let rel = db.relation_version("r");
+        let objects: Vec<u64> = oids.iter().map(|&o| db.object_version(o)).collect();
+        let pinned = |view: &PinnedStore| {
+            let objects: Vec<u64> = oids.iter().map(|&o| view.object_version(o)).collect();
+            (view.clock(), view.relation_version("r"), objects)
+        };
+        assert_eq!(pinned(&view), (clock, rel, objects.clone()));
+
+        // Later live writes move every live counter, none of the view's.
+        db.update("r", oids[0], Tuple::new(vec![Value::Int4(7)]))
+            .unwrap();
+        db.delete("r", oids[1]).unwrap();
+        db.insert("r", Tuple::new(vec![Value::Int4(8)])).unwrap();
+        assert!(db.version_clock() > clock);
+        assert!(db.relation_version("r") > rel);
+        assert!(db.object_version(oids[0]) > objects[0]);
+        assert!(db.object_version(oids[1]) > objects[1]);
+        assert_eq!(pinned(&view), (clock, rel, objects));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use gaea::adt::{AbsTime, TypeTag, Value};
 use gaea::core::kernel::{ClassSpec, DurabilityOptions, Gaea, JobStatus, ProcessSpec};
+use gaea::core::query::QueryProfile;
 use gaea::core::template::{CmpOp, Expr, Mapping, Template};
 use gaea::core::{Query, QueryStrategy};
 use gaea::obs::MetricsRegistry;
@@ -34,15 +35,49 @@ fn seeded_kernel() -> Gaea {
     g
 }
 
-/// The profile's depth-1 stages are contiguous laps over the statement
-/// body, so their sum tracks the end-to-end wall time. The acceptance
-/// bound is ±10%; a small absolute slack keeps sub-100µs statements
-/// (where one clock tick is a large fraction) from flaking.
-fn assert_stage_sum_close(total_us: u64, stage_sum_us: u64) {
-    let diff = total_us.abs_diff(stage_sum_us);
+/// The profile's stage spans nest inside the statement without
+/// overlapping. Spans come in completion order, so a span's children
+/// are the spans one level deeper closed since its previous sibling.
+/// Siblings run one after another inside their parent: their wall
+/// times sum to at most the parent's, and the depth-1 stages' to at
+/// most the statement's total. Every wall time truncates a real
+/// interval, so these bounds are exact: no tolerance, whatever the
+/// machine's load.
+fn assert_stages_nest(profile: &QueryProfile) {
+    // pending[d]: (count, wall-time sum) of closed depth-d spans whose
+    // parent has not closed yet; depth 1's parent is the statement.
+    let mut pending: Vec<(usize, u64)> = vec![(0, 0); 2];
+    for s in &profile.stages {
+        let depth = s.depth as usize;
+        assert!(depth >= 1, "stage {} at depth 0: {profile:?}", s.stage);
+        if pending.len() < depth + 2 {
+            pending.resize(depth + 2, (0, 0));
+        }
+        assert!(
+            pending[depth + 2..].iter().all(|&(n, _)| n == 0),
+            "a span below {} closed without a parent: {profile:?}",
+            s.stage
+        );
+        let (_, children_us) = std::mem::take(&mut pending[depth + 1]);
+        assert!(
+            children_us <= s.wall_us,
+            "sub-stages of {} take {children_us}µs of its {}µs: {profile:?}",
+            s.stage,
+            s.wall_us
+        );
+        pending[depth].0 += 1;
+        pending[depth].1 += s.wall_us;
+    }
     assert!(
-        diff * 10 <= total_us || diff <= 50,
-        "stage sum {stage_sum_us}µs vs total {total_us}µs is outside ±10% (+50µs slack)"
+        pending[2..].iter().all(|&(n, _)| n == 0),
+        "a span closed without a parent: {profile:?}"
+    );
+    assert_eq!(profile.stage_sum_us(), pending[1].1);
+    assert!(
+        pending[1].1 <= profile.total_us,
+        "stages take {}µs of the statement's {}µs: {profile:?}",
+        pending[1].1,
+        profile.total_us
     );
 }
 
@@ -64,7 +99,7 @@ fn snapshot_keys_match_the_golden_file() {
 }
 
 /// Every traced statement carries an `EXPLAIN ANALYZE`-style profile
-/// whose stage laps account for the total wall time.
+/// whose stage spans nest inside the statement without overlapping.
 #[test]
 fn live_query_profile_accounts_for_total_wall_time() {
     let mut g = seeded_kernel();
@@ -74,7 +109,7 @@ fn live_query_profile_accounts_for_total_wall_time() {
     assert!(stages.contains(&"plan"), "stages: {stages:?}");
     assert!(stages.contains(&"retrieve"), "stages: {stages:?}");
     assert!(stages.contains(&"project"), "stages: {stages:?}");
-    assert_stage_sum_close(profile.total_us, profile.stage_sum_us());
+    assert_stages_nest(&profile);
 }
 
 /// The acceptance path: a server-side RETRIEVE returns its per-stage
@@ -92,7 +127,7 @@ fn server_retrieve_returns_profile_and_introspection_answers() {
     assert_eq!(out.objects.len(), 8);
     let profile = out.profile.expect("wire outcome must carry the profile");
     assert!(!profile.stages.is_empty());
-    assert_stage_sum_close(profile.total_us, profile.stage_sum_us());
+    assert_stages_nest(&profile);
 
     // Stats: session counters plus the full process-wide metrics map.
     let stats = c.stats().unwrap();

@@ -1,8 +1,11 @@
 //! Property-based tests on the storage substrate: CRUD model checking,
-//! transaction rollback exactness, index/scan agreement.
+//! transaction rollback exactness, index/scan agreement, and the grid
+//! and ordered index against plain reference models.
 
 use gaea::adt::{GeoBox, TypeTag, Value};
-use gaea::store::{Database, Field, Oid, Predicate, Schema, Tuple};
+use gaea::store::grid::OVERSIZE_CELLS;
+use gaea::store::index::OrderedIndex;
+use gaea::store::{Database, Field, GridIndex, Oid, Predicate, Schema, Tuple};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -75,6 +78,62 @@ fn geo_op_strategy() -> impl Strategy<Value = GeoOp> {
         (0usize..32).prop_map(GeoOp::Delete),
         ((0usize..32), coords).prop_map(|(i, (x, y, w, h))| GeoOp::Update(i, x, y, w, h)),
     ]
+}
+
+/// Reference model of a grid's raw candidates: an extent registered in
+/// at most [`OVERSIZE_CELLS`] cells is a candidate for every window
+/// whose cell span shares a cell with it; a larger one for every
+/// window. Returns the sorted, deduplicated candidates and the
+/// per-cell registration count `probe_estimate` reports.
+fn model_candidates(cell: f64, live: &BTreeMap<Oid, GeoBox>, window: &GeoBox) -> (Vec<Oid>, usize) {
+    let span = |b: &GeoBox| {
+        let c = |v: f64| (v / cell).floor() as i64;
+        ((c(b.xmin), c(b.ymin)), (c(b.xmax), c(b.ymax)))
+    };
+    let ((wx0, wy0), (wx1, wy1)) = span(window);
+    let (mut oids, mut registrations) = (Vec::new(), 0);
+    for (&oid, b) in live {
+        let ((x0, y0), (x1, y1)) = span(b);
+        let area = (x1 - x0 + 1) as u128 * (y1 - y0 + 1) as u128;
+        let shared = (x1.min(wx1) - x0.max(wx0) + 1).max(0) as usize
+            * (y1.min(wy1) - y0.max(wy0) + 1).max(0) as usize;
+        if area > OVERSIZE_CELLS as u128 {
+            oids.push(oid);
+            registrations += 1;
+        } else if shared > 0 {
+            oids.push(oid);
+            registrations += shared;
+        }
+    }
+    (oids, registrations)
+}
+
+#[derive(Debug, Clone)]
+enum KeyOp {
+    Insert(i32),
+    Delete(usize),
+    Update(usize, i32),
+    /// Remove an OID the key does not hold: must change nothing.
+    RemoveAbsent(i32),
+}
+
+/// Few distinct keys, so keys are shared and unshared again.
+fn key_op_strategy() -> impl Strategy<Value = KeyOp> {
+    prop_oneof![
+        (0i32..6).prop_map(KeyOp::Insert),
+        (0i32..6).prop_map(KeyOp::RemoveAbsent),
+        (0usize..32).prop_map(KeyOp::Delete),
+        ((0usize..32), 0i32..6).prop_map(|(i, k)| KeyOp::Update(i, k)),
+    ]
+}
+
+/// Remove `oid` from a key of the index model, dropping emptied keys.
+fn model_remove(model: &mut BTreeMap<Value, Vec<Oid>>, key: &Value, oid: Oid) {
+    let oids = model.get_mut(key).unwrap();
+    oids.retain(|o| *o != oid);
+    if oids.is_empty() {
+        model.remove(key);
+    }
 }
 
 proptest! {
@@ -305,6 +364,124 @@ proptest! {
             .unwrap();
         via_scan.sort();
         prop_assert_eq!(via_grid, via_scan);
+    }
+
+    /// The grid's raw candidate set equals the reference model's under
+    /// insert/update/delete streams of multi-cell and oversize boxes,
+    /// for ordinary, huge and inverted (x or y) windows, and
+    /// `probe_estimate ≥ probe().len()` holds after every step. With
+    /// `drain`, every extent is removed again and the grid ends empty.
+    #[test]
+    fn grid_candidates_match_reference_model(
+        cell in 1.0f64..30.0,
+        ops in prop::collection::vec(geo_op_strategy(), 0..48),
+        wx in -120.0f64..120.0,
+        wy in -120.0f64..120.0,
+        ww in 0.0f64..80.0,
+        wh in 0.0f64..80.0,
+        drain in any::<bool>(),
+    ) {
+        let mut grid = GridIndex::new(0, cell);
+        let mut live: BTreeMap<Oid, GeoBox> = BTreeMap::new();
+        let windows = [
+            GeoBox::new(wx, wy, wx + ww, wy + wh),
+            GeoBox::new(-1.0e9, -1.0e9, 1.0e9, 1.0e9),
+            GeoBox { xmin: wx + ww, ymin: wy, xmax: wx, ymax: wy + wh },
+            GeoBox { xmin: wx, ymin: wy + wh, xmax: wx + ww, ymax: wy },
+        ];
+        let mut next = 1;
+        let mut steps: Vec<GeoOp> = ops;
+        if drain {
+            steps.extend((0..48).map(|_| GeoOp::Delete(0)));
+        }
+        for op in steps {
+            let nth = |i: usize| live.keys().nth(i % live.len()).copied();
+            match op {
+                GeoOp::Insert(x, y, w, h) => {
+                    let b = GeoBox::new(x, y, x + w, y + h);
+                    grid.insert(&b, Oid(next));
+                    live.insert(Oid(next), b);
+                    next += 1;
+                }
+                GeoOp::Delete(i) => {
+                    if live.is_empty() { continue; }
+                    let oid = nth(i).unwrap();
+                    grid.remove(&live.remove(&oid).unwrap(), oid);
+                }
+                GeoOp::Update(i, x, y, w, h) => {
+                    if live.is_empty() { continue; }
+                    let oid = nth(i).unwrap();
+                    let b = GeoBox::new(x, y, x + w, y + h);
+                    grid.remove(&live.insert(oid, b).unwrap(), oid);
+                    grid.insert(&b, oid);
+                }
+            }
+            for window in &windows {
+                let probe = grid.probe(window);
+                let (oids, registrations) = model_candidates(cell, &live, window);
+                prop_assert_eq!(&probe, &oids);
+                prop_assert_eq!(grid.probe_estimate(window), registrations);
+                prop_assert!(grid.probe_estimate(window) >= probe.len());
+            }
+        }
+        prop_assert_eq!(grid.is_empty(), live.is_empty());
+    }
+
+    /// Every read of the ordered index equals a `BTreeMap<Value,
+    /// Vec<Oid>>` model after each step of an insert/update/delete
+    /// stream over a handful of keys, so keys go from one OID to many
+    /// and back, and updated OIDs re-enter at the end of their new key.
+    #[test]
+    fn ordered_index_matches_reference_model(
+        ops in prop::collection::vec(key_op_strategy(), 0..64),
+    ) {
+        let mut idx = OrderedIndex::new(0);
+        let mut model: BTreeMap<Value, Vec<Oid>> = BTreeMap::new();
+        let mut live: Vec<(Oid, Value)> = Vec::new();
+        for (n, op) in ops.into_iter().enumerate() {
+            match op {
+                KeyOp::Insert(k) => {
+                    let oid = Oid(n as u64 + 1);
+                    idx.insert(Value::Int4(k), oid);
+                    model.entry(Value::Int4(k)).or_default().push(oid);
+                    live.push((oid, Value::Int4(k)));
+                }
+                KeyOp::Delete(i) => {
+                    if live.is_empty() { continue; }
+                    let (oid, key) = live.remove(i % live.len());
+                    idx.remove(&key, oid);
+                    model_remove(&mut model, &key, oid);
+                }
+                KeyOp::Update(i, k) => {
+                    if live.is_empty() { continue; }
+                    let i = i % live.len();
+                    let (oid, old) = live[i].clone();
+                    idx.remove(&old, oid);
+                    model_remove(&mut model, &old, oid);
+                    idx.insert(Value::Int4(k), oid);
+                    model.entry(Value::Int4(k)).or_default().push(oid);
+                    live[i].1 = Value::Int4(k);
+                }
+                KeyOp::RemoveAbsent(k) => idx.remove(&Value::Int4(k), Oid(u64::MAX)),
+            }
+            for k in -1i32..7 {
+                let key = Value::Int4(k);
+                prop_assert_eq!(idx.lookup(&key), model.get(&key).map_or(&[][..], Vec::as_slice));
+                let (lo, hi) = (Value::Int4(k), Value::Int4(k + 2));
+                let ranged: Vec<Oid> = model.range(lo.clone()..=hi.clone()).flat_map(|(_, o)| o.clone()).collect();
+                prop_assert_eq!(idx.range(Some(&lo), Some(&hi)), ranged);
+            }
+            prop_assert_eq!(idx.range(None, None), model.values().flatten().copied().collect::<Vec<_>>());
+            let asc: Vec<Oid> = model.values().flatten().copied().collect();
+            let desc: Vec<Oid> = model.values().rev().flatten().copied().collect();
+            prop_assert_eq!(idx.sorted_oids(false).collect::<Vec<_>>(), asc);
+            prop_assert_eq!(idx.sorted_oids(true).collect::<Vec<_>>(), desc);
+            prop_assert_eq!(idx.distinct_keys(), model.len());
+            prop_assert_eq!(idx.len(), live.len());
+            prop_assert_eq!(idx.is_empty(), live.is_empty());
+            prop_assert_eq!(idx.min_key(), model.keys().next());
+            prop_assert_eq!(idx.max_key(), model.keys().next_back());
+        }
     }
 
     /// The serde-skipped index maps, grid cells and statistics all
