@@ -14,6 +14,7 @@ use crate::schema::{ClassDef, Concept, ProcessDef};
 use crate::task::Task;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The catalog body.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -24,8 +25,11 @@ pub struct Catalog {
     pub concepts: BTreeMap<ConceptId, Concept>,
     /// Processes.
     pub processes: BTreeMap<ProcessId, ProcessDef>,
-    /// Tasks (append-only).
-    pub tasks: BTreeMap<TaskId, Task>,
+    /// Tasks (append-only), each behind an `Arc`: the task log is the
+    /// catalog's fastest-growing map, and a read view's catalog copy then
+    /// copies pointers instead of every task's input, version and
+    /// parameter maps. `Arc<Task>` serializes as `Task`.
+    pub tasks: BTreeMap<TaskId, Arc<Task>>,
     /// Experiments.
     pub experiments: BTreeMap<ExperimentId, Experiment>,
     /// Object directory: which class each stored object belongs to.
@@ -123,14 +127,14 @@ impl Catalog {
             .entry(task.process)
             .or_default()
             .push(task.id);
-        self.tasks.insert(task.id, task);
+        self.tasks.insert(task.id, Arc::new(task));
     }
 
     /// Remove a task record — compound compensation's inverse of
     /// [`Catalog::add_task`]: unlink it from the indexes and wind the
     /// logical clock back to its seq (compensation removes only the newest
     /// tasks). Returns the removed task.
-    pub fn remove_task(&mut self, id: TaskId) -> Option<Task> {
+    pub fn remove_task(&mut self, id: TaskId) -> Option<Arc<Task>> {
         let task = self.tasks.remove(&id)?;
         self.next_seq = self.next_seq.min(task.seq);
         for out in &task.outputs {
@@ -177,6 +181,7 @@ impl Catalog {
             .into_iter()
             .flatten()
             .filter_map(|id| self.tasks.get(id))
+            .map(Arc::as_ref)
     }
 
     /// Class by id.
@@ -265,10 +270,13 @@ impl Catalog {
 
     /// Task by id.
     pub fn task(&self, id: TaskId) -> KernelResult<&Task> {
-        self.tasks.get(&id).ok_or(KernelError::NoSuchId {
-            kind: "task",
-            id: id.raw(),
-        })
+        self.tasks
+            .get(&id)
+            .map(Arc::as_ref)
+            .ok_or(KernelError::NoSuchId {
+                kind: "task",
+                id: id.raw(),
+            })
     }
 
     /// Owning class of a stored object.
@@ -286,7 +294,10 @@ impl Catalog {
     /// have none). O(log n) through the producer index — staleness
     /// classification calls this once per ancestor on hot query paths.
     pub fn producing_task(&self, obj: ObjectId) -> Option<&Task> {
-        self.produced_by.get(&obj).and_then(|id| self.tasks.get(id))
+        self.produced_by
+            .get(&obj)
+            .and_then(|id| self.tasks.get(id))
+            .map(Arc::as_ref)
     }
 
     /// All member classes of a concept, including those inherited from

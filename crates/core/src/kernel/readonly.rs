@@ -138,17 +138,27 @@ impl ReadView {
 }
 
 impl super::Gaea {
-    /// Pin a [`ReadView`] of the current committed state: a deep copy of
-    /// the store (data + counters), the catalog, and the job board, all
-    /// frozen at this instant. Taken through `&self`, so the exclusive
-    /// borrow discipline guarantees the copy never observes a
-    /// half-applied mutation.
-    ///
-    /// Cost is one deep copy per call — cache the view per clock value
-    /// ([`super::session::SharedKernel`] does) and re-pin only after
-    /// [`super::Gaea::store_clock`] moves.
+    /// Pin a [`ReadView`] of the current committed state from scratch:
+    /// [`super::Gaea::read_view_since`] with no previous view.
     pub fn read_view(&self) -> ReadView {
-        ReadView::new(self.db.pin(), self.catalog.clone(), self.job_board())
+        self.read_view_since(None)
+    }
+
+    /// Pin a [`ReadView`] of the current committed state: the store
+    /// (data + counters), the catalog, and the job board, all frozen at
+    /// this instant. Taken through `&self`, so the exclusive borrow
+    /// discipline guarantees the copy never observes a half-applied
+    /// mutation.
+    ///
+    /// One call copies the relations written since `prev` was pinned
+    /// (all of them without `prev`) and shares `prev`'s copy of every
+    /// other one ([`gaea_store::Database::pin_since`]), plus one version
+    /// map and the catalog's maps, whose tasks are held by pointer. Cache
+    /// the view per clock value ([`super::session::SharedKernel`] does)
+    /// and re-pin from it only after [`super::Gaea::store_clock`] moves.
+    pub fn read_view_since(&self, prev: Option<&ReadView>) -> ReadView {
+        let store = self.db.pin_since(prev.map(ReadView::store));
+        ReadView::new(store, self.catalog.clone(), self.job_board())
     }
 
     /// The store's logical commit clock; advances with every mutation.

@@ -18,8 +18,13 @@
 //! sees a stale cached view sets `refresh_wanted` and is served the
 //! cached — still fully consistent — state). Publication happens on the
 //! writer's thread under the kernel lock, so a published view is always
-//! a committed prefix: readers get snapshot isolation, writers pay the
-//! copy, and an idle kernel publishes nothing.
+//! a committed prefix: readers get snapshot isolation, and an idle kernel
+//! publishes nothing. A publish builds from the cached view
+//! ([`Gaea::read_view_since`]): it copies only the relations written
+//! since that view, one version map and the catalog's maps (tasks by
+//! pointer), and shares the cached view's copy of every other relation.
+//! It never shares the live relations, so the next write stays
+//! copy-free.
 //!
 //! Panic policy mirrors the repo's poison-absorbing locks: a statement
 //! that panics inside `exec` is caught, the locks are released clean
@@ -126,14 +131,20 @@ impl SharedKernel {
         let live = g.store_clock();
         self.clock.store(live, Ordering::Release);
         let wanted = self.refresh_wanted.swap(false, Ordering::AcqRel);
-        let view_stale = {
+        let cached = {
             let guard = self.view.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.clock() < live
+            Arc::clone(&guard)
         };
-        if view_stale && wanted {
-            let fresh = Arc::new(g.read_view());
+        if cached.clock() < live && wanted {
+            let fresh = g.read_view_since(Some(&cached));
+            let m = gaea_obs::metrics();
+            let copied = fresh.store().relations_copied();
+            let total = fresh.store().relation_names().len();
+            m.kernel_publishes.inc();
+            m.kernel_publish_rels_copied.add(copied as u64);
+            m.kernel_publish_rels_shared.add((total - copied) as u64);
             let mut guard = self.view.lock().unwrap_or_else(PoisonError::into_inner);
-            *guard = fresh;
+            *guard = Arc::new(fresh);
         }
     }
 
@@ -227,6 +238,29 @@ mod tests {
         let after = k.pin();
         assert_eq!(after.clock(), before.clock());
         assert_eq!(after.query(&q_obs()).unwrap().objects.len(), 1);
+    }
+
+    #[test]
+    fn a_publish_copies_the_written_relation_and_shares_the_other() {
+        let k = shared();
+        k.exec(|g| {
+            g.define_class(ClassSpec::base("site").attr("n", gaea_adt::TypeTag::Int4))
+                .unwrap();
+            g.insert_object("site", vec![("n", Value::Int4(1))])
+                .unwrap()
+        });
+        let before = k.pin();
+        assert_eq!(before.store().relation_names().len(), 2);
+        k.exec(|g| g.insert_object("obs", vec![("v", Value::Int4(2))]).unwrap());
+        let after = k.pin();
+        assert_eq!(after.store().relations_copied(), 1);
+        let rel = |view: &ReadView, class: &str| {
+            let name = view.catalog().class_by_name(class).unwrap().relation_name();
+            view.store().relation(&name).unwrap() as *const _
+        };
+        assert!(std::ptr::eq(rel(&before, "site"), rel(&after, "site")));
+        assert!(!std::ptr::eq(rel(&before, "obs"), rel(&after, "obs")));
+        assert_eq!(after.query(&q_obs()).unwrap().objects.len(), 2);
     }
 
     #[test]

@@ -238,6 +238,13 @@ pub struct MetricsRegistry {
     pub kernel_execs: Counter,
     /// Snapshot pins served to readers (`SharedKernel::pin`).
     pub kernel_pins: Counter,
+    /// Read views published (`SharedKernel::publish_if_wanted`).
+    pub kernel_publishes: Counter,
+    /// Relations deep-copied by those publishes (written since the
+    /// previous view).
+    pub kernel_publish_rels_copied: Counter,
+    /// Relations those publishes shared with the previous view.
+    pub kernel_publish_rels_shared: Counter,
 
     // ---- durability / recovery (gauges refreshed at every checkpoint) ----
     pub recovery_events_replayed: Gauge,
@@ -319,6 +326,9 @@ impl MetricsRegistry {
             jobs_queue_depth: Gauge::new(),
             kernel_execs: Counter::new(),
             kernel_pins: Counter::new(),
+            kernel_publishes: Counter::new(),
+            kernel_publish_rels_copied: Counter::new(),
+            kernel_publish_rels_shared: Counter::new(),
             recovery_events_replayed: Gauge::new(),
             recovery_jobs_restaged: Gauge::new(),
             recovery_snapshot_seq: Gauge::new(),
@@ -383,6 +393,15 @@ impl MetricsRegistry {
 
         c("kernel_execs", self.kernel_execs.get());
         c("kernel_pins", self.kernel_pins.get());
+        c("kernel_publishes", self.kernel_publishes.get());
+        c(
+            "kernel_publish_rels_copied",
+            self.kernel_publish_rels_copied.get(),
+        );
+        c(
+            "kernel_publish_rels_shared",
+            self.kernel_publish_rels_shared.get(),
+        );
 
         c(
             "recovery_events_replayed",

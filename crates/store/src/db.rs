@@ -13,6 +13,17 @@ use crate::txn::Txn;
 use crate::version::{Savepoint, StoreSnapshot, VersionMap};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Process-wide source of relation stamps. Process-wide rather than
+/// per-database, so a relation dropped and re-created under the same
+/// name can never carry a stamp an older view already holds.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
 
 /// One typed relation: schema + heap + eagerly maintained indexes,
 /// spatial grids, and optimizer statistics.
@@ -25,6 +36,12 @@ pub struct Relation {
     grids: Vec<GridIndex>,
     #[serde(default)]
     stats: TableStats,
+    /// Identity of this exact content: redrawn on every mutable borrow
+    /// through the owning [`Database`], kept by `clone`. A pinned copy
+    /// whose stamp equals the live relation's holds the same data, so
+    /// the next pin shares it instead of copying again.
+    #[serde(skip)]
+    stamp: u64,
 }
 
 impl Relation {
@@ -36,6 +53,7 @@ impl Relation {
             indexes: Vec::new(),
             grids: Vec::new(),
             stats: TableStats::default(),
+            stamp: fresh_stamp(),
         }
     }
 
@@ -295,8 +313,9 @@ impl Relation {
     }
 
     /// Rebuild heap OID map, all indexes, grids, and stats (after
-    /// snapshot load).
+    /// snapshot load), under a fresh stamp.
     pub(crate) fn rebuild(&mut self) {
+        self.stamp = fresh_stamp();
         self.heap.rebuild_index();
         let columns: Vec<usize> = self.indexes.iter().map(|i| i.column).collect();
         self.indexes.clear();
@@ -324,9 +343,14 @@ impl Relation {
 
 /// The embedded database: named relations + a shared OID allocator +
 /// MVCC version counters ([`VersionMap`]) stamped on every mutation.
+///
+/// Each relation sits behind its own `Arc` so a pinned view can share
+/// the copies it did not need to redo. A live database never shares its
+/// own `Arc`s — every view and capture holds copies — so each stays
+/// unique and [`Arc::make_mut`] on the write path never copies.
 #[derive(Debug)]
 pub struct Database {
-    relations: BTreeMap<String, Relation>,
+    relations: BTreeMap<String, Arc<Relation>>,
     allocator: OidAllocator,
     versions: VersionMap,
 }
@@ -346,7 +370,8 @@ impl Database {
         if self.relations.contains_key(name) {
             return Err(StoreError::DuplicateRelation(name.into()));
         }
-        self.relations.insert(name.into(), Relation::new(schema));
+        self.relations
+            .insert(name.into(), Arc::new(Relation::new(schema)));
         Ok(())
     }
 
@@ -366,14 +391,20 @@ impl Database {
     pub fn relation(&self, name: &str) -> StoreResult<&Relation> {
         self.relations
             .get(name)
+            .map(Arc::as_ref)
             .ok_or_else(|| StoreError::NoSuchRelation(name.into()))
     }
 
-    /// Mutably borrow a relation.
+    /// Mutably borrow a relation. The borrow redraws its stamp, so the
+    /// next pin copies it afresh rather than sharing a stale copy.
     pub fn relation_mut(&mut self, name: &str) -> StoreResult<&mut Relation> {
-        self.relations
+        let rel = self
+            .relations
             .get_mut(name)
-            .ok_or_else(|| StoreError::NoSuchRelation(name.into()))
+            .ok_or_else(|| StoreError::NoSuchRelation(name.into()))?;
+        let rel = Arc::make_mut(rel);
+        rel.stamp = fresh_stamp();
+        Ok(rel)
     }
 
     /// Relation names in order.
@@ -522,37 +553,68 @@ impl Database {
         next_oid: u64,
         versions: VersionMap,
     ) -> Database {
-        let mut db = Database {
+        let relations = relations
+            .into_iter()
+            .map(|(name, mut rel)| {
+                rel.rebuild();
+                (name, Arc::new(rel))
+            })
+            .collect();
+        Database {
             relations,
             allocator: OidAllocator::resume_after(next_oid.saturating_sub(1)),
             versions,
-        };
-        for rel in db.relations.values_mut() {
-            rel.rebuild();
         }
-        db
     }
 
-    /// Pin a snapshot-isolated read view: an immutable deep copy of every
+    /// Pin a snapshot-isolated read view from scratch: [`Database::pin_since`]
+    /// with no previous view, so every relation is copied.
+    pub fn pin(&self) -> crate::view::PinnedStore {
+        self.pin_since(None)
+    }
+
+    /// Pin a snapshot-isolated read view: an immutable copy of every
     /// relation plus the version counters frozen at the same instant
     /// ([`crate::view::PinnedStore`]). Taken through `&self` under the
     /// owner's borrow discipline, so the copy is of one committed state,
     /// never a half-applied mutation.
     ///
-    /// One pin copies each relation's heap tuples, its ordered indexes'
-    /// key maps (a key held by one tuple stores its OID inline) and its
-    /// grids' flat cell sets, plus one [`VersionMap`] — the view reads
-    /// its clock from that copy, so nothing is copied twice.
-    pub fn pin(&self) -> crate::view::PinnedStore {
-        crate::view::PinnedStore::new(Database {
-            relations: self.relations.clone(),
+    /// A relation not written since `prev` was pinned (its stamp still
+    /// equals `prev`'s copy) shares that copy's `Arc`. Every other
+    /// relation — written since, or new — is deep-copied: its heap
+    /// tuples, its ordered indexes' key maps and its grids' flat cell
+    /// sets. The view also gets one [`VersionMap`], which it reads its
+    /// clock from. The view never shares a live `Arc`: sharing one would
+    /// make the next write through [`Arc::make_mut`] pay the copy.
+    pub fn pin_since(&self, prev: Option<&crate::view::PinnedStore>) -> crate::view::PinnedStore {
+        let mut copied = 0;
+        let relations = self
+            .relations
+            .iter()
+            .map(|(name, live)| {
+                let shared = prev
+                    .and_then(|p| p.db().relations.get(name))
+                    .filter(|old| old.stamp == live.stamp);
+                let rel = match shared {
+                    Some(old) => Arc::clone(old),
+                    None => {
+                        copied += 1;
+                        Arc::new(Relation::clone(live))
+                    }
+                };
+                (name.clone(), rel)
+            })
+            .collect();
+        let db = Database {
+            relations,
             allocator: OidAllocator::resume_after(self.allocator.peek().saturating_sub(1)),
             versions: self.versions.clone(),
-        })
+        };
+        crate::view::PinnedStore::new(db, copied)
     }
 
     /// Snapshot parts (relation map).
-    pub(crate) fn relations(&self) -> &BTreeMap<String, Relation> {
+    pub(crate) fn relations(&self) -> &BTreeMap<String, Arc<Relation>> {
         &self.relations
     }
 
@@ -830,6 +892,78 @@ mod tests {
             .unwrap()
             .retune_grid(5, 8.0)
             .is_err());
+    }
+
+    /// Every live relation's `Arc` is held by the live map alone, so the
+    /// next write's `Arc::make_mut` never copies.
+    fn assert_live_unique(db: &Database) {
+        for (name, rel) in &db.relations {
+            assert_eq!(Arc::strong_count(rel), 1, "live {name} is shared");
+        }
+    }
+
+    #[test]
+    fn a_pin_shares_only_unwritten_relations_and_never_a_live_one() {
+        let mut db = db_with_rel();
+        db.create_relation(
+            "sites",
+            Schema::new(vec![Field::required("n", TypeTag::Int4)]).unwrap(),
+        )
+        .unwrap();
+        db.insert("landcover", t("africa", 1)).unwrap();
+        db.insert("sites", Tuple::new(vec![Value::Int4(7)]))
+            .unwrap();
+        let first = db.pin();
+        assert_eq!(first.relations_copied(), 2);
+        assert_live_unique(&db);
+
+        db.insert("landcover", t("asia", 2)).unwrap();
+        let second = db.pin_since(Some(&first));
+        assert_eq!(second.relations_copied(), 1);
+        let (a, b) = (&first.db().relations, &second.db().relations);
+        assert!(Arc::ptr_eq(&a["sites"], &b["sites"]), "unwritten: shared");
+        assert!(!Arc::ptr_eq(&a["landcover"], &b["landcover"]));
+        assert_eq!(first.relation("landcover").unwrap().len(), 1);
+        assert_eq!(second.relation("landcover").unwrap().len(), 2);
+        assert_live_unique(&db);
+
+        // A structural write (no clock tick) still forces a copy.
+        db.relation_mut("sites").unwrap().create_index("n").unwrap();
+        let third = db.pin_since(Some(&second));
+        assert_eq!(third.relations_copied(), 1);
+        assert!(third.relation("sites").unwrap().index_for(0).is_some());
+        assert!(second.relation("sites").unwrap().index_for(0).is_none());
+        assert_live_unique(&db);
+
+        // Nothing written: everything shared.
+        let fourth = db.pin_since(Some(&third));
+        assert_eq!(fourth.relations_copied(), 0);
+
+        let capture = crate::snapshot::capture_with_wal_seq(&db, 0);
+        assert_live_unique(&db);
+        drop(capture);
+        for view in [&first, &second, &third, &fourth] {
+            for (name, rel) in &view.db().relations {
+                assert!(
+                    !Arc::ptr_eq(rel, &db.relations[name]),
+                    "view holds live {name}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_recreated_relation_is_never_shared_with_its_namesake() {
+        // Neither incarnation is written after its creation, so only the
+        // stamp drawn at creation can tell them apart.
+        let mut db = db_with_rel();
+        let before = db.pin();
+        db.drop_relation("landcover").unwrap();
+        let schema = Schema::new(vec![Field::required("n", TypeTag::Int4)]).unwrap();
+        db.create_relation("landcover", schema.clone()).unwrap();
+        let after = db.pin_since(Some(&before));
+        assert_eq!(after.relations_copied(), 1);
+        assert_eq!(after.relation("landcover").unwrap().schema(), &schema);
     }
 
     #[test]

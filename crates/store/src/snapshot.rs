@@ -60,12 +60,19 @@ pub struct Capture {
 }
 
 /// Clone the database state a snapshot at `wal_seq` would persist.
+/// Every relation is deep-copied rather than `Arc`-shared: a capture
+/// outlives the next commits, and a shared live `Arc` would make each of
+/// those writes copy the relation instead.
 pub fn capture_with_wal_seq(db: &Database, wal_seq: u64) -> Capture {
     Capture {
         manifest: Manifest {
             version: SNAPSHOT_VERSION,
             next_oid: db.allocator_peek(),
-            relations: db.relations().clone(),
+            relations: db
+                .relations()
+                .iter()
+                .map(|(name, rel)| (name.clone(), Relation::clone(rel)))
+                .collect(),
             versions: db.versions().clone(),
             wal_seq,
         },

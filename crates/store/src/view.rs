@@ -11,13 +11,15 @@
 //! object and relation versions are the frozen `Database`'s own.
 //!
 //! The copy is taken under the owner's exclusive borrow
-//! ([`crate::db::Database::pin`]), so a view can never observe a
+//! ([`crate::db::Database::pin_since`]), so a view can never observe a
 //! half-applied mutation. Views are plain values: wrap one in an `Arc`
 //! and every concurrent reader shares the same frozen state for free.
-//! Cost is one deep copy per pin — the heaps' tuples, the ordered
-//! indexes' key maps, the grids' cell sets and one `VersionMap` — so
-//! callers amortize by caching the view per clock value and re-pinning
-//! only after the clock moves.
+//! Relations sit behind `Arc`s, and a pin taken from the previous view
+//! copies only the relations written since that view — the heaps'
+//! tuples, the ordered indexes' key maps and the grids' cell sets —
+//! sharing the previous view's copy of every other one, plus one
+//! `VersionMap`. A view never shares the live database's `Arc`s, so the
+//! writer's `Arc::make_mut` never copies.
 
 use crate::db::Database;
 
@@ -29,11 +31,18 @@ use crate::db::Database;
 #[derive(Debug)]
 pub struct PinnedStore {
     db: Database,
+    copied: usize,
 }
 
 impl PinnedStore {
-    pub(crate) fn new(db: Database) -> PinnedStore {
-        PinnedStore { db }
+    pub(crate) fn new(db: Database, copied: usize) -> PinnedStore {
+        PinnedStore { db, copied }
+    }
+
+    /// How many relations this pin deep-copied; it shares every other
+    /// one with the previous view it was pinned from.
+    pub fn relations_copied(&self) -> usize {
+        self.copied
     }
 
     /// The logical-clock value this view was pinned at.

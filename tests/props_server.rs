@@ -11,9 +11,11 @@
 
 use gaea::adt::{AbsTime, GeoBox, TypeTag, Value};
 use gaea::core::external::SimulatedSite;
-use gaea::core::kernel::{ClassSpec, Gaea, ProcessSpec, ReadView, SharedKernel};
+use gaea::core::kernel::{
+    ClassSpec, Gaea, ProcessSpec, ReadView, SharedKernel, AUTO_INDEX_THRESHOLD,
+};
 use gaea::core::template::{Expr, Mapping, Template};
-use gaea::core::{KernelError, ObjectId, Query, QueryOutcome, QueryStrategy};
+use gaea::core::{AttrCmp, AttrPred, KernelError, ObjectId, Query, QueryOutcome, QueryStrategy};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{channel, Sender};
@@ -212,6 +214,12 @@ enum Step {
     Update(usize, i32),
     /// Fire `COPY` on an existing `obs` object, deriving a `dbl`.
     Fire(usize),
+    /// Delete an existing `obs` object (its `dbl`s go stale).
+    Delete(usize),
+    /// A live `RETRIEVE * FROM obs WHERE v = k` on the commit path: over
+    /// [`AUTO_INDEX_THRESHOLD`] rows its plan stage creates an index on
+    /// `v` — a structural write that ticks no clock.
+    Retrieve(i32),
     /// Pin a view here and remember what it must keep answering.
     Pin,
 }
@@ -221,6 +229,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         4 => any::<i32>().prop_map(Step::Insert),
         2 => ((0usize..64), any::<i32>()).prop_map(|(i, v)| Step::Update(i, v)),
         2 => (0usize..64).prop_map(Step::Fire),
+        1 => (0usize..64).prop_map(Step::Delete),
+        1 => (0i32..8).prop_map(Step::Retrieve),
         3 => Just(Step::Pin),
     ]
 }
@@ -240,13 +250,20 @@ proptest! {
     /// Sequential interleaving: every view pinned mid-stream still
     /// answers exactly the committed prefix it was pinned at — object
     /// counts and the stale set — after the writer stream has moved
-    /// arbitrarily far past it.
+    /// arbitrarily far past it. Each pin is published from the previous
+    /// view, so it must also answer what a view pinned from scratch at
+    /// the same instant answers.
     #[test]
     fn pinned_views_answer_their_committed_prefix_forever(
         steps in proptest::collection::vec(step_strategy(), 1..40)
     ) {
-        let shared = SharedKernel::new(kernel());
-        let mut live_obs: Vec<ObjectId> = Vec::new();
+        // Seed `obs` past the auto-index threshold so a live `Retrieve`
+        // step creates its index.
+        let mut g = kernel();
+        let mut live_obs: Vec<ObjectId> = (0..AUTO_INDEX_THRESHOLD as i32)
+            .map(|i| g.insert_object("obs", vec![("v", Value::Int4(i % 8))]).unwrap())
+            .collect();
+        let shared = SharedKernel::new(g);
         let mut expectations: Vec<Expectation> = Vec::new();
 
         for step in &steps {
@@ -273,8 +290,32 @@ proptest! {
                         });
                     }
                 }
+                Step::Delete(i) => {
+                    if !live_obs.is_empty() {
+                        let oid = live_obs.remove(i % live_obs.len());
+                        shared.exec(|g| g.delete_object(oid).unwrap());
+                    }
+                }
+                Step::Retrieve(k) => {
+                    let mut live = q("obs");
+                    live.attr_preds.push(AttrPred::new("v", AttrCmp::Eq, Value::Int4(*k)));
+                    shared.exec(|g| g.query(&live).map(|o| o.objects.len()).ok());
+                }
                 Step::Pin => {
                     let view = shared.pin();
+                    let scratch = shared.exec(|g| g.read_view());
+                    prop_assert_eq!(view.clock(), scratch.clock());
+                    for class in ["obs", "dbl"] {
+                        let mut point = q(class);
+                        point.attr_preds.push(AttrPred::new("v", AttrCmp::Eq, Value::Int4(3)));
+                        for query in [q(class), point] {
+                            prop_assert_eq!(
+                                comparable(view.query(&query)),
+                                comparable(scratch.query(&query)),
+                                "incremental vs from-scratch view"
+                            );
+                        }
+                    }
                     // The ground truth at this commit point, read off the
                     // fresh pin itself *and* cross-checked against the
                     // serialized kernel (same instant, no writer racing).

@@ -1,13 +1,14 @@
 //! Property-based tests on the storage substrate: CRUD model checking,
-//! transaction rollback exactness, index/scan agreement, and the grid
-//! and ordered index against plain reference models.
+//! transaction rollback exactness, index/scan agreement, the grid and
+//! ordered index against plain reference models, and incremental pins
+//! against from-scratch pins.
 
 use gaea::adt::{GeoBox, TypeTag, Value};
 use gaea::store::grid::OVERSIZE_CELLS;
 use gaea::store::index::OrderedIndex;
-use gaea::store::{Database, Field, GridIndex, Oid, Predicate, Schema, Tuple};
+use gaea::store::{Database, Field, GridIndex, Oid, PinnedStore, Predicate, Schema, Tuple};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -584,5 +585,168 @@ proptest! {
         let fresh = back.insert("objects", tuple(0)).unwrap();
         prop_assert!(!oids.contains(&fresh), "OID reuse after snapshot");
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The relations of the incremental-pin property.
+const PIN_RELS: [&str; 3] = ["r0", "r1", "r2"];
+
+fn pin_schema() -> Schema {
+    Schema::new(vec![
+        Field::required("v", TypeTag::Int4),
+        Field::required("ext", TypeTag::GeoBox),
+    ])
+    .unwrap()
+}
+
+fn pin_tuple(v: i32, x: f64) -> Tuple {
+    Tuple::new(vec![
+        Value::Int4(v),
+        Value::GeoBox(GeoBox::new(x, x, x + 5.0, x + 5.0)),
+    ])
+}
+
+/// One step of the incremental-pin property: a write to relation
+/// `PIN_RELS[rel % 3]`, or a pin from the previous view.
+#[derive(Debug, Clone)]
+enum PinOp {
+    Insert(usize, i32, f64),
+    Update(usize, usize, i32, f64),
+    Delete(usize, usize),
+    CreateIndex(usize),
+    CreateGrid(usize, f64),
+    RetuneGrid(usize, f64),
+    DropRecreate(usize),
+    Pin,
+}
+
+fn pin_op_strategy() -> impl Strategy<Value = PinOp> {
+    let v = 0i32..6;
+    let x = -40.0f64..40.0;
+    let cell = 2.0f64..20.0;
+    prop_oneof![
+        4 => (0usize..3, v.clone(), x.clone()).prop_map(|(r, v, x)| PinOp::Insert(r, v, x)),
+        2 => (0usize..3, 0usize..32, v, x).prop_map(|(r, i, v, x)| PinOp::Update(r, i, v, x)),
+        2 => (0usize..3, 0usize..32).prop_map(|(r, i)| PinOp::Delete(r, i)),
+        1 => (0usize..3).prop_map(PinOp::CreateIndex),
+        1 => (0usize..3, cell.clone()).prop_map(|(r, c)| PinOp::CreateGrid(r, c)),
+        1 => (0usize..3, cell).prop_map(|(r, c)| PinOp::RetuneGrid(r, c)),
+        1 => (0usize..3).prop_map(PinOp::DropRecreate),
+        3 => Just(PinOp::Pin),
+    ]
+}
+
+/// Everything a reader can ask a pinned store, rendered comparable:
+/// per relation its scan, point gets, index lookups and grid probes
+/// (errors included — a view without the index must say so), plus every
+/// object version, relation version and the clock.
+fn pin_answers(view: &PinnedStore, oids: &[Oid]) -> Vec<String> {
+    let mut out = vec![format!("clock {}", view.clock())];
+    let windows = [
+        GeoBox::new(-50.0, -50.0, 50.0, 50.0),
+        GeoBox::new(-10.0, -10.0, 3.0, 3.0),
+        GeoBox::new(20.0, 20.0, 21.0, 21.0),
+    ];
+    for name in PIN_RELS {
+        out.push(format!("{name} version {}", view.relation_version(name)));
+        let Ok(rel) = view.relation(name) else {
+            out.push(format!("{name} absent"));
+            continue;
+        };
+        out.push(format!("{name} scan {:?}", rel.scan(&Predicate::True)));
+        for &oid in oids {
+            out.push(format!("{name} get {oid:?} {:?}", view.get(name, oid)));
+        }
+        for k in 0..6 {
+            let mut hits = rel.index_lookup("v", &Value::Int4(k));
+            if let Ok(h) = &mut hits {
+                h.sort();
+            }
+            out.push(format!("{name} lookup {k} {hits:?}"));
+        }
+        for w in &windows {
+            out.push(format!("{name} probe {w:?} {:?}", rel.grid_probe("ext", w)));
+        }
+    }
+    for &oid in oids {
+        out.push(format!("object {oid:?} {}", view.object_version(oid)));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A pin taken from the previous view answers exactly what a pin
+    /// from scratch answers, over writes, structural changes (indexes,
+    /// grids, retunes) and drop + re-create of the same name; it copies
+    /// exactly the relations written since the previous pin; and every
+    /// earlier view stays frozen at its own instant.
+    #[test]
+    fn incremental_pins_equal_fresh_pins_and_stay_frozen(
+        ops in prop::collection::vec(pin_op_strategy(), 1..64)
+    ) {
+        let mut db = Database::new();
+        let mut live: Vec<Vec<Oid>> = vec![Vec::new(); PIN_RELS.len()];
+        for name in PIN_RELS {
+            db.create_relation(name, pin_schema()).unwrap();
+        }
+        let mut oids: Vec<Oid> = Vec::new();
+        let mut written: BTreeSet<usize> = (0..PIN_RELS.len()).collect();
+        let mut views: Vec<(PinnedStore, Vec<Oid>, Vec<String>)> = Vec::new();
+        for op in &ops {
+            match *op {
+                PinOp::Insert(r, v, x) => {
+                    let oid = db.insert(PIN_RELS[r], pin_tuple(v, x)).unwrap();
+                    live[r].push(oid);
+                    oids.push(oid);
+                    written.insert(r);
+                }
+                PinOp::Update(r, i, v, x) => {
+                    if live[r].is_empty() { continue; }
+                    let oid = live[r][i % live[r].len()];
+                    db.update(PIN_RELS[r], oid, pin_tuple(v, x)).unwrap();
+                    written.insert(r);
+                }
+                PinOp::Delete(r, i) => {
+                    if live[r].is_empty() { continue; }
+                    let at = i % live[r].len();
+                    let oid = live[r].remove(at);
+                    db.delete(PIN_RELS[r], oid).unwrap();
+                    written.insert(r);
+                }
+                PinOp::CreateIndex(r) => {
+                    // A duplicate index is refused, but the borrow was
+                    // still taken: the relation counts as written.
+                    let _ = db.relation_mut(PIN_RELS[r]).unwrap().create_index("v");
+                    written.insert(r);
+                }
+                PinOp::CreateGrid(r, cell) => {
+                    let _ = db.relation_mut(PIN_RELS[r]).unwrap().create_grid("ext", cell);
+                    written.insert(r);
+                }
+                PinOp::RetuneGrid(r, cell) => {
+                    let _ = db.relation_mut(PIN_RELS[r]).unwrap().retune_grid(1, cell);
+                    written.insert(r);
+                }
+                PinOp::DropRecreate(r) => {
+                    db.drop_relation(PIN_RELS[r]).unwrap();
+                    db.create_relation(PIN_RELS[r], pin_schema()).unwrap();
+                    live[r].clear();
+                    written.insert(r);
+                }
+                PinOp::Pin => {
+                    let view = db.pin_since(views.last().map(|(v, _, _)| v));
+                    let answers = pin_answers(&view, &oids);
+                    prop_assert_eq!(&answers, &pin_answers(&db.pin(), &oids));
+                    prop_assert_eq!(view.relations_copied(), written.len());
+                    written.clear();
+                    views.push((view, oids.clone(), answers));
+                }
+            }
+            for (view, at_pin, answers) in &views {
+                prop_assert_eq!(&pin_answers(view, at_pin), answers, "a view moved");
+            }
+        }
     }
 }
