@@ -1,7 +1,8 @@
 //! Cost-based access-path selection for class-extent scans.
 //!
-//! Every step-1 retrieval, planner marking count and bind-stage pool
-//! walk ultimately scans one class extent under a conjunctive predicate.
+//! Every step-1 retrieval and every query's token pool (the planner's
+//! marking and the binder's candidates) scans one class extent under a
+//! conjunctive predicate.
 //! This module is the optimizer between that predicate and the store:
 //! it prices each indexable conjunct against the relation's maintained
 //! [`gaea_store::TableStats`] (equality → rows/distinct, ranges →
@@ -21,9 +22,11 @@
 use super::Gaea;
 use crate::error::KernelResult;
 use crate::event::Event;
+use crate::ids::ObjectId;
+use crate::object::TEMPORAL_ATTR;
 use crate::query::{AccessPath, Query, ScanPlan};
 use crate::schema::ClassDef;
-use gaea_adt::{GeoBox, Value};
+use gaea_adt::{AbsTime, GeoBox, Value};
 use gaea_store::{Oid, Predicate, Relation};
 
 /// Extents smaller than this stay full-scan even for predicate-hot
@@ -180,7 +183,7 @@ fn candidates(rel: &Relation, pred: &Predicate) -> Vec<Candidate> {
 
 /// Plan one relation scan: price every indexable conjunct, drive from
 /// the cheapest, fall back to the heap. Exposed on the relation level so
-/// retrieval, marking counts and bind pools all share it.
+/// retrieval and token pools share it.
 pub(crate) fn plan_relation_scan(rel: &Relation, class: &str, pred: &Predicate) -> PlannedScan {
     let rows = rel.stats().rows;
     let best = candidates(rel, pred)
@@ -241,28 +244,31 @@ pub(crate) fn scan_class(
     Ok((oids, planned.plan))
 }
 
-impl Gaea {
-    /// Count a class extent under a predicate through the planned access
-    /// path — the cardinality primitive behind the planner's marking
-    /// (no tuples are materialized or cloned).
-    pub(crate) fn count_class(&self, def: &ClassDef, pred: &Predicate) -> KernelResult<u64> {
-        let rel = self.db.relation(&def.relation_name())?;
-        let planned = plan_relation_scan(rel, &def.name, pred);
-        match planned.oids {
-            Some(cands) => {
-                let compiled = pred.compile(rel.schema())?;
-                let mut seen = cands;
-                seen.sort_unstable();
-                seen.dedup();
-                Ok(seen
-                    .into_iter()
-                    .filter(|oid| rel.get(*oid).map(|t| compiled.matches(t)).unwrap_or(false))
-                    .count() as u64)
-            }
-            None => Ok(rel.count(pred)?),
-        }
-    }
+/// A stored object and its timestamp: one token of a query's pool.
+pub(crate) type Token = (ObjectId, Option<AbsTime>);
 
+/// [`scan_class`] answering [`Token`]s: each hit's timestamp is read
+/// straight off its tuple, so no `DataObject` is built.
+pub(crate) fn scan_tokens(
+    db: &gaea_store::Database,
+    def: &ClassDef,
+    pred: &Predicate,
+) -> KernelResult<Vec<Token>> {
+    let rel = db.relation(&def.relation_name())?;
+    let ts = rel.schema().position(TEMPORAL_ATTR).ok();
+    let (oids, _plan) = scan_class(db, def, pred)?;
+    oids.into_iter()
+        .map(|oid| {
+            let stamp = match ts {
+                Some(pos) => rel.get(oid)?.get(pos).as_abstime(),
+                None => None,
+            };
+            Ok((ObjectId(oid), stamp))
+        })
+        .collect()
+}
+
+impl Gaea {
     /// Auto-create access paths for a query's predicate-hot attributes
     /// on every large-enough target class: ordered indexes for
     /// equality/range/temporal conjuncts and `ORDER BY`, a uniform grid

@@ -38,7 +38,7 @@
 
 use super::durability::RecordedBindings;
 use super::exec::{prior_derivation, Prior};
-use super::query::dedup_key_for;
+use super::query::{dedup_key_for, derivation_plan, ChosenFiring, TokenPool};
 use super::Gaea;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
@@ -189,32 +189,32 @@ impl Gaea {
     /// * an identical derivation already *in flight* dedups to the
     ///   existing job id;
     /// * a goal whose plan needs several firings is refused (derive the
-    ///   intermediates first; a background job realizes one firing);
+    ///   intermediates first; a background job realizes one firing) —
+    ///   the plan is the one a synchronous derivation would fire, from
+    ///   the same token pool and the same query-instant rule;
     /// * a goal already satisfied by stored objects resolves through its
     ///   producing process — submitting a derivation whose stale prior
     ///   is on record is exactly how a background *refresh* looks.
     pub fn submit_derivation(&mut self, q: &Query) -> KernelResult<JobId> {
         self.pump_jobs();
         let class_names = super::query::resolve(&self.catalog, q)?;
-        let dnet = self.plannable_net(q)?;
-        let marking = self.planning_marking(&dnet, &class_names, q)?;
+        let (dnet, pool) = self.plan_inputs(&class_names, q)?;
         let mut planless: Vec<String> = Vec::new();
         for name in &class_names {
             let def = self.catalog.class_by_name(name)?.clone();
-            let plan = self.derivation_plan(&dnet, &marking, &def)?;
-            let pid = match plan {
-                Some(p) if p.cost() == 1 => {
+            let pid = match derivation_plan(&dnet, &pool, &def) {
+                Ok(p) if p.cost() == 1 => {
                     let (tid, _) = p.firings[0];
                     dnet.process_at(tid)
                         .expect("planner only uses catalog transitions")
                 }
-                Some(p) if p.cost() == 0 => {
+                Ok(p) if p.cost() == 0 => {
                     // The goal is already satisfied by stored objects; a
                     // submission then means "fire (or refresh) the goal's
                     // derivation anyway" — resolve its producer directly.
                     self.goal_producer(&dnet, &def, q)?
                 }
-                Some(p) => {
+                Ok(p) => {
                     return Err(KernelError::Schema(format!(
                         "submit_derivation: deriving class {name} needs {} firings; \
                          a background job realizes a single goal firing — derive or \
@@ -222,12 +222,12 @@ impl Gaea {
                         p.cost()
                     )))
                 }
-                None => {
+                Err(_) => {
                     planless.push(name.clone());
                     continue;
                 }
             };
-            return self.submit_firing(pid, q);
+            return self.submit_firing(pid, q, &pool);
         }
         Err(KernelError::DerivationImpossible(format!(
             "no derivation plan reaches {planless:?} from the stored base data"
@@ -267,10 +267,15 @@ impl Gaea {
         }
     }
 
-    /// Bind and stage one firing of `pid` for background execution.
-    fn submit_firing(&mut self, pid: ProcessId, q: &Query) -> KernelResult<JobId> {
-        use super::query::ChosenFiring;
-        match self.choose_or_fire(pid, q, &BTreeSet::new())? {
+    /// Bind one firing of `pid` from the query's token pool and stage it
+    /// for background execution.
+    fn submit_firing(
+        &mut self,
+        pid: ProcessId,
+        q: &Query,
+        pool: &TokenPool,
+    ) -> KernelResult<JobId> {
+        match self.choose_or_fire(pid, q, pool, &BTreeSet::new())? {
             // The identical derivation is already in flight: duplicate
             // submissions dedup to one job.
             ChosenFiring::Pending(job) => Ok(job),

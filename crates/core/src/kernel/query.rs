@@ -28,12 +28,18 @@
 //! Step 2 interpolates between bracketing snapshots when the query pins
 //! an instant; step 3 derives:
 //!
-//! * **plan** — `Gaea::derivation_plan` builds the filtered Petri-net
-//!   view of the catalog and backward-chains from the goal class to a
-//!   firing plan;
-//! * **bind** — `Gaea::binding_candidates` enumerates admissible input
-//!   selections per argument (co-temporal `SETOF` groups first, exact
-//!   query-instant matches preferred);
+//! * **plan** — `Gaea::plan_inputs` builds the filtered Petri-net view
+//!   of the catalog and the query's one `TokenPool`: every class's
+//!   objects inside the spatial window, with their timestamps, from one
+//!   scan per class. `derivation_plan` backward-chains from the goal
+//!   class over the pool's marking — when the query pins an instant,
+//!   first with temporal classes counted only at that instant, then over
+//!   the whole window;
+//! * **bind** — `Gaea::binding_candidates` draws each argument's
+//!   candidates from the same pool, ranked by the same instant (exact
+//!   query-instant matches first, co-temporal `SETOF` groups first); no
+//!   object is loaded, and outputs an earlier wave committed join the
+//!   pool (`TokenPool::admit`);
 //! * **fire** — `Gaea::fire_plan` levels the plan's firings into
 //!   dependency waves and runs every wave as choose → prepare → commit:
 //!   `Gaea::choose_or_fire` walks the bounded candidate product, reusing
@@ -55,7 +61,7 @@
 //! re-fires stale step-1 hits instead of serving flagged history, and the
 //! projection prunes returned attributes after every stage has run.
 
-use super::access::scan_class;
+use super::access::{scan_class, scan_tokens, Token};
 use super::exec::{count_reuse, prior_derivation, Prior};
 use super::jobs::{pending_jobs_for, JobId};
 use super::Gaea;
@@ -73,8 +79,8 @@ use crate::query::{
 use crate::schema::{ClassDef, ProcessArg, ProcessDef, ProcessKind};
 use crate::task::TaskKind;
 use crate::template::Template;
-use gaea_adt::{AbsTime, Value};
-use gaea_petri::backward::plan_derivation;
+use gaea_adt::{AbsTime, GeoBox, Value};
+use gaea_petri::{plan_derivation, DerivationPlan, Marking, PlanFailure};
 use gaea_sched::{DepGraph, NodeId};
 use gaea_store::{Database, Oid, Predicate};
 use std::collections::{BTreeMap, BTreeSet};
@@ -93,6 +99,135 @@ pub(crate) enum ChosenFiring {
     /// [`KernelError::DerivationPending`]; a duplicate submission
     /// dedups to the id.
     Pending(JobId),
+}
+
+/// One query's token pool (§2.1.6: "tokens in every place represent the
+/// data objects needed for the instantiation of a process"): every
+/// class's stored objects inside the query's spatial window, with their
+/// timestamps, from one scan per class. The plan stage counts its
+/// markings and the bind stage draws every argument's candidates from
+/// it, so the planner and the binder see the same tokens.
+pub(crate) struct TokenPool {
+    /// Window tokens per class, in OID order.
+    tokens: BTreeMap<ClassId, Vec<Token>>,
+    /// The marking with temporal classes counted only at the query's
+    /// instant; `None` unless the query pins one.
+    at_instant: Option<Marking>,
+    /// The marking over the whole window.
+    window: Marking,
+    /// The query's spatial window.
+    spatial: Option<GeoBox>,
+}
+
+impl TokenPool {
+    /// Scan every class once under the query's window. A *target* class
+    /// counts toward the markings only through a second scan under the
+    /// full query predicate: an object at the wrong instant does not satisfy the goal, so it
+    /// must not make the planner believe the goal is already stored.
+    /// Every other temporal class counts, at a pinned instant, only its
+    /// tokens stamped with that instant.
+    pub(crate) fn scan(
+        db: &Database,
+        catalog: &Catalog,
+        dnet: &DerivationNet,
+        targets: &[String],
+        q: &Query,
+    ) -> KernelResult<TokenPool> {
+        let at = match q.time {
+            Some(TimeSel::At(t)) => Some(t),
+            _ => None,
+        };
+        let mut tokens = BTreeMap::new();
+        let (mut window, mut instant) = (BTreeMap::new(), BTreeMap::new());
+        for (cid, def) in &catalog.classes {
+            let pool = scan_tokens(db, def, &window_predicate(def, q.spatial))?;
+            let all = pool.len() as u64;
+            let (in_window, at_instant) = if targets.contains(&def.name) {
+                let goal = scan_class(db, def, &retrieval_predicate(def, q))?.0.len() as u64;
+                (goal, goal)
+            } else if let (Some(t), true) = (at, def.has_temporal) {
+                (
+                    all,
+                    pool.iter().filter(|(_, ts)| *ts == Some(t)).count() as u64,
+                )
+            } else {
+                (all, all)
+            };
+            window.insert(*cid, in_window);
+            instant.insert(*cid, at_instant);
+            tokens.insert(*cid, pool);
+        }
+        Ok(TokenPool {
+            tokens,
+            at_instant: at.map(|_| dnet.marking(&instant)),
+            window: dnet.marking(&window),
+            spatial: q.spatial,
+        })
+    }
+
+    /// The window tokens of one class, in OID order.
+    fn tokens(&self, class: ClassId) -> &[Token] {
+        self.tokens.get(&class).map_or(&[], Vec::as_slice)
+    }
+
+    /// Admit objects a plan just committed: each joins its class's tokens
+    /// if it lies in the window, so a later wave binds it exactly as a
+    /// fresh scan would.
+    pub(crate) fn admit(
+        &mut self,
+        db: &Database,
+        catalog: &Catalog,
+        outputs: &[ObjectId],
+    ) -> KernelResult<()> {
+        for &oid in outputs {
+            let def = catalog.class(catalog.class_of_object(oid)?)?;
+            let rel = db.relation(&def.relation_name())?;
+            let tuple = rel.get(oid.0)?;
+            if !window_predicate(def, self.spatial)
+                .compile(rel.schema())?
+                .matches(tuple)
+            {
+                continue;
+            }
+            let ts = rel.schema().position(TEMPORAL_ATTR).ok();
+            let tokens = self.tokens.entry(def.id).or_default();
+            let at = tokens.partition_point(|(o, _)| *o < oid);
+            tokens.insert(at, (oid, ts.and_then(|p| tuple.get(p).as_abstime())));
+        }
+        Ok(())
+    }
+}
+
+/// Plan stage, part 3: backward-chain from the goal class to a firing
+/// plan over the pool's markings. A query that pins an instant plans
+/// first with temporal classes counted only at that instant — inputs
+/// stored at other instants must not make a plan look fireable whose
+/// bindings then land elsewhere in time — and falls back to the whole
+/// window's counts when that plan fails.
+pub(crate) fn derivation_plan(
+    dnet: &DerivationNet,
+    pool: &TokenPool,
+    goal: &ClassDef,
+) -> Result<DerivationPlan, PlanFailure> {
+    // Every catalog class is a place of the derivation net.
+    let place = dnet.place_of[&goal.id];
+    if let Some(Ok(plan)) = pool
+        .at_instant
+        .as_ref()
+        .map(|instant| plan_derivation(&dnet.net, instant, place, 1))
+    {
+        return Ok(plan);
+    }
+    plan_derivation(&dnet.net, &pool.window, place, 1)
+}
+
+/// The window a query induces on one class: overlap with the query's box
+/// when the class carries a spatial extent.
+fn window_predicate(class: &ClassDef, spatial: Option<GeoBox>) -> Predicate {
+    match spatial {
+        Some(bbox) if class.has_spatial => Predicate::BoxOverlaps(SPATIAL_ATTR.into(), bbox),
+        _ => Predicate::True,
+    }
 }
 
 impl Gaea {
@@ -282,49 +417,43 @@ impl Gaea {
             {
                 continue;
             }
-            // Spatially compatible snapshots with data + timestamps.
+            // Spatially compatible snapshots with data + timestamps, in
+            // OID order; only the bracketing pair is loaded.
             let spatial_query = Query {
                 time: None,
                 ..q.clone()
             };
-            let pred = retrieval_predicate(&def, &spatial_query);
-            let mut snaps: Vec<DataObject> = Vec::new();
-            let (snap_oids, _plan) = scan_class(&self.db, &def, &pred)?;
-            for oid in snap_oids {
-                let obj = self.object(ObjectId(oid))?;
-                if obj.timestamp().is_some() && obj.attr("data").is_some() {
-                    snaps.push(obj);
-                }
-            }
+            let pred =
+                retrieval_predicate(&def, &spatial_query).and(Predicate::NotNull("data".into()));
+            let snaps: Vec<(ObjectId, AbsTime)> = scan_tokens(&self.db, &def, &pred)?
+                .into_iter()
+                .filter_map(|(oid, ts)| Some((oid, ts?)))
+                .collect();
             let earlier = snaps
                 .iter()
-                .filter(|o| o.timestamp().expect("filtered") < t)
-                .max_by_key(|o| o.timestamp().expect("filtered"));
+                .filter(|(_, ts)| *ts < t)
+                .max_by_key(|(_, ts)| *ts);
             let later = snaps
                 .iter()
-                .filter(|o| o.timestamp().expect("filtered") > t)
-                .min_by_key(|o| o.timestamp().expect("filtered"));
-            let (earlier, later) = match (earlier, later) {
-                (Some(e), Some(l)) => (e.clone(), l.clone()),
-                _ => continue,
+                .filter(|(_, ts)| *ts > t)
+                .min_by_key(|(_, ts)| *ts);
+            let (Some(&(earlier, t_earlier)), Some(&(later, t_later))) = (earlier, later) else {
+                continue;
             };
+            let (earlier, later) = (self.object(earlier)?, self.object(later)?);
+            fn image(o: &DataObject) -> KernelResult<&gaea_adt::Image> {
+                o.attr("data")
+                    .and_then(Value::as_image)
+                    .map(|img| &**img)
+                    .ok_or_else(|| {
+                        KernelError::Template("interpolation: data attr is not an image".into())
+                    })
+            }
             let img = gaea_raster::interp::temporal_interp(
-                earlier
-                    .attr("data")
-                    .expect("filtered")
-                    .as_image()
-                    .ok_or_else(|| {
-                        KernelError::Template("interpolation: data attr is not an image".into())
-                    })?,
-                earlier.timestamp().expect("filtered"),
-                later
-                    .attr("data")
-                    .expect("filtered")
-                    .as_image()
-                    .ok_or_else(|| {
-                        KernelError::Template("interpolation: data attr is not an image".into())
-                    })?,
-                later.timestamp().expect("filtered"),
+                image(&earlier)?,
+                t_earlier,
+                image(&later)?,
+                t_later,
                 t,
             )?;
             // New object: the earlier snapshot's attributes, re-timed —
@@ -400,36 +529,33 @@ impl Gaea {
     /// Step 3: derivation — plan over the Petri net, fire the plan,
     /// project the goal class back through retrieval.
     fn try_derive(&mut self, classes: &[String], q: &Query) -> KernelResult<Option<QueryOutcome>> {
-        // Plan stage inputs: the net view and the stored-object marking.
-        let (dnet, marking) = {
+        let (dnet, mut pool) = {
             let _plan = gaea_obs::span("plan");
-            let dnet = self.plannable_net(q)?;
-            let marking = self.planning_marking(&dnet, classes, q)?;
-            (dnet, marking)
+            self.plan_inputs(classes, q)?
         };
         let mut all_tasks = Vec::new();
         for name in classes {
             let def = self.catalog.class_by_name(name)?.clone();
             let plan = {
                 let _plan = gaea_obs::span("plan");
-                match self.derivation_plan(&dnet, &marking, &def)? {
-                    Some(p) => {
+                match derivation_plan(&dnet, &pool, &def) {
+                    Ok(p) => {
                         gaea_obs::note("firings", p.cost().to_string());
                         p
                     }
-                    None if classes.len() == 1 => {
+                    Err(failure) if classes.len() == 1 => {
                         return Err(KernelError::DerivationImpossible(format!(
                             "class {name}: missing base data in {:?}",
-                            self.missing_base_classes(&dnet, &marking, &def)
+                            self.missing_base_classes(&dnet, &failure)
                         )))
                     }
                     // Try the next member class of the concept.
-                    None => continue,
+                    Err(_) => continue,
                 }
             };
             all_tasks.extend({
                 let _fire = gaea_obs::span("fire");
-                self.fire_plan(&dnet, &plan, q)?
+                self.fire_plan(&dnet, &plan, q, &mut pool)?
             });
             // Project: step 1 again over the now-extended extension.
             if let Some(outcome) = {
@@ -473,71 +599,27 @@ impl Gaea {
         }))
     }
 
-    /// Plan stage, part 2: the marking — spatially compatible stored
-    /// objects per class. For the *target* classes the full query
-    /// predicate applies (an object at the wrong instant does not satisfy
-    /// the goal, so it must not make the planner believe the goal is
-    /// already stored).
-    pub(crate) fn planning_marking(
+    /// Plan stage, part 2: the plannable net and the query's token pool
+    /// over it — the inputs [`derivation_plan`] and the binder share, for
+    /// a synchronous derivation and a submitted one alike.
+    pub(crate) fn plan_inputs(
         &self,
-        dnet: &DerivationNet,
         targets: &[String],
         q: &Query,
-    ) -> KernelResult<gaea_petri::marking::Marking> {
-        let mut counts: BTreeMap<ClassId, u64> = BTreeMap::new();
-        for (cid, def) in &self.catalog.classes {
-            let pred = if targets.contains(&def.name) {
-                retrieval_predicate(def, q)
-            } else {
-                match q.spatial {
-                    Some(bbox) if def.has_spatial => {
-                        Predicate::BoxOverlaps(SPATIAL_ATTR.into(), bbox)
-                    }
-                    _ => Predicate::True,
-                }
-            };
-            // Cardinality only: the planned access path counts OIDs
-            // without materializing (or cloning) a single tuple.
-            let n = self.count_class(def, &pred)?;
-            counts.insert(*cid, n);
-        }
-        Ok(dnet.marking(&counts))
-    }
-
-    /// Plan stage, part 3: backward-chain from the goal class to a firing
-    /// plan. `None` means the net cannot reach the goal from the marking.
-    pub(crate) fn derivation_plan(
-        &self,
-        dnet: &DerivationNet,
-        marking: &gaea_petri::marking::Marking,
-        goal: &ClassDef,
-    ) -> KernelResult<Option<gaea_petri::backward::DerivationPlan>> {
-        let place = match dnet.place_of.get(&goal.id) {
-            Some(p) => *p,
-            None => return Ok(None),
-        };
-        Ok(plan_derivation(&dnet.net, marking, place, 1).ok())
+    ) -> KernelResult<(DerivationNet, TokenPool)> {
+        let dnet = self.plannable_net(q)?;
+        let pool = TokenPool::scan(&self.db, &self.catalog, &dnet, targets, q)?;
+        Ok((dnet, pool))
     }
 
     /// Diagnosis for a failed plan: which base classes lack data.
-    fn missing_base_classes(
-        &self,
-        dnet: &DerivationNet,
-        marking: &gaea_petri::marking::Marking,
-        goal: &ClassDef,
-    ) -> Vec<String> {
-        let Some(place) = dnet.place_of.get(&goal.id) else {
-            return vec![goal.name.clone()];
-        };
-        match plan_derivation(&dnet.net, marking, *place, 1) {
-            Ok(_) => vec![],
-            Err(failure) => failure
-                .missing_base
-                .iter()
-                .filter_map(|p| dnet.class_at(*p))
-                .filter_map(|c| self.catalog.class(c).ok().map(|d| d.name.clone()))
-                .collect(),
-        }
+    fn missing_base_classes(&self, dnet: &DerivationNet, failure: &PlanFailure) -> Vec<String> {
+        failure
+            .missing_base
+            .iter()
+            .filter_map(|p| dnet.class_at(*p))
+            .filter_map(|c| self.catalog.class(c).ok().map(|d| d.name.clone()))
+            .collect()
     }
 
     /// Fire stage: realize every firing of the plan. The firings become a
@@ -549,12 +631,14 @@ impl Gaea {
     /// distinct derivations — then the template evaluations prepare on
     /// the scheduler ([`Gaea::prepare_firings`]), and the results commit
     /// in node order. Reused current tasks short-circuit in the choose
-    /// phase and never reach a worker.
+    /// phase and never reach a worker. Committed outputs join `pool`, so
+    /// the next wave binds them.
     fn fire_plan(
         &mut self,
         dnet: &DerivationNet,
-        plan: &gaea_petri::backward::DerivationPlan,
+        plan: &DerivationPlan,
         q: &Query,
+        pool: &mut TokenPool,
     ) -> KernelResult<Vec<TaskId>> {
         let mut graph: DepGraph<ProcessId> = DepGraph::new();
         for (tid, times) in &plan.firings {
@@ -613,7 +697,7 @@ impl Gaea {
             let mut bound: Vec<(ProcessId, executor::Bindings)> = Vec::with_capacity(wave.len());
             for node in wave {
                 let pid = *graph.payload(*node);
-                match self.choose_or_fire(pid, q, &fired_keys)? {
+                match self.choose_or_fire(pid, q, pool, &fired_keys)? {
                     ChosenFiring::Reused(run) => {
                         fired_keys.insert(self.catalog.task(run.task)?.dedup_key());
                         tasks.push(run.task);
@@ -636,7 +720,9 @@ impl Gaea {
             // Prepare phase (parallel), then commit phase (serial, node
             // order).
             for prepared in self.prepare_firings(bound) {
-                tasks.push(self.commit_firing(prepared?)?.task);
+                let run = self.commit_firing(prepared?)?;
+                pool.admit(&self.db, &self.catalog, &run.outputs)?;
+                tasks.push(run.task);
             }
         }
         Ok(tasks)
@@ -662,10 +748,10 @@ impl Gaea {
     }
 
     /// Bind stage: enumerate candidate input selections per argument of
-    /// `def`, spatially filtered by the query window and deterministically
-    /// ordered — exact query-instant matches first, then by timestamp,
-    /// then id. `SETOF` arguments get co-temporal groups first (they
-    /// satisfy `common(timestamp)` guards), then a pool prefix.
+    /// `def` from the query's token pool, deterministically ordered —
+    /// exact query-instant matches first, then by timestamp, then id.
+    /// `SETOF` arguments get co-temporal groups first (they satisfy
+    /// `common(timestamp)` guards), then a pool prefix.
     ///
     /// A declared cost hint replaces the heuristic's timestamp order: the
     /// query's `DERIVE COST …` wins over the fired process's own `COST`
@@ -675,6 +761,7 @@ impl Gaea {
         &self,
         def: &ProcessDef,
         q: &Query,
+        pool: &TokenPool,
     ) -> KernelResult<Vec<Vec<Vec<ObjectId>>>> {
         // The instant the query pins, if any: bindings matching it are
         // preferred so that invariantly transferred timestamps land on the
@@ -685,7 +772,7 @@ impl Gaea {
         };
         let hint = q.cost.or(self.catalog.cost_hint(def.id));
         let newest_first = hint == Some(crate::query::CostHint::Newest);
-        // One shared ordering for pools and SETOF groups alike:
+        // One shared ordering for tokens and SETOF groups alike:
         // exact-instant mismatches last, then the (possibly reversed)
         // timestamp order — under `newest` the reversal also moves
         // timestamp-less objects to the back, exactly like the old
@@ -699,32 +786,16 @@ impl Gaea {
                 ord.then(a.cmp(&b))
             }
         };
-        // Candidate pools per argument.
-        let mut pools: Vec<Vec<DataObject>> = Vec::with_capacity(def.args.len());
-        for arg in &def.args {
-            let class = self.catalog.class(arg.class)?.clone();
-            let pred = match q.spatial {
-                Some(bbox) if class.has_spatial => {
-                    Predicate::BoxOverlaps(SPATIAL_ATTR.into(), bbox)
-                }
-                _ => Predicate::True,
-            };
-            let mut pool = Vec::new();
-            let (pool_oids, _plan) = scan_class(&self.db, &class, &pred)?;
-            for oid in pool_oids {
-                pool.push(self.object(ObjectId(oid))?);
-            }
-            pool.sort_by(|x, y| ts_order(x.timestamp(), y.timestamp()).then(x.id.cmp(&y.id)));
-            pools.push(pool);
-        }
         // Candidate selections per argument.
         let mut candidates: Vec<Vec<Vec<ObjectId>>> = Vec::with_capacity(def.args.len());
-        for (arg, pool) in def.args.iter().zip(&pools) {
+        for arg in &def.args {
+            let mut tokens = pool.tokens(arg.class).to_vec();
+            tokens.sort_by(|(xo, xt), (yo, yt)| ts_order(*xt, *yt).then(xo.cmp(yo)));
             let mut cands: Vec<Vec<ObjectId>> = Vec::new();
             if arg.setof {
                 let mut groups: BTreeMap<Option<AbsTime>, Vec<ObjectId>> = BTreeMap::new();
-                for o in pool {
-                    groups.entry(o.timestamp()).or_default().push(o.id);
+                for (oid, ts) in &tokens {
+                    groups.entry(*ts).or_default().push(*oid);
                 }
                 let mut grouped: Vec<(Option<AbsTime>, Vec<ObjectId>)> =
                     groups.into_iter().collect();
@@ -736,17 +807,17 @@ impl Gaea {
                         cands.push(group[..arg.min_card as usize].to_vec());
                     }
                 }
-                if pool.len() as u64 >= arg.min_card {
-                    let prefix: Vec<ObjectId> =
-                        pool[..arg.min_card as usize].iter().map(|o| o.id).collect();
+                if tokens.len() as u64 >= arg.min_card {
+                    let prefix: Vec<ObjectId> = tokens[..arg.min_card as usize]
+                        .iter()
+                        .map(|(oid, _)| *oid)
+                        .collect();
                     if !cands.contains(&prefix) {
                         cands.push(prefix);
                     }
                 }
             } else {
-                for o in pool {
-                    cands.push(vec![o.id]);
-                }
+                cands.extend(tokens.iter().map(|(oid, _)| vec![*oid]));
             }
             if cands.is_empty() {
                 return Err(KernelError::DerivationImpossible(format!(
@@ -764,7 +835,8 @@ impl Gaea {
 
     /// Choose input objects for one firing of `pid` — the fire stage's
     /// choose phase and [`Gaea::submit_derivation`]'s binding step. Walks
-    /// the bounded candidate product of [`Gaea::binding_candidates`]:
+    /// the bounded candidate product [`Gaea::binding_candidates`] draws
+    /// from `pool`:
     /// bindings whose dedup key is in `exclude` are skipped outright (the
     /// current plan already consumed that derivation); every other
     /// binding asks [`prior_derivation`] first. A *current* prior task
@@ -780,6 +852,7 @@ impl Gaea {
         &self,
         pid: ProcessId,
         q: &Query,
+        pool: &TokenPool,
         exclude: &BTreeSet<String>,
     ) -> KernelResult<ChosenFiring> {
         let def = self.catalog.process(pid)?;
@@ -788,7 +861,7 @@ impl Gaea {
         // Bind stage: admissible selections per argument.
         let candidates = {
             let _bind = gaea_obs::span("bind");
-            self.binding_candidates(def, q)?
+            self.binding_candidates(def, q, pool)?
         };
         // Walk the (bounded) cartesian product.
         let mut budget = self.binding_budget;
@@ -994,10 +1067,7 @@ fn validate_query(catalog: &Catalog, classes: &[String], q: &Query) -> KernelRes
 /// spatial overlap and temporal selection (when the class carries the
 /// extents) joined with the declarative WHERE conjuncts.
 pub(crate) fn retrieval_predicate(class: &ClassDef, q: &Query) -> Predicate {
-    let mut pred = Predicate::True;
-    if let (Some(bbox), true) = (q.spatial, class.has_spatial) {
-        pred = pred.and(Predicate::BoxOverlaps(SPATIAL_ATTR.into(), bbox));
-    }
+    let mut pred = window_predicate(class, q.spatial);
     if class.has_temporal {
         match q.time {
             Some(TimeSel::At(t)) => {
@@ -1011,7 +1081,7 @@ pub(crate) fn retrieval_predicate(class: &ClassDef, q: &Query) -> Predicate {
     }
     // Declarative WHERE predicates (validated against the class by
     // `validate_query`) filter step-1 retrieval and, through
-    // `planning_marking`, keep the planner from counting goal objects
+    // `TokenPool::scan`, keep the planner from counting goal objects
     // that cannot satisfy the query.
     for ap in &q.attr_preds {
         pred = pred.and(match ap.cmp {

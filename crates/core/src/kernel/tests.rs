@@ -244,7 +244,8 @@ fn memoization_reuses_identical_derivations() {
     // path by choosing a binding for the goal's producer directly:
     let p20 = g.catalog.process_by_name("P20").unwrap().id;
     let no_exclude = BTreeSet::new();
-    let run1 = match g.choose_or_fire(p20, &q, &no_exclude).unwrap() {
+    let (_, pool) = g.plan_inputs(&["landcover".to_string()], &q).unwrap();
+    let run1 = match g.choose_or_fire(p20, &q, &pool, &no_exclude).unwrap() {
         ChosenFiring::Reused(run) => run,
         _ => panic!("an identical current task must be reused"),
     };
@@ -255,7 +256,7 @@ fn memoization_reuses_identical_derivations() {
     // reuse it and finds no alternative binding.
     let mut exclude = BTreeSet::new();
     exclude.insert(g.catalog.task(run1.task).unwrap().dedup_key());
-    let err = g.choose_or_fire(p20, &q, &exclude).err().unwrap();
+    let err = g.choose_or_fire(p20, &q, &pool, &exclude).err().unwrap();
     assert!(matches!(err, KernelError::DerivationImpossible(_)));
 }
 

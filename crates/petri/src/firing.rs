@@ -17,8 +17,9 @@ pub enum FiringMode {
     GaeaPreserving,
 }
 
-/// True if `t` may fire under `marking` (threshold check; guards live at
-/// the colored level).
+/// True if `t` may fire under `marking` (threshold check; guards are
+/// evaluated on bound objects by the kernel's binder, `choose_or_fire`
+/// and `executor::check_guards` in `gaea-core`).
 pub fn enabled(net: &PetriNet, marking: &Marking, t: TransitionId) -> PetriResult<bool> {
     let tr = net.transition(t)?;
     Ok(tr

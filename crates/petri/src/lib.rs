@@ -5,8 +5,9 @@
 //! Tokens in every place represent the data objects needed for the
 //! instantiation of a process."
 //!
-//! The paper modifies classic Petri-net semantics in three ways, all
-//! implemented here:
+//! The paper modifies classic Petri-net semantics in three ways. This
+//! crate implements the first two at the count level; the third needs
+//! real objects, so the kernel's binder implements it:
 //!
 //! 1. **Token preservation** — "tokens (data objects) used for derivation
 //!    are permanent and can be reused"; firing does not remove input
@@ -17,8 +18,10 @@
 //!    images).
 //! 3. **Guards** — "some form of relationship may be required among the
 //!    input data objects (tokens). For example, the same or overlapping
-//!    spatial coverage" ([`colored`] nets bind real token attributes and
-//!    evaluate guard predicates before enabling).
+//!    spatial coverage". The kernel binds real objects from the query's
+//!    token pool to a planned transition (`choose_or_fire` in
+//!    `gaea-core`) and evaluates the process's guard assertions on them
+//!    before it fires (`executor::check_guards`).
 //!
 //! Token preservation makes the net *monotone*: a fired transition stays
 //! fireable, token counts never decrease, and derivability becomes a simple
@@ -29,9 +32,7 @@
 //! producing transitions, reporting either an ordered firing plan or the
 //! set of missing base places where "back propagation stops".
 
-pub mod analysis;
 pub mod backward;
-pub mod colored;
 pub mod dot;
 pub mod error;
 pub mod firing;

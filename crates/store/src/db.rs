@@ -165,18 +165,6 @@ impl Relation {
         Ok(out)
     }
 
-    /// Count matching tuples without materializing anything.
-    pub fn count(&self, pred: &Predicate) -> StoreResult<u64> {
-        let compiled = pred.compile(&self.schema)?;
-        let mut n = 0u64;
-        for (_, tuple) in self.heap.iter() {
-            if compiled.matches(tuple) {
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-
     /// Full iteration.
     pub fn iter(&self) -> impl Iterator<Item = (Oid, &Tuple)> {
         self.heap.iter()
@@ -488,11 +476,6 @@ impl Database {
     /// OID-only predicate scan — no tuple clones.
     pub fn scan_oids(&self, rel: &str, pred: &Predicate) -> StoreResult<Vec<Oid>> {
         self.relation(rel)?.scan_oids(pred)
-    }
-
-    /// Count matching tuples without materializing or cloning anything.
-    pub fn count(&self, rel: &str, pred: &Predicate) -> StoreResult<u64> {
-        self.relation(rel)?.count(pred)
     }
 
     /// Begin an undo-logged transaction. Uncommitted transactions roll back

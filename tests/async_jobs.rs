@@ -465,6 +465,53 @@ fn multi_firing_plans_are_refused_at_submit() {
     assert!(msg.contains("2 firings"), "{msg}");
 }
 
+/// A submission plans over the query's instant exactly like a
+/// synchronous `DERIVE`: land cover stored at t1 (with its rectified
+/// bands) must not resolve a t2 submission through the t1 derivation.
+/// At t2 only raw bands exist, so the plan needs 3 × P1 + P20 and the
+/// submission is refused.
+#[test]
+fn a_submission_at_a_new_instant_never_resolves_to_an_earlier_derivation() {
+    let mut g = Gaea::in_memory().with_user("figure2");
+    gaea::workload::build_figure2_schema(&mut g).unwrap();
+    let window = gaea::adt::GeoBox::new(-20.0, -35.0, 55.0, 38.0);
+    let (t1, t2) = (day(15), day(16));
+    for (seed, t) in [(11, t1), (12, t2)] {
+        let spec = gaea::workload::SceneSpec::small(seed).sized(16, 16);
+        for band in gaea::workload::SyntheticScene::generate(spec).bands {
+            g.insert_object(
+                "landsat_tm",
+                vec![
+                    ("data", Value::image(band)),
+                    ("spatialextent", Value::GeoBox(window)),
+                    ("timestamp", Value::AbsTime(t)),
+                ],
+            )
+            .unwrap();
+        }
+    }
+    let land_cover_at = |t| {
+        Query::class("land_cover")
+            .over(window)
+            .at(t)
+            .with_strategy(QueryStrategy::PreferDerivation)
+    };
+    let first = g.query(&land_cover_at(t1)).unwrap();
+    assert_eq!(first.method, QueryMethod::Derived);
+    assert_eq!(first.tasks.len(), 4);
+    let tasks_before = g.catalog().tasks.len();
+    match g.submit_derivation(&land_cover_at(t2)) {
+        Err(KernelError::Schema(msg)) => assert!(msg.contains("needs 4 firings"), "{msg}"),
+        Ok(job) => panic!(
+            "submission at t2 returned job {job:?} ({:?})",
+            g.job_status(job)
+        ),
+        Err(other) => panic!("unexpected error: {other}"),
+    }
+    assert_eq!(g.catalog().tasks.len(), tasks_before, "nothing fired");
+    assert!(g.jobs().is_empty(), "no job was recorded");
+}
+
 // ----------------------------------------------------------------------
 // refresh_all × in-flight jobs (regression: no re-fire mid-refresh)
 // ----------------------------------------------------------------------

@@ -9,7 +9,7 @@
 use gaea::adt::{AbsTime, GeoBox, Image, Value};
 use gaea::core::kernel::Gaea;
 use gaea::core::{Query, QueryMethod, QueryStrategy};
-use gaea::workload::{build_figure2_schema, ndvi_series};
+use gaea::workload::{build_figure2_schema, ndvi_series, SceneSpec, SyntheticScene};
 
 fn kernel() -> Gaea {
     let mut g = Gaea::in_memory().with_user("figure2");
@@ -167,4 +167,67 @@ fn concept_query_falls_back_across_members() {
     assert!(!outcome.objects.is_empty());
     let img: &Image = outcome.objects[0].attr("data").unwrap().as_image().unwrap();
     assert_eq!((img.nrow(), img.ncol()), (12, 12));
+}
+
+/// Three raw `landsat_tm` bands of one synthetic scene, stored at `t`.
+fn insert_tm_scene(g: &mut Gaea, seed: u64, window: GeoBox, t: AbsTime) {
+    let scene = SyntheticScene::generate(SceneSpec::small(seed).sized(16, 16));
+    for band in &scene.bands {
+        g.insert_object(
+            "landsat_tm",
+            vec![
+                ("data", Value::image(band.clone())),
+                ("spatialextent", Value::GeoBox(window)),
+                ("timestamp", Value::AbsTime(t)),
+            ],
+        )
+        .unwrap();
+    }
+}
+
+#[test]
+fn a_second_instant_derives_from_its_own_raw_bands() {
+    // Raw bands at two instants; land cover derived at the first. The
+    // rectified bands stored at t1 must not make a P20-only plan look
+    // fireable for t2: the planner counts the query's instant, so t2
+    // rectifies its own raw bands first and classifies those.
+    let mut g = kernel();
+    let window = GeoBox::new(-20.0, -35.0, 55.0, 38.0);
+    let t1 = AbsTime::from_ymd(1986, 1, 15).unwrap();
+    let t2 = AbsTime::from_ymd(1986, 2, 15).unwrap();
+    insert_tm_scene(&mut g, 11, window, t1);
+    insert_tm_scene(&mut g, 12, window, t2);
+    let land_cover_at = |t| {
+        Query::class("land_cover")
+            .over(window)
+            .at(t)
+            .with_strategy(QueryStrategy::PreferDerivation)
+    };
+    let first = g.query(&land_cover_at(t1)).unwrap();
+    assert_eq!(first.method, QueryMethod::Derived);
+    assert_eq!(first.tasks.len(), 4, "3 × P1 + P20 at t1");
+
+    let second = g.query(&land_cover_at(t2)).unwrap();
+    assert_eq!(second.method, QueryMethod::Derived);
+    let mut fired: Vec<String> = second
+        .tasks
+        .iter()
+        .map(|t| g.task(*t).unwrap().process_name.clone())
+        .collect();
+    fired.sort();
+    assert_eq!(
+        fired,
+        [
+            "P1_rectify",
+            "P1_rectify",
+            "P1_rectify",
+            "P20_unsupervised_classification"
+        ]
+    );
+    assert!(
+        second.tasks.iter().all(|t| !first.tasks.contains(t)),
+        "every t2 task is new"
+    );
+    assert_eq!(second.objects.len(), 1);
+    assert_eq!(second.objects[0].timestamp(), Some(t2));
 }

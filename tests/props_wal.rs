@@ -74,9 +74,10 @@ struct Live {
 /// [`define_schema`] plus one process per remaining task-entry path:
 /// the compound `CHAIN` (COPY → NEXT) and its twin `CHAIN_BAD` whose
 /// second step's guard is `1 = 2`, the non-applicative `SURVEY`, the
-/// interactive `TUNE` (one `PARAM`), and `SNAPX: snap → snapx` for
-/// `DERIVE` — with `snap` images stored at days 0 and 30 so queries in
-/// between interpolate — and the concept `copies` and experiment
+/// interactive `TUNE` (one `PARAM`), and `SNAPX: snap → snapx` and
+/// `SNAPXX: snapx → snapxx` for a two-level `DERIVE` — with `snap`
+/// images stored at days 0 and 30 so queries in between interpolate —
+/// and the concept `copies` and experiment
 /// `baseline`, so every definition kind can be duplicated. `snap` is a derived class: the lazily registered
 /// `interpolate_snap` process outputs into it, and the derivation net
 /// rejects a transition into a base place.
@@ -92,8 +93,10 @@ fn define_task_schema(g: &mut Gaea) -> Live {
     }
     g.define_class(ClassSpec::derived("snap").attr("data", TypeTag::Image))
         .unwrap();
-    g.define_class(ClassSpec::derived("snapx").attr("data", TypeTag::Image))
-        .unwrap();
+    for class in ["snapx", "snapxx"] {
+        g.define_class(ClassSpec::derived(class).attr("data", TypeTag::Image))
+            .unwrap();
+    }
     let copy = |arg: &str, attrs: &[&str]| -> Vec<Mapping> {
         attrs
             .iter()
@@ -151,15 +154,17 @@ fn define_task_schema(g: &mut Gaea) -> Live {
             }),
     )
     .unwrap();
-    g.define_process(
-        ProcessSpec::new("SNAPX", "snapx")
-            .arg("s", "snap")
-            .template(Template {
-                assertions: vec![],
-                mappings: copy("s", &["data", "spatialextent", "timestamp"]),
-            }),
-    )
-    .unwrap();
+    for (name, output, input) in [("SNAPX", "snapx", "snap"), ("SNAPXX", "snapxx", "snapx")] {
+        g.define_process(
+            ProcessSpec::new(name, output)
+                .arg("s", input)
+                .template(Template {
+                    assertions: vec![],
+                    mappings: copy("s", &["data", "spatialextent", "timestamp"]),
+                }),
+        )
+        .unwrap();
+    }
     g.define_concept("copies", &["dbl", "tri"], &[], "")
         .unwrap();
     g.record_experiment("baseline", "", vec![]).unwrap();
@@ -284,12 +289,16 @@ fn apply(g: &mut Gaea, live: &mut Live, op: &Op) {
             }
         }
         Op::Derive(i) => {
+            // Two levels deep, so a `snapx` stored at another day must
+            // not stand in for the one the queried day needs.
             let day = live.days[i % live.days.len()];
-            let q = Query::class("snapx")
+            let q = Query::class("snapxx")
                 .over(window())
                 .at(AbsTime(day * DAY))
                 .with_strategy(QueryStrategy::PreferDerivation);
-            g.query(&q).unwrap();
+            for obj in g.query(&q).unwrap().objects {
+                assert_eq!(obj.timestamp(), Some(AbsTime(day * DAY)));
+            }
         }
         Op::Interpolate(day) => {
             g.query(&Query::class("snap").over(window()).at(AbsTime(day * DAY)))
