@@ -1,7 +1,6 @@
-//! Experiment Q11 — write-ahead log costs: group commit, record codec
-//! and replay.
+//! Experiment Q11 — write-ahead log costs: group commit and replay.
 //!
-//! Three questions the durability tentpole raises, quantified:
+//! Two questions the durability tentpole raises, quantified:
 //!
 //! * `wal_append_fsync_1` vs `wal_append_fsync_64` — the price of the
 //!   strict default (fsync every committed event) against batched
@@ -9,21 +8,16 @@
 //!   object inserts on a durable kernel; the gap between the rows is
 //!   the pure fsync amplification a scientist pays for zero-loss
 //!   acknowledgement.
-//! * `wal_append_fsync_64` vs `wal_append_json_fsync_64` — the encode
-//!   side of the binary record codec against the legacy JSON
-//!   envelopes, with the sync cost batched out of the way.
-//! * `wal_replay_10k` vs `wal_replay_10k_json` — crash-recovery time:
-//!   reopening a directory whose log holds 10 000 committed insert
-//!   events, i.e. a full decode → verify → reapply pass with no
-//!   snapshot to shortcut it, under each codec.
+//! * `wal_replay_10k` — crash-recovery time: reopening a directory
+//!   whose log holds 10 000 committed insert events, i.e. a full
+//!   decode → verify → reapply pass with no snapshot to shortcut it.
 //!
 //! CI condenses the rows into `BENCH_q11_wal.json` via
-//! `scripts/bench_summary.sh q11_wal wal_` — including the
-//! binary-over-JSON speedup ratios under `deltas`.
+//! `scripts/bench_summary.sh q11_wal wal_`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use gaea_adt::{TypeTag, Value};
-use gaea_core::kernel::{ClassSpec, DurabilityOptions, Gaea, WalCodec};
+use gaea_core::kernel::{ClassSpec, DurabilityOptions, Gaea};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 
@@ -40,14 +34,12 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 /// A durable kernel with the single `obs {v}` class, snapshots off so
 /// every event stays in the log.
-fn durable_kernel(dir: &Path, fsync_every: u64, codec: WalCodec) -> Gaea {
+fn durable_kernel(dir: &Path, fsync_every: u64) -> Gaea {
     let mut g = Gaea::open_with(
         dir,
         DurabilityOptions {
             fsync_every,
             snapshot_every: 0,
-            codec,
-            ..Default::default()
         },
     )
     .expect("open durable kernel");
@@ -58,33 +50,19 @@ fn durable_kernel(dir: &Path, fsync_every: u64, codec: WalCodec) -> Gaea {
     g
 }
 
-fn codec_suffix(codec: WalCodec) -> &'static str {
-    match codec {
-        WalCodec::Binary => "",
-        WalCodec::Json => "_json",
-    }
-}
-
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("q11_wal");
     gaea_bench::configure(&mut group);
 
     // Group-commit sweep: the same 64-event commit burst under the
-    // strict and the batched sync policy (binary codec), plus the
-    // batched policy under the legacy JSON codec for the encode delta.
-    // The log grows across iterations — appends are O(1), replay is
-    // not measured here.
-    for (fsync_every, codec) in [
-        (1u64, WalCodec::Binary),
-        (64, WalCodec::Binary),
-        (64, WalCodec::Json),
-    ] {
-        let suffix = codec_suffix(codec);
-        let dir = fresh_dir(&format!("append{suffix}-{fsync_every}"));
-        let mut g = durable_kernel(&dir, fsync_every, codec);
+    // strict and the batched sync policy. The log grows across
+    // iterations — appends are O(1), replay is not measured here.
+    for fsync_every in [1u64, 64] {
+        let dir = fresh_dir(&format!("append-{fsync_every}"));
+        let mut g = durable_kernel(&dir, fsync_every);
         let mut v = 0i32;
         group.bench_with_input(
-            BenchmarkId::new(format!("wal_append{suffix}_fsync_{fsync_every}"), EVENTS),
+            BenchmarkId::new(format!("wal_append_fsync_{fsync_every}"), EVENTS),
             &EVENTS,
             |b, n| {
                 b.iter(|| {
@@ -100,33 +78,29 @@ fn bench(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Replay: reopen a 10k-event log from scratch each iteration, once
-    // per codec. Same logical events, different bytes on disk.
-    for codec in [WalCodec::Binary, WalCodec::Json] {
-        let suffix = codec_suffix(codec);
-        let dir = fresh_dir(&format!("replay{suffix}"));
-        {
-            // Build the log once; batched sync keeps setup quick.
-            let mut g = durable_kernel(&dir, 1024, codec);
-            for v in 0..REPLAY_EVENTS {
-                g.insert_object("obs", vec![("v", Value::Int4(v as i32))])
-                    .expect("seed insert");
-            }
+    // Replay: reopen a 10k-event log from scratch each iteration.
+    let dir = fresh_dir("replay");
+    {
+        // Build the log once; batched sync keeps setup quick.
+        let mut g = durable_kernel(&dir, 1024);
+        for v in 0..REPLAY_EVENTS {
+            g.insert_object("obs", vec![("v", Value::Int4(v as i32))])
+                .expect("seed insert");
         }
-        group.bench_with_input(
-            BenchmarkId::new(format!("wal_replay_10k{suffix}"), REPLAY_EVENTS),
-            &REPLAY_EVENTS,
-            |b, _| {
-                b.iter(|| {
-                    let g = durable_kernel(&dir, 1024, codec);
-                    let replayed = g.recovery_stats().expect("recovery stats").events_replayed;
-                    assert!(replayed >= u64::from(REPLAY_EVENTS));
-                    black_box(g)
-                })
-            },
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
+    group.bench_with_input(
+        BenchmarkId::new("wal_replay_10k", REPLAY_EVENTS),
+        &REPLAY_EVENTS,
+        |b, _| {
+            b.iter(|| {
+                let g = durable_kernel(&dir, 1024);
+                let replayed = g.recovery_stats().expect("recovery stats").events_replayed;
+                assert!(replayed >= u64::from(REPLAY_EVENTS));
+                black_box(g)
+            })
+        },
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 
     group.finish();
 }

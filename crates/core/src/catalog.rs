@@ -54,6 +54,12 @@ pub struct Catalog {
     tasks_by_process: BTreeMap<ProcessId, Vec<TaskId>>,
     /// Logical clock for task ordering.
     pub next_seq: u64,
+    /// Events applied since this catalog was built or loaded: every
+    /// event but the job lifecycle ones advances it, DDL and access
+    /// paths included, which tick no store clock. Read-view publication
+    /// keys on it. Runtime state, not serialized.
+    #[serde(skip)]
+    pub(crate) applied_events: u64,
 }
 
 impl Catalog {

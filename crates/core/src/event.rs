@@ -131,8 +131,9 @@ impl Event {
 }
 
 /// Apply one event to the store and catalog — the only code that writes
-/// either for a committed statement, live and at WAL replay alike. Job
-/// events touch neither; the kernel's job table tracks them.
+/// either for a committed statement, live and at WAL replay alike — and
+/// count it in the catalog's `applied_events`. Job events touch neither;
+/// the kernel's job table tracks them.
 pub(crate) fn apply(db: &mut Database, catalog: &mut Catalog, event: &Event) -> KernelResult<()> {
     match event {
         Event::DefineClass { def } => {
@@ -172,7 +173,9 @@ pub(crate) fn apply(db: &mut Database, catalog: &mut Catalog, event: &Event) -> 
                 catalog.add_task(task.clone());
             }
         }
-        Event::JobSubmit { .. } | Event::JobResolved { .. } | Event::VersionAdvance => {}
+        Event::JobSubmit { .. } | Event::JobResolved { .. } => return Ok(()),
+        Event::VersionAdvance => {}
     }
+    catalog.applied_events += 1;
     Ok(())
 }

@@ -34,14 +34,14 @@
 //! `apply` take the rest; new envelopes carry none, and a legacy
 //! `VersionAdvance` record is ticks alone.
 //!
-//! Records are encoded by `kernel/wal_codec.rs` — binary v1
-//! by default, with per-record format dispatch so pre-codec JSON logs
-//! (and logs that switch codecs mid-stream) replay unchanged.
+//! Every record is written as binary v1 by `kernel/wal_codec.rs`;
+//! decoding dispatches per record, so logs holding the legacy JSON
+//! formats (written before the binary codec) still replay unchanged.
 //!
 //! Periodic snapshots (`manifest v4`, carrying the log watermark) fold
 //! the log into a `snap-<seq>/` directory, flip the `CURRENT` pointer
 //! atomically, and truncate the log; unresolved job submissions ride in
-//! the snapshot's `jobs.json`. By default the fold runs *off* the
+//! the snapshot's `jobs.json`. There is one fold, and it runs *off* the
 //! commit path: the committing thread clones the database state
 //! ([`gaea_store::snapshot::capture_with_wal_seq`]) and hands it to a
 //! detached compactor thread that writes the snapshot to a `snap-*.tmp`
@@ -49,29 +49,28 @@
 //! the committing thread later truncates exactly the covered log prefix
 //! ([`WalWriter::truncate_prefix`] — an atomic stage-and-rename clip,
 //! never an in-place rewrite) when it observes the fold finished
-//! ([`Gaea::poll_compaction`]). [`Gaea::checkpoint`] remains the
-//! synchronous fallback, and every flush/close boundary settles an
-//! in-flight fold first.
+//! ([`Gaea::poll_compaction`]). A cadence point that finds a fold in
+//! flight skips instead of blocking. [`Gaea::checkpoint`] is the same
+//! fold, waited on: its snapshot write runs on the calling thread. Every
+//! flush/close boundary settles an in-flight fold first.
 //!
-//! Crashing anywhere in either sequence is safe: before the pointer
+//! Crashing anywhere in the sequence is safe: before the pointer
 //! flip the old snapshot + full log recover (half-written `snap-*.tmp`
 //! directories are swept on open), after it the watermark makes
 //! re-replaying the untruncated log a no-op. See
 //! `scripts/crash_matrix.sh` for the fault-injection lane that drives
 //! aborts through every boundary, background ones included.
 
-use super::{jobs, Gaea};
+use super::{codec_err, io_err, jobs, read_snapshot, Gaea};
 use crate::catalog::Catalog;
 use crate::derivation::executor::TaskRun;
-use crate::error::{KernelError, KernelResult};
+use crate::error::KernelResult;
 use crate::event::{apply, Event, TaskCommit};
-use crate::external::ExternalRegistry;
 use crate::ids::{ObjectId, ProcessId};
-use gaea_adt::OperatorRegistry;
-use gaea_sched::{JobId, Scheduler};
+use gaea_sched::JobId;
 use gaea_store::snapshot::Capture;
 use gaea_store::wal::WalWriter;
-use gaea_store::{CrashPoint, CrashSwitch, StoreError};
+use gaea_store::{CrashPoint, CrashSwitch};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs;
@@ -88,31 +87,6 @@ pub(crate) type RecordedBindings = Vec<(String, Vec<ObjectId>)>;
 /// `JobSubmit`/`JobResolved` events.
 type PendingJobs = BTreeMap<u64, (ProcessId, RecordedBindings)>;
 
-fn codec_err(e: impl std::fmt::Display) -> KernelError {
-    KernelError::Store(StoreError::Codec(e.to_string()))
-}
-
-fn io_err(e: impl std::fmt::Display) -> KernelError {
-    KernelError::Store(StoreError::Io(e.to_string()))
-}
-
-/// Record encoding for new log appends ([`DurabilityOptions::codec`]).
-///
-/// Decoding never consults this knob — every record carries its format
-/// in its first byte, so a log written under one codec (or several,
-/// across reopens) replays identically under any setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WalCodec {
-    /// Bare `serde_json` envelopes, byte-identical to logs written
-    /// before the binary codec existed — the compatibility setting.
-    Json,
-    /// Versioned binary records (format byte 1): varint envelope,
-    /// raw little-endian runs for raster/matrix payloads. Smaller and
-    /// several times faster to replay; the default.
-    #[default]
-    Binary,
-}
-
 /// Tuning knobs for a durable kernel ([`Gaea::open_with`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityOptions {
@@ -122,18 +96,11 @@ pub struct DurabilityOptions {
     /// nothing (the OS holds every appended byte), a machine crash may
     /// lose up to N-1 tail events — never a torn prefix.
     pub fsync_every: u64,
-    /// Take a snapshot (and truncate the log) every N events; 0 disables
-    /// automatic snapshots ([`Gaea::checkpoint`] remains available).
+    /// Fold the log into a snapshot every N events; 0 disables automatic
+    /// snapshots ([`Gaea::checkpoint`] remains available). The fold runs
+    /// on a background compactor thread: the committing call pays a
+    /// state clone, not the serialization and I/O.
     pub snapshot_every: u64,
-    /// Encoding for newly appended records (replay handles any mix).
-    pub codec: WalCodec,
-    /// Run cadence-triggered snapshots on a background compactor thread
-    /// (the default): the committing call pays a state clone, not the
-    /// serialization and I/O, and the log prefix the snapshot covers is
-    /// truncated once the fold is observed complete. `false` folds
-    /// synchronously on the committing thread, exactly like an explicit
-    /// [`Gaea::checkpoint`].
-    pub background_compaction: bool,
 }
 
 impl Default for DurabilityOptions {
@@ -141,8 +108,6 @@ impl Default for DurabilityOptions {
         DurabilityOptions {
             fsync_every: 1,
             snapshot_every: 1024,
-            codec: WalCodec::Binary,
-            background_compaction: true,
         }
     }
 }
@@ -167,7 +132,7 @@ pub struct RecoveryStats {
 /// Mirror durable-state facts into the global metrics registry, so live
 /// introspection (the server's `Stats` request) sees the current
 /// truncation watermark without a kernel handle. Called when a durable
-/// kernel opens and again whenever [`Gaea::checkpoint`] moves the
+/// kernel opens and again whenever a finished fold moves the
 /// watermark.
 fn publish_recovery_gauges(stats: &RecoveryStats) {
     let m = gaea_obs::metrics();
@@ -201,18 +166,28 @@ struct JournaledJob {
     bindings: Vec<(String, Vec<ObjectId>)>,
 }
 
-/// A background snapshot fold in flight: the compactor thread owns the
+/// A snapshot fold begun and not yet finished: the write owns the
 /// captured state and writes/flips on its own; the committing thread
 /// keeps what it needs to finish — the watermark, the log prefix the
-/// capture covered, and the handle to join.
+/// capture covered, and the write's outcome.
 struct InflightCompaction {
-    handle: JoinHandle<Result<(), String>>,
+    write: FoldWrite,
     /// Watermark sequence the snapshot will carry (`snap-<seq>`).
     seq: u64,
     /// Log length at capture time — the prefix to truncate on success.
     covered: u64,
     /// When the fold was submitted (total fold latency metric).
     started: Instant,
+}
+
+/// Where a fold's snapshot write runs. A cadence fold runs it on the
+/// compactor thread, off the commit path. A checkpoint waits for the
+/// fold anyway, so it runs the write on the calling thread: a compactor
+/// thread's fresh allocator arena would add the whole serialization to
+/// the process's peak memory instead of reusing what the caller freed.
+enum FoldWrite {
+    Compactor(JoinHandle<Result<(), String>>),
+    Done(Result<(), String>),
 }
 
 /// The durable half of an open kernel: log writer, directory layout,
@@ -248,44 +223,27 @@ impl Gaea {
         //    flip). None of them are authoritative — `CURRENT` is.
         sweep_stale_snapshots(dir);
         // 1. The latest durable snapshot, if any. CURRENT names the
-        //    snapshot directory and is flipped atomically by checkpoint,
+        //    snapshot directory and is flipped atomically by every fold,
         //    so whatever it points at is complete.
         let mut pending = PendingJobs::new();
-        let (db, mut catalog, watermark) = match fs::read_to_string(dir.join("CURRENT")) {
+        let (db, catalog, watermark) = match fs::read_to_string(dir.join("CURRENT")) {
             Ok(name) => {
                 let snap = dir.join(name.trim());
-                let (db, wal_seq) = gaea_store::snapshot::load_with_wal_seq(&snap)?;
-                let raw = fs::read_to_string(snap.join("catalog.json")).map_err(io_err)?;
-                let catalog: Catalog = serde_json::from_str(&raw).map_err(codec_err)?;
+                let parts = read_snapshot(&snap)?;
                 if let Ok(raw) = fs::read_to_string(snap.join("jobs.json")) {
                     let jobs: Vec<JournaledJob> = serde_json::from_str(&raw).map_err(codec_err)?;
                     for j in jobs {
                         pending.insert(j.job, (j.process, j.bindings));
                     }
                 }
-                (db, catalog, wal_seq)
+                parts
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 (gaea_store::Database::new(), Catalog::default(), 0)
             }
             Err(e) => return Err(io_err(e)),
         };
-        catalog.rebuild_task_index();
-        let mut registry = OperatorRegistry::with_builtins();
-        gaea_raster::register_raster_ops(&mut registry)
-            .expect("raster operator registration is internally consistent");
-        let mut g = Gaea {
-            db,
-            catalog,
-            registry,
-            externals: ExternalRegistry::new(),
-            user: "scientist".into(),
-            scheduler: Scheduler::from_env(),
-            jobs: jobs::JobManager::new(),
-            binding_budget: 32,
-            durability: None,
-            recovery: None,
-        };
+        let mut g = Gaea::from_parts(db, catalog);
         // 2. Replay the log's valid prefix over the snapshot, skipping
         //    events the snapshot already contains (a crash during
         //    truncation leaves them in the log; the watermark makes the
@@ -395,7 +353,7 @@ impl Gaea {
             bumps: Vec::new(),
             event,
         };
-        let payload = super::wal_codec::encode_logged(&logged, d.options.codec)?;
+        let payload = super::wal_codec::encode_logged(&logged)?;
         d.wal.append(&payload).map_err(io_err)?;
         d.since_snapshot += 1;
         // A finished background fold hands its prefix truncation back to
@@ -403,13 +361,9 @@ impl Gaea {
         // snapshot never queues behind a completed one.
         self.poll_compaction()?;
         let d = self.durability.as_ref().expect("checked above");
-        let opts = d.options;
-        if opts.snapshot_every > 0 && d.since_snapshot >= opts.snapshot_every {
-            if opts.background_compaction {
-                self.begin_background_compaction()?;
-            } else {
-                self.checkpoint()?;
-            }
+        let every = d.options.snapshot_every;
+        if every > 0 && d.since_snapshot >= every {
+            self.begin_compaction(false)?;
         }
         Ok(())
     }
@@ -454,58 +408,28 @@ impl Gaea {
         publish_recovery_gauges(stats);
     }
 
-    /// Take a snapshot now, synchronously, and truncate the log — the
-    /// explicit fallback to background compaction (any fold already in
-    /// flight is settled first, so at most one runs at a time). The
-    /// sequence is crash-safe at every boundary: the snapshot directory (store
-    /// manifest with the log watermark, catalog, unresolved job
-    /// submissions) is written completely and renamed into place before
-    /// the `CURRENT` pointer flips to it in one atomic rename; and a
-    /// crash after the flip but before the truncation just re-skips the
-    /// already-folded events on reopen.
+    /// Fold the log into a snapshot now and wait for it: settle any fold
+    /// already in flight, then run the cadence fold to completion and
+    /// finish it. Nothing is appended in between, so the clip empties the
+    /// log. Unlike a cadence fold, a failed one is returned as the error,
+    /// and the log is retained to replay in full. No-op for non-durable
+    /// kernels.
     pub fn checkpoint(&mut self) -> KernelResult<()> {
-        if self.durability.is_none() {
-            return Ok(());
-        }
-        self.settle_compaction()?;
-        let (catalog_json, jobs_json) = self.snapshot_sidecars()?;
-        let d = self.durability.as_mut().expect("checked above");
-        d.wal.sync().map_err(io_err)?;
-        let snap_seq = d.seq;
-        let started = Instant::now();
-        let capture = gaea_store::snapshot::capture_with_wal_seq(&self.db, snap_seq);
-        let d = self.durability.as_mut().expect("checked above");
-        write_snapshot(
-            &d.dir,
-            snap_seq,
-            &capture,
-            &catalog_json,
-            &jobs_json,
-            d.wal.crash_switch(),
-        )
-        .map_err(io_err)?;
-        // Fault-injection boundaries: the snapshot is authoritative but
-        // the log still holds its events.
-        d.wal.crash_point(CrashPoint::PostFlipPreTruncate);
-        d.wal.crash_point(CrashPoint::Truncate);
-        d.wal.truncate().map_err(io_err)?;
-        d.since_snapshot = 0;
-        let m = gaea_obs::metrics();
-        m.wal_compactions.inc();
-        m.wal_compaction_us
-            .record(started.elapsed().as_micros() as u64);
-        gc_snapshots(&d.dir, snap_seq);
-        self.refresh_watermark_stats(snap_seq);
-        Ok(())
+        self.finish_compaction(false)?;
+        self.begin_compaction(true)?;
+        self.finish_compaction(true)
     }
 
-    /// Start folding the log into a snapshot on a background compactor
-    /// thread. The committing thread pays a state clone; the worker
-    /// writes the snapshot to a `snap-<seq>.tmp` side directory, renames
-    /// it into place and flips `CURRENT`. The log is *not* touched here —
-    /// [`Gaea::poll_compaction`] truncates the covered prefix once the
-    /// fold is observed complete. No-op while a fold is already running.
-    pub(crate) fn begin_background_compaction(&mut self) -> KernelResult<()> {
+    /// Start folding the log into a snapshot. The committing thread pays
+    /// a state clone; the write puts the snapshot in a `snap-<seq>.tmp`
+    /// side directory, renames it into place and flips `CURRENT`, on a
+    /// background compactor thread unless the caller will `wait` for it
+    /// (see [`FoldWrite`]). The log is *not* touched here —
+    /// [`Gaea::poll_compaction`] (or [`Gaea::checkpoint`]) truncates the
+    /// covered prefix once the fold is observed complete. No-op while a
+    /// fold is already running: a cadence point never blocks on the
+    /// previous fold.
+    fn begin_compaction(&mut self, wait: bool) -> KernelResult<()> {
         let Some(d) = self.durability.as_ref() else {
             return Ok(());
         };
@@ -524,15 +448,17 @@ impl Gaea {
         let dir = d.dir.clone();
         let switch = d.wal.crash_switch();
         let started = Instant::now();
-        let handle = std::thread::Builder::new()
-            .name("gaea-compactor".into())
-            .spawn(move || {
-                write_snapshot(&dir, seq, &capture, &catalog_json, &jobs_json, switch)
-                    .map_err(|e| e.to_string())
-            })
-            .map_err(io_err)?;
+        let run = move || write_snapshot(&dir, seq, &capture, &catalog_json, &jobs_json, switch);
+        let write = if wait {
+            FoldWrite::Done(run())
+        } else {
+            let spawned = std::thread::Builder::new()
+                .name("gaea-compactor".into())
+                .spawn(run);
+            FoldWrite::Compactor(spawned.map_err(io_err)?)
+        };
         d.inflight = Some(InflightCompaction {
-            handle,
+            write,
             seq,
             covered,
             started,
@@ -551,48 +477,49 @@ impl Gaea {
             .durability
             .as_ref()
             .and_then(|d| d.inflight.as_ref())
-            .is_some_and(|i| i.handle.is_finished());
+            .is_some_and(|i| match &i.write {
+                FoldWrite::Compactor(handle) => handle.is_finished(),
+                FoldWrite::Done(_) => true,
+            });
         if finished {
-            self.finish_compaction()?;
+            self.finish_compaction(false)?;
         }
         Ok(())
     }
 
-    /// Block until any in-flight fold is finished and folded into the
-    /// log — the settling barrier before a synchronous checkpoint, a
-    /// flush, or shutdown (which also makes armed snapshot-side crash
-    /// points deterministic: the abort fires before a clean exit).
-    fn settle_compaction(&mut self) -> KernelResult<()> {
-        if self
-            .durability
-            .as_ref()
-            .is_some_and(|d| d.inflight.is_some())
-        {
-            self.finish_compaction()?;
-        }
-        Ok(())
-    }
-
-    /// Join the in-flight fold (blocking if needed) and complete it on
-    /// this thread: prefix truncation, snapshot GC, watermark refresh. A
-    /// failed fold is reported and absorbed — the log simply keeps
-    /// growing until the next cadence point or an explicit checkpoint.
-    fn finish_compaction(&mut self) -> KernelResult<()> {
-        let d = self.durability.as_mut().expect("caller checked");
+    /// Join the in-flight fold, if any (blocking if needed), and complete
+    /// it on this thread: prefix truncation, snapshot GC, watermark
+    /// refresh. This is also the settling barrier before a checkpoint, a
+    /// flush, or shutdown (which makes armed snapshot-side crash points
+    /// deterministic: the abort fires before a clean exit). A failed
+    /// fold retains the log. With `report` (the checkpoint that waits on
+    /// it) the failure is the error; otherwise it is counted in
+    /// `wal_compactions_failed` and absorbed — the log keeps growing
+    /// until the next cadence point or an explicit checkpoint.
+    fn finish_compaction(&mut self, report: bool) -> KernelResult<()> {
+        let Some(d) = self.durability.as_mut() else {
+            return Ok(());
+        };
         let Some(inflight) = d.inflight.take() else {
             return Ok(());
         };
         let InflightCompaction {
-            handle,
+            write,
             seq,
             covered,
             started,
         } = inflight;
-        let result = handle
-            .join()
-            .unwrap_or_else(|_| Err("compactor thread panicked".into()));
+        let result = match write {
+            FoldWrite::Compactor(handle) => handle
+                .join()
+                .unwrap_or_else(|_| Err("compactor thread panicked".into())),
+            FoldWrite::Done(result) => result,
+        };
         let m = gaea_obs::metrics();
         if let Err(e) = result {
+            if report {
+                return Err(io_err(e));
+            }
             m.wal_compactions_failed.inc();
             eprintln!(
                 "gaea: background log compaction (snap-{seq}) failed: {e}; \
@@ -601,11 +528,10 @@ impl Gaea {
             return Ok(());
         }
         // The snapshot is authoritative; the log still holds the covered
-        // prefix plus everything committed while the fold ran. Drop
-        // exactly the prefix. The legacy `truncate` point names the same
-        // boundary (snapshot durable, log not yet clipped), so it fires
-        // here too — the crash matrix's truncate lanes cover whichever
-        // fold path the kernel is configured for.
+        // prefix plus everything committed while the fold ran (nothing,
+        // for a checkpoint). Drop exactly the prefix. The `truncate` point
+        // names the same boundary (snapshot durable, log not yet
+        // clipped), so it fires here too.
         d.wal.crash_point(CrashPoint::PostFlipPreTruncate);
         d.wal.crash_point(CrashPoint::Truncate);
         d.wal.truncate_prefix(covered).map_err(io_err)?;
@@ -620,20 +546,18 @@ impl Gaea {
     /// Fsync the log — the clean-shutdown tail, also called by `Drop`.
     /// Settles any in-flight background fold first.
     pub fn flush_wal(&mut self) -> KernelResult<()> {
-        if self.durability.is_none() {
-            return Ok(());
+        self.finish_compaction(false)?;
+        match self.durability.as_mut() {
+            Some(d) => d.wal.sync().map_err(io_err),
+            None => Ok(()),
         }
-        self.settle_compaction()?;
-        let d = self.durability.as_mut().expect("checked above");
-        d.wal.sync().map_err(io_err)
     }
 }
 
 /// Write one complete snapshot — store manifest (from a pre-cloned
 /// [`Capture`]), catalog, unresolved jobs — into `snap-<seq>.tmp`,
-/// rename it to `snap-<seq>`, and flip `CURRENT` to it. Runs on the
-/// committing thread (synchronous [`Gaea::checkpoint`]) or the
-/// background compactor; the crash switch fires the snapshot-side
+/// rename it to `snap-<seq>`, and flip `CURRENT` to it. Runs where the
+/// fold's [`FoldWrite`] says; the crash switch fires the snapshot-side
 /// fault-injection points in whichever thread that is.
 fn write_snapshot(
     dir: &Path,

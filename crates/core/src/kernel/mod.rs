@@ -52,7 +52,7 @@ mod tests;
 
 pub use access::AUTO_INDEX_THRESHOLD;
 pub use ddl::{ClassSpec, ProcessSpec};
-pub use durability::{DurabilityOptions, RecoveryStats, WalCodec};
+pub use durability::{DurabilityOptions, RecoveryStats};
 pub use jobs::{JobId, JobStatus};
 pub use parallel::RefreshReport;
 pub use provenance::{DriftedInput, StalenessReport, TaskCurrency};
@@ -94,16 +94,38 @@ pub struct Gaea {
     pub(crate) recovery: Option<durability::RecoveryStats>,
 }
 
+fn codec_err(e: impl std::fmt::Display) -> KernelError {
+    KernelError::Store(gaea_store::StoreError::Codec(e.to_string()))
+}
+
+fn io_err(e: impl std::fmt::Display) -> KernelError {
+    KernelError::Store(gaea_store::StoreError::Io(e.to_string()))
+}
+
+/// Read the database and catalog of a snapshot directory — the
+/// `manifest.json` + `catalog.json` pair [`Gaea::save`] writes and every
+/// durable snapshot holds — with the manifest's log watermark.
+fn read_snapshot(dir: &Path) -> KernelResult<(gaea_store::Database, Catalog, u64)> {
+    let (db, wal_seq) = gaea_store::snapshot::load_with_wal_seq(dir)?;
+    let raw = std::fs::read_to_string(dir.join("catalog.json")).map_err(io_err)?;
+    let catalog = serde_json::from_str(&raw).map_err(codec_err)?;
+    Ok((db, catalog, wal_seq))
+}
+
 impl Gaea {
-    /// Fresh in-memory kernel with the full operator set (generic builtins
-    /// + the raster analysis operators, including compound `pca`/`spca`).
-    pub fn in_memory() -> Gaea {
+    /// The one constructor: a kernel over `db` and `catalog` with the
+    /// full operator set and default runtime state — no sites, no jobs,
+    /// no log. The object → producing-task index is not persisted, so it
+    /// is rebuilt here; staleness classification and lineage depend on
+    /// it.
+    fn from_parts(db: gaea_store::Database, mut catalog: Catalog) -> Gaea {
+        catalog.rebuild_task_index();
         let mut registry = OperatorRegistry::with_builtins();
         gaea_raster::register_raster_ops(&mut registry)
             .expect("raster operator registration is internally consistent");
         Gaea {
-            db: gaea_store::Database::new(),
-            catalog: Catalog::default(),
+            db,
+            catalog,
             registry,
             externals: ExternalRegistry::new(),
             user: "scientist".into(),
@@ -113,6 +135,12 @@ impl Gaea {
             durability: None,
             recovery: None,
         }
+    }
+
+    /// Fresh in-memory kernel with the full operator set (generic builtins
+    /// + the raster analysis operators, including compound `pca`/`spca`).
+    pub fn in_memory() -> Gaea {
+        Gaea::from_parts(gaea_store::Database::new(), Catalog::default())
     }
 
     /// Register (or replace) an external execution site (§5 extension).
@@ -188,40 +216,14 @@ impl Gaea {
     /// Save the database and catalog under `dir`.
     pub fn save(&self, dir: &Path) -> KernelResult<()> {
         gaea_store::snapshot::save(&self.db, dir)?;
-        let json = serde_json::to_string(&self.catalog)
-            .map_err(|e| KernelError::Store(gaea_store::StoreError::Codec(e.to_string())))?;
-        std::fs::write(dir.join("catalog.json"), json)
-            .map_err(|e| KernelError::Store(gaea_store::StoreError::Io(e.to_string())))?;
-        Ok(())
+        let json = serde_json::to_string(&self.catalog).map_err(codec_err)?;
+        std::fs::write(dir.join("catalog.json"), json).map_err(io_err)
     }
 
-    /// Load a kernel saved by [`Gaea::save`].
+    /// Load a kernel saved by [`Gaea::save`]. Sites and jobs are runtime
+    /// state: the application re-registers its sites after a load.
     pub fn load(dir: &Path) -> KernelResult<Gaea> {
-        let db = gaea_store::snapshot::load(dir)?;
-        let raw = std::fs::read_to_string(dir.join("catalog.json"))
-            .map_err(|e| KernelError::Store(gaea_store::StoreError::Io(e.to_string())))?;
-        let mut catalog: Catalog = serde_json::from_str(&raw)
-            .map_err(|e| KernelError::Store(gaea_store::StoreError::Codec(e.to_string())))?;
-        // The object → producing-task index is not persisted; staleness
-        // classification and lineage depend on it.
-        catalog.rebuild_task_index();
-        let mut registry = OperatorRegistry::with_builtins();
-        gaea_raster::register_raster_ops(&mut registry)
-            .expect("raster operator registration is internally consistent");
-        Ok(Gaea {
-            db,
-            catalog,
-            registry,
-            // Sites describe the environment, not the catalog: they are
-            // re-registered by the application after a load.
-            externals: ExternalRegistry::new(),
-            user: "scientist".into(),
-            scheduler: Scheduler::from_env(),
-            // Jobs are runtime state: a loaded kernel starts with none.
-            jobs: jobs::JobManager::new(),
-            binding_budget: 32,
-            durability: None,
-            recovery: None,
-        })
+        let (db, catalog, _) = read_snapshot(dir)?;
+        Ok(Gaea::from_parts(db, catalog))
     }
 }

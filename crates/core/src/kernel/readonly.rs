@@ -154,8 +154,8 @@ impl super::Gaea {
     /// (all of them without `prev`) and shares `prev`'s copy of every
     /// other one ([`gaea_store::Database::pin_since`]), plus one version
     /// map and the catalog's maps, whose tasks are held by pointer. Cache
-    /// the view per clock value ([`super::session::SharedKernel`] does)
-    /// and re-pin from it only after [`super::Gaea::store_clock`] moves.
+    /// the view ([`super::session::SharedKernel`] does) and re-pin from
+    /// it only after an event was applied.
     pub fn read_view_since(&self, prev: Option<&ReadView>) -> ReadView {
         let store = self.db.pin_since(prev.map(ReadView::store));
         ReadView::new(store, self.catalog.clone(), self.job_board())

@@ -8,23 +8,26 @@
 //!   on the kernel mutex — the same single commit path the WAL and the
 //!   job pump already assume.
 //! * **Reads** go through [`SharedKernel::pin`], which hands back an
-//!   `Arc<ReadView>` of a committed state. The fast path is a clock
+//!   `Arc<ReadView>` of a committed state. The fast path is a counter
 //!   comparison plus an `Arc` clone under a short view lock — readers
 //!   never wait for the kernel mutex, so they never block behind a
 //!   commit in progress or behind each other.
 //!
 //! Freshness protocol: each `exec` epilogue publishes a new view when
-//! the commit clock moved and a reader has asked for one (a reader that
-//! sees a stale cached view sets `refresh_wanted` and is served the
-//! cached — still fully consistent — state). Publication happens on the
-//! writer's thread under the kernel lock, so a published view is always
-//! a committed prefix: readers get snapshot isolation, and an idle kernel
-//! publishes nothing. A publish builds from the cached view
-//! ([`Gaea::read_view_since`]): it copies only the relations written
-//! since that view, one version map and the catalog's maps (tasks by
-//! pointer), and shares the cached view's copy of every other relation.
-//! It never shares the live relations, so the next write stays
-//! copy-free.
+//! an event was applied since the cached view and a reader has asked
+//! for one (a reader that sees a stale cached view sets
+//! `refresh_wanted` and is served the cached — still fully consistent —
+//! state). Staleness is keyed on the catalog's applied-event count, not
+//! the store's version clock: DDL and access-path events tick no clock,
+//! yet a view without a just-defined class is stale. Publication
+//! happens on the writer's thread under the kernel lock, so a published
+//! view is always a committed prefix: readers get snapshot isolation,
+//! and an idle kernel publishes nothing. A publish builds from the
+//! cached view ([`Gaea::read_view_since`]): it copies only the relations
+//! written since that view, one version map and the catalog's maps
+//! (tasks by pointer), and shares the cached view's copy of every other
+//! relation. It never shares the live relations, so the next write
+//! stays copy-free.
 //!
 //! Panic policy mirrors the repo's poison-absorbing locks: a statement
 //! that panics inside `exec` is caught, the locks are released clean
@@ -44,10 +47,10 @@ pub struct SharedKernel {
     kernel: Mutex<Gaea>,
     /// The most recently published view (always a committed prefix).
     view: Mutex<Arc<ReadView>>,
-    /// Commit clock as of the last `exec`/publish — readers compare
-    /// without touching the kernel mutex.
-    clock: AtomicU64,
-    /// A reader observed the cached view lagging `clock`; the next
+    /// Applied-event count as of the last `exec`/publish — readers
+    /// compare without touching the kernel mutex.
+    applied: AtomicU64,
+    /// A reader observed the cached view lagging `applied`; the next
     /// commit epilogue republishes.
     refresh_wanted: AtomicBool,
 }
@@ -55,12 +58,12 @@ pub struct SharedKernel {
 impl SharedKernel {
     /// Wrap a kernel and publish its current state as the first view.
     pub fn new(kernel: Gaea) -> Arc<SharedKernel> {
-        let clock = kernel.store_clock();
+        let applied = kernel.catalog.applied_events;
         let view = Arc::new(kernel.read_view());
         Arc::new(SharedKernel {
             kernel: Mutex::new(kernel),
             view: Mutex::new(view),
-            clock: AtomicU64::new(clock),
+            applied: AtomicU64::new(applied),
             refresh_wanted: AtomicBool::new(false),
         })
     }
@@ -68,13 +71,13 @@ impl SharedKernel {
     /// Run a statement on the serialized commit path. Exclusive: one
     /// `exec` at a time, exactly like single-caller `&mut Gaea` use.
     ///
-    /// The epilogue publishes a fresh [`ReadView`] when the commit clock
-    /// moved and a reader asked for one, then updates the shared clock.
+    /// The epilogue publishes a fresh [`ReadView`] when an event was
+    /// applied and a reader asked for one, then updates the shared count.
     /// A panic inside `f` is caught so the locks are released unpoisoned,
     /// then rethrown on this thread — and nothing is published on that
     /// path: a panicked statement may have half-applied state, and a
     /// published view must only ever be a committed prefix. The previous
-    /// view and clock stay in place until the next successful statement.
+    /// view and count stay in place until the next successful statement.
     pub fn exec<R>(&self, f: impl FnOnce(&mut Gaea) -> R) -> R {
         gaea_obs::metrics().kernel_execs.inc();
         let mut g = self.kernel.lock().unwrap_or_else(PoisonError::into_inner);
@@ -108,7 +111,7 @@ impl SharedKernel {
             let guard = self.view.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(&guard)
         };
-        if view.clock() < self.clock.load(Ordering::Acquire) {
+        if view.catalog().applied_events < self.applied.load(Ordering::Acquire) {
             // Commits landed since this view was published: ask the next
             // exec epilogue for a fresh one. If the kernel is idle right
             // now, publish immediately so the staleness window is one
@@ -125,17 +128,17 @@ impl SharedKernel {
     }
 
     /// Publish the kernel's current state when a reader asked for a
-    /// fresher view (or the caller is the first to see a moved clock).
+    /// fresher view (or the caller is the first to see a moved count).
     /// Called with the kernel lock held.
     fn publish_if_wanted(&self, g: &Gaea) {
-        let live = g.store_clock();
-        self.clock.store(live, Ordering::Release);
+        let live = g.catalog.applied_events;
+        self.applied.store(live, Ordering::Release);
         let wanted = self.refresh_wanted.swap(false, Ordering::AcqRel);
         let cached = {
             let guard = self.view.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(&guard)
         };
-        if cached.clock() < live && wanted {
+        if cached.catalog().applied_events < live && wanted {
             let fresh = g.read_view_since(Some(&cached));
             let m = gaea_obs::metrics();
             let copied = fresh.store().relations_copied();
@@ -168,7 +171,7 @@ impl SharedKernel {
 impl std::fmt::Debug for SharedKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedKernel")
-            .field("clock", &self.clock.load(Ordering::Relaxed))
+            .field("applied", &self.applied.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -261,6 +264,19 @@ mod tests {
         assert!(std::ptr::eq(rel(&before, "site"), rel(&after, "site")));
         assert!(!std::ptr::eq(rel(&before, "obs"), rel(&after, "obs")));
         assert_eq!(after.query(&q_obs()).unwrap().objects.len(), 2);
+    }
+
+    /// A definition ticks no store clock, yet a view without the new
+    /// class is stale: the next pin must serve it.
+    #[test]
+    fn a_definition_alone_reaches_the_next_pin() {
+        let k = shared();
+        assert!(k.pin().catalog().class_by_name("site").is_err());
+        k.exec(|g| {
+            g.define_class(ClassSpec::base("site").attr("n", gaea_adt::TypeTag::Int4))
+                .unwrap()
+        });
+        assert!(k.pin().catalog().class_by_name("site").is_ok());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The WAL record codec: versioned binary envelopes for logged events.
 //!
 //! Every record the durable kernel appends is one [`LoggedEvent`]
-//! encoded by [`encode_logged`]; recovery decodes with
-//! [`decode_logged`], which dispatches **per record** on the first
-//! payload byte:
+//! encoded by [`encode_logged`] as binary v1 — the only format written.
+//! Recovery decodes with [`decode_logged`], which dispatches **per
+//! record** on the first payload byte:
 //!
 //! | first byte | format                                             |
 //! |-----------:|----------------------------------------------------|
@@ -12,11 +12,10 @@
 //! | `b'{'`     | bare JSON — logs written before the binary codec   |
 //! | other      | codec error (corrupt-but-CRC-valid record)         |
 //!
-//! Per-record dispatch means a pre-codec log replays unchanged, and a
-//! log that changes codecs mid-stream (reopened under different
-//! [`WalCodec`](super::durability::WalCodec) options) replays to the
-//! same state as an all-JSON one — `tests/props_wal.rs` holds both
-//! properties.
+//! The two JSON formats are decode-only: a legacy log replays
+//! unchanged, and a legacy log continued by a newer kernel (JSON prefix,
+//! binary suffix) replays to the same state — `tests/wal_recovery.rs`
+//! holds both against the golden legacy logs.
 //!
 //! The binary layout leans on `gaea_store::codec` primitives (LEB128
 //! varints, zigzag signed, fixed-width LE floats, length-prefixed
@@ -29,7 +28,7 @@
 //! they are rare, schema-rich and version-tolerant there, and a
 //! length-prefixed blob costs one varint.
 
-use super::durability::{LoggedEvent, WalCodec};
+use super::durability::LoggedEvent;
 use crate::error::{KernelError, KernelResult};
 use crate::event::{Event, NewObject, TaskCommit};
 use crate::ids::{ClassId, ObjectId, ProcessId, TaskId};
@@ -40,7 +39,7 @@ use std::collections::BTreeMap;
 
 /// Format byte of a binary v1 record.
 const FORMAT_BINARY_V1: u8 = 1;
-/// Format byte of an explicitly-prefixed JSON record.
+/// Format byte of an explicitly-prefixed JSON record (decode only).
 const FORMAT_JSON: u8 = 0;
 
 // Event variant tags (binary v1). Appending new variants is fine;
@@ -64,29 +63,22 @@ fn err(msg: impl Into<String>) -> KernelError {
     KernelError::Store(StoreError::Codec(msg.into()))
 }
 
-/// Encode one envelope under the configured codec. JSON writes the bare
-/// serde envelope — byte-identical to pre-codec logs, so a kernel
-/// pinned to [`WalCodec::Json`] produces logs older builds replay.
-pub(crate) fn encode_logged(logged: &LoggedEvent, codec: WalCodec) -> KernelResult<Vec<u8>> {
-    match codec {
-        WalCodec::Json => serde_json::to_vec(logged).map_err(|e| err(e.to_string())),
-        WalCodec::Binary => {
-            let mut e = Enc::with_capacity(64);
-            e.u8(FORMAT_BINARY_V1);
-            e.varint(logged.seq);
-            e.varint(logged.next_oid);
-            e.varint(logged.bumps.len() as u64);
-            for (rel, ticks) in &logged.bumps {
-                e.str(rel);
-                e.varint(ticks.len() as u64);
-                for t in ticks {
-                    e.varint(*t);
-                }
-            }
-            encode_event(&mut e, &logged.event)?;
-            Ok(e.into_bytes())
+/// Encode one envelope as a binary v1 record.
+pub(crate) fn encode_logged(logged: &LoggedEvent) -> KernelResult<Vec<u8>> {
+    let mut e = Enc::with_capacity(64);
+    e.u8(FORMAT_BINARY_V1);
+    e.varint(logged.seq);
+    e.varint(logged.next_oid);
+    e.varint(logged.bumps.len() as u64);
+    for (rel, ticks) in &logged.bumps {
+        e.str(rel);
+        e.varint(ticks.len() as u64);
+        for t in ticks {
+            e.varint(*t);
         }
     }
+    encode_event(&mut e, &logged.event)?;
+    Ok(e.into_bytes())
 }
 
 /// Decode one record, whatever codec wrote it (see the module table).
@@ -525,9 +517,16 @@ mod tests {
         ]
     }
 
-    /// Both codecs of every event shape decode back to the same
-    /// envelope (compared through the serde view, which is `Event`'s
-    /// identity for replay purposes).
+    /// The bare serde envelope — what kernels before the binary codec
+    /// appended, and the reference encoder for the decode-only JSON
+    /// formats.
+    fn legacy_json(logged: &LoggedEvent) -> Vec<u8> {
+        serde_json::to_vec(logged).unwrap()
+    }
+
+    /// Every event shape decodes back to the same envelope from its
+    /// binary record and from both legacy JSON formats (compared through
+    /// the serde view, which is `Event`'s identity for replay purposes).
     #[test]
     fn every_event_round_trips_in_both_codecs() {
         for (i, event) in sample_events().into_iter().enumerate() {
@@ -538,8 +537,9 @@ mod tests {
                 event,
             };
             let canon = serde_json::to_string(&logged).unwrap();
-            for codec in [WalCodec::Binary, WalCodec::Json] {
-                let payload = encode_logged(&logged, codec).unwrap();
+            let json = legacy_json(&logged);
+            let prefixed = [&[FORMAT_JSON][..], &json].concat();
+            for payload in [encode_logged(&logged).unwrap(), json, prefixed] {
                 let back = decode_logged(&payload).unwrap();
                 assert_eq!(serde_json::to_string(&back).unwrap(), canon);
             }
@@ -569,13 +569,14 @@ mod tests {
         0705736168656c02650703503230010562616e6473020304010311010901026174030a010371697501026566\
         660703503230010562616e6473020304010311010901026174030a020371697501026566";
 
-    /// [`golden_commit`] as logs on disk hold it, JSON.
+    /// [`golden_commit`] as pre-codec logs on disk hold it, JSON.
     const GOLDEN_JSON: &str = r#"{"seq":12,"next_oid":104,"bumps":[["c_ndvi",[9]]],"event":{"TaskCommit":{"objects":[{"rel":"c_ndvi","class":5,"oid":9,"tuple":{"values":[{"Float8":0.5},{"Text":"sahel"}]}}],"tasks":[{"id":101,"process":7,"process_name":"P20","inputs":{"bands":[3,4]},"input_versions":{"3":17},"outputs":[9],"params":{"at":{"Int4":5}},"seq":1,"user":"qiu","kind":"Compound","children":[101,102]},{"id":102,"process":7,"process_name":"P20","inputs":{"bands":[3,4]},"input_versions":{"3":17},"outputs":[9],"params":{"at":{"Int4":5}},"seq":2,"user":"qiu","kind":"Compound","children":[101,102]}]}}}"#;
 
     /// The task-commit record format is pinned: a two-task commit
-    /// encodes to exactly the bytes existing logs hold, in both codecs,
-    /// and those bytes decode back to the same envelope. A round trip
-    /// within one build cannot catch a shape change; this can.
+    /// encodes to exactly the binary bytes existing logs hold, the
+    /// legacy JSON bytes are what pre-codec kernels appended, and both
+    /// decode back to the same envelope. A round trip within one build
+    /// cannot catch a shape change; this can.
     #[test]
     fn task_commit_records_match_golden_bytes() {
         let logged = golden_commit();
@@ -584,13 +585,11 @@ mod tests {
             .step_by(2)
             .map(|i| u8::from_str_radix(&GOLDEN_BINARY[i..i + 2], 16).unwrap())
             .collect();
-        for (codec, golden) in [
-            (WalCodec::Binary, binary.as_slice()),
-            (WalCodec::Json, GOLDEN_JSON.as_bytes()),
-        ] {
-            assert_eq!(encode_logged(&logged, codec).unwrap(), golden, "{codec:?}");
+        assert_eq!(encode_logged(&logged).unwrap(), binary);
+        assert_eq!(legacy_json(&logged), GOLDEN_JSON.as_bytes());
+        for golden in [binary.as_slice(), GOLDEN_JSON.as_bytes()] {
             let back = decode_logged(golden).unwrap();
-            assert_eq!(serde_json::to_string(&back).unwrap(), canon, "{codec:?}");
+            assert_eq!(serde_json::to_string(&back).unwrap(), canon);
         }
     }
 
@@ -602,14 +601,16 @@ mod tests {
             bumps: vec![],
             event: Event::VersionAdvance,
         };
-        let payload = encode_logged(&logged, WalCodec::Json).unwrap();
         // Bare serde JSON, exactly what pre-codec kernels appended.
-        assert_eq!(payload, serde_json::to_vec(&logged).unwrap());
+        let payload = legacy_json(&logged);
         assert_eq!(payload[0], b'{');
+        assert_eq!(decode_logged(&payload).unwrap().seq, 1);
         // And an explicit 0x00 prefix is accepted on decode too.
-        let mut prefixed = vec![0u8];
+        let mut prefixed = vec![FORMAT_JSON];
         prefixed.extend_from_slice(&payload);
         assert_eq!(decode_logged(&prefixed).unwrap().seq, 1);
+        // New records are always binary.
+        assert_eq!(encode_logged(&logged).unwrap()[0], FORMAT_BINARY_V1);
     }
 
     #[test]
@@ -628,8 +629,8 @@ mod tests {
                 )]),
             },
         };
-        let bin = encode_logged(&logged, WalCodec::Binary).unwrap().len();
-        let json = encode_logged(&logged, WalCodec::Json).unwrap().len();
+        let bin = encode_logged(&logged).unwrap().len();
+        let json = legacy_json(&logged).len();
         assert!(
             bin * 2 < json,
             "binary {bin} bytes should be well under half of JSON {json}"
@@ -651,7 +652,7 @@ mod tests {
                 oid: 5,
             },
         };
-        let full = encode_logged(&logged, WalCodec::Binary).unwrap();
+        let full = encode_logged(&logged).unwrap();
         for cut in 1..full.len() {
             assert!(
                 decode_logged(&full[..cut]).is_err(),

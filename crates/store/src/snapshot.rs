@@ -95,13 +95,7 @@ pub fn write_capture(capture: &Capture, dir: &Path) -> StoreResult<()> {
 
 /// Write the database to `dir/manifest.json` (creates `dir` if needed).
 pub fn save(db: &Database, dir: &Path) -> StoreResult<()> {
-    save_with_wal_seq(db, dir, 0)
-}
-
-/// Like [`save`], stamping the manifest with the WAL sequence number of
-/// the last event already folded into this snapshot.
-pub fn save_with_wal_seq(db: &Database, dir: &Path, wal_seq: u64) -> StoreResult<()> {
-    write_capture(&capture_with_wal_seq(db, wal_seq), dir)
+    write_capture(&capture_with_wal_seq(db, 0), dir)
 }
 
 /// Load a database from `dir/manifest.json`.

@@ -312,8 +312,9 @@ impl WalWriter {
     }
 
     /// Reset the log to empty — the snapshot that supersedes its events
-    /// is durably on disk.
-    pub fn truncate(&mut self) -> std::io::Result<()> {
+    /// is durably on disk ([`WalWriter::truncate_prefix`] of the whole
+    /// log).
+    fn truncate(&mut self) -> std::io::Result<()> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_data()?;

@@ -57,7 +57,6 @@ fn open(dir: &Path) -> KernelResult<Gaea> {
         DurabilityOptions {
             fsync_every,
             snapshot_every: 8,
-            ..Default::default()
         },
     )
 }

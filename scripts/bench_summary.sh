@@ -64,38 +64,6 @@ fi
 
 echo "bench_summary: wrote $out ($(grep -c '"id"' "$out") scenarios)"
 
-# Codec deltas: when a scenario has a JSON-codec twin (same id with the
-# "json" marker removed, e.g. wal_replay_10k_json → wal_replay_10k or
-# wal_append_json_fsync_64 → wal_append_fsync_64), publish the
-# JSON-over-binary median ratio under "deltas" — the artifact trail
-# records the binary-codec speedup directly instead of leaving it to
-# whoever reads the raw rows.
-python3 - "$out" <<'EOF'
-import json, re, sys
-
-doc = json.load(open(sys.argv[1]))
-rows = {s["id"]: s for s in doc.get("scenarios", [])}
-deltas = {}
-for sid, row in rows.items():
-    base_id = re.sub(r"_json(?=[_/]|$)|(?<=_)json_", "", sid)
-    if base_id == sid or base_id not in rows:
-        continue
-    base = rows[base_id]
-    if not base.get("median_ns"):
-        continue
-    deltas[base_id.split("/")[0]] = {
-        "json_median_ns": row["median_ns"],
-        "binary_median_ns": base["median_ns"],
-        "json_over_binary": round(row["median_ns"] / base["median_ns"], 3),
-    }
-if deltas:
-    doc["deltas"] = deltas
-    with open(sys.argv[1], "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    print(f"bench_summary: published {len(deltas)} codec delta(s)")
-EOF
-
 if [ -n "$metrics" ]; then
     if [ ! -f "$metrics" ]; then
         echo "bench_summary: metrics snapshot $metrics not found" >&2

@@ -171,7 +171,6 @@ fn checkpoint_refreshes_recovery_stats_and_gauges() {
         DurabilityOptions {
             fsync_every: 1,
             snapshot_every: 0,
-            ..Default::default()
         },
     )
     .unwrap();

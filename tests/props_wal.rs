@@ -13,7 +13,7 @@
 //! with the default scheduler and once with `GAEA_SCHED_WORKERS=4`.
 
 use gaea::adt::{AbsTime, GeoBox, Image, TypeTag, Value};
-use gaea::core::kernel::{ClassSpec, DurabilityOptions, Gaea, ProcessSpec, WalCodec};
+use gaea::core::kernel::{ClassSpec, DurabilityOptions, Gaea, ProcessSpec};
 use gaea::core::schema::StepSource;
 use gaea::core::template::{Expr, Mapping, Template};
 use gaea::core::{ObjectId, Query, QueryStrategy};
@@ -364,7 +364,7 @@ proptest! {
         snapshot_every in prop_oneof![Just(0u64), 1u64..6],
     ) {
         let dir = fresh_dir("replay");
-        let options = DurabilityOptions { fsync_every, snapshot_every, ..Default::default() };
+        let options = DurabilityOptions { fsync_every, snapshot_every };
         let mut g = Gaea::open_with(&dir, options).unwrap();
         let mut live = define_task_schema(&mut g);
         for op in &ops {
@@ -392,7 +392,7 @@ proptest! {
         second in proptest::collection::vec(op_strategy(), 1..15),
     ) {
         let dir = fresh_dir("reopen");
-        let options = DurabilityOptions { fsync_every: 1, snapshot_every: 4, ..Default::default() };
+        let options = DurabilityOptions { fsync_every: 1, snapshot_every: 4 };
 
         // Interrupted run: restart between the two op batches.
         let mut g = Gaea::open_with(&dir, options).unwrap();
@@ -422,88 +422,6 @@ proptest! {
         prop_assert_eq!(&interrupted.1, &twin.1, "catalog diverged from uninterrupted twin");
         let _ = std::fs::remove_dir_all(&dir);
     }
-
-    /// Codec equivalence: the same op sequence journaled under the
-    /// binary codec and under the legacy JSON codec replays to
-    /// serde-identical kernels — the record encoding is invisible to
-    /// everything above the log.
-    #[test]
-    fn binary_and_json_codecs_replay_identically(
-        ops in proptest::collection::vec(op_strategy(), 1..30),
-    ) {
-        let mut digests = Vec::new();
-        for codec in [WalCodec::Binary, WalCodec::Json] {
-            let dir = fresh_dir("codec");
-            let options = DurabilityOptions {
-                fsync_every: 1,
-                snapshot_every: 0, // every event stays in the log
-                codec,
-                ..Default::default()
-            };
-            let mut g = Gaea::open_with(&dir, options).unwrap();
-            let mut live = define_task_schema(&mut g);
-            for op in &ops {
-                apply(&mut g, &mut live, op);
-            }
-            let before = state_digest(&g, "codec-live");
-            drop(g);
-            let g2 = Gaea::open_with(&dir, options).unwrap();
-            prop_assert!(!g2.recovery_stats().unwrap().wal_corrupt);
-            let after = state_digest(&g2, "codec-replayed");
-            prop_assert_eq!(&before.0, &after.0, "manifest diverged under {:?}", codec);
-            prop_assert_eq!(&before.1, &after.1, "catalog diverged under {:?}", codec);
-            digests.push(after);
-            drop(g2);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        prop_assert_eq!(&digests[0].0, &digests[1].0, "codecs replay to different manifests");
-        prop_assert_eq!(&digests[0].1, &digests[1].1, "codecs replay to different catalogs");
-    }
-
-    /// Mixed-format logs: a JSON prefix (a log written before the
-    /// binary codec, or under `WalCodec::Json`) continued with binary
-    /// records recovers serde-identically to an uninterrupted kernel —
-    /// format dispatch is per record, not per log.
-    #[test]
-    fn mixed_format_log_replays_seamlessly(
-        first in proptest::collection::vec(op_strategy(), 1..15),
-        second in proptest::collection::vec(op_strategy(), 1..15),
-    ) {
-        let dir = fresh_dir("mixed");
-        // No snapshots: a checkpoint would fold the JSON prefix away
-        // and the log would no longer be mixed.
-        let no_ckpt = |ops: &[Op]| -> Vec<Op> {
-            ops.iter().filter(|o| !matches!(o, Op::Checkpoint)).cloned().collect()
-        };
-        let (first, second) = (no_ckpt(&first), no_ckpt(&second));
-        let base = DurabilityOptions { fsync_every: 1, snapshot_every: 0, ..Default::default() };
-
-        let mut g = Gaea::open_with(&dir, DurabilityOptions { codec: WalCodec::Json, ..base }).unwrap();
-        let mut live = define_task_schema(&mut g);
-        for op in &first {
-            apply(&mut g, &mut live, op);
-        }
-        drop(g);
-        let mut g = Gaea::open_with(&dir, DurabilityOptions { codec: WalCodec::Binary, ..base }).unwrap();
-        for op in &second {
-            apply(&mut g, &mut live, op);
-        }
-        let mixed = state_digest(&g, "mixed-live");
-        drop(g);
-
-        // The mixed log replays in full (no snapshot shortcut), under
-        // either codec setting — decode ignores the option.
-        for codec in [WalCodec::Binary, WalCodec::Json] {
-            let g = Gaea::open_with(&dir, DurabilityOptions { codec, ..base }).unwrap();
-            let stats = g.recovery_stats().unwrap();
-            prop_assert!(!stats.wal_corrupt);
-            prop_assert_eq!(stats.snapshot_seq, 0, "mixed log must have no snapshot");
-            let replayed = state_digest(&g, "mixed-replayed");
-            prop_assert_eq!(&mixed.0, &replayed.0, "manifest diverged replaying mixed log");
-            prop_assert_eq!(&mixed.1, &replayed.1, "catalog diverged replaying mixed log");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -518,7 +436,6 @@ fn seeded_dir(tag: &str, n: i32) -> PathBuf {
     let options = DurabilityOptions {
         fsync_every: 1,
         snapshot_every: 0,
-        ..Default::default()
     };
     let mut g = Gaea::open_with(&dir, options).unwrap();
     define_schema(&mut g);
@@ -620,7 +537,6 @@ fn snapshot_alone_recovers_when_log_is_lost() {
     let options = DurabilityOptions {
         fsync_every: 1,
         snapshot_every: 0,
-        ..Default::default()
     };
     let mut g = Gaea::open_with(&dir, options).unwrap();
     define_schema(&mut g);

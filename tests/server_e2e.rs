@@ -91,6 +91,33 @@ fn sessions_share_one_kernel_with_read_write_visibility() {
     assert_eq!(report.stats.protocol_errors, 0);
 }
 
+/// A definition alone — no insert after it — reaches another session's
+/// next read: the class is known and empty, not unknown.
+#[test]
+fn a_definition_is_visible_to_other_sessions_before_any_insert() {
+    let h = start(seeded_kernel(), ServerConfig::default());
+    let mut writer = Client::connect(&h.addr, "writer").unwrap();
+    let mut reader = Client::connect(&h.addr, "reader").unwrap();
+    // Pin a view before the definition, so the reader has one cached.
+    assert_eq!(
+        reader
+            .retrieve("RETRIEVE * FROM obs")
+            .unwrap()
+            .objects
+            .len(),
+        4
+    );
+    writer
+        .define("CLASS foo ( ATTRIBUTES: t = int4; )")
+        .unwrap();
+    match reader.retrieve("RETRIEVE * FROM foo") {
+        Err(ClientError::Server(m)) => assert!(m.starts_with("no data"), "{m}"),
+        other => panic!("expected no data for the empty class, got {other:?}"),
+    }
+    writer.shutdown_server().unwrap();
+    assert!(h.thread.join().unwrap().wal_flush.is_ok());
+}
+
 #[test]
 fn admission_control_refuses_the_session_over_the_limit() {
     let h = start(

@@ -14,7 +14,7 @@ use gaea::core::external::SimulatedSite;
 use gaea::core::kernel::{ClassSpec, DurabilityOptions, Gaea, JobStatus, ProcessSpec};
 use gaea::core::schema::StepSource;
 use gaea::core::template::{Expr, Mapping, Template};
-use gaea::core::{JobId, KernelError, KernelResult, Query, QueryMethod};
+use gaea::core::{JobId, KernelError, KernelResult, Query, QueryMethod, QueryStrategy};
 use gaea::lang::Retrieve as _;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -142,7 +142,6 @@ fn options() -> DurabilityOptions {
     DurabilityOptions {
         fsync_every: 1,
         snapshot_every: 0,
-        ..Default::default()
     }
 }
 
@@ -584,9 +583,36 @@ fn legacy_logs_replay_to_their_recorded_state() {
     }
 }
 
+/// A legacy JSON log continued by this kernel — JSON prefix, binary
+/// suffix — replays to the state the live kernel had: decoding
+/// dispatches per record, not per log.
+#[test]
+fn a_legacy_json_log_continued_in_binary_replays_identically() {
+    const K: i32 = 5;
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/legacy_wal");
+    let dir = fresh_dir("legacy-mixed");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(golden.join("json/wal.log"), dir.join("wal.log")).unwrap();
+    let mut g = Gaea::open_with(&dir, options()).unwrap();
+    for v in 0..K {
+        g.insert_object("obs", vec![("v", Value::Int4(100 + v))])
+            .unwrap();
+    }
+    let before = state_digest(&g, "legacy-mixed-live");
+    drop(g);
+
+    let g = Gaea::open_with(&dir, options()).unwrap();
+    let stats = g.recovery_stats().unwrap();
+    assert!(!stats.wal_corrupt);
+    assert_eq!(stats.events_replayed, 14 + K as u64);
+    assert_eq!(state_digest(&g, "legacy-mixed-replayed"), before);
+    drop(g);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The first interpolation of a class registers its interpolation
-/// process and records a task. Whichever event a synchronous snapshot
-/// lands on, a reopened kernel is serde-identical to the live one (the
+/// process and records a task. Whichever event a cadence fold lands on
+/// (the first lands on event `every`: nothing is in flight before it), a reopened kernel is serde-identical to the live one (the
 /// snapshot never folds in the object of a commit it does not cover).
 #[test]
 fn interpolation_replays_identically_at_every_snapshot_cadence() {
@@ -595,7 +621,6 @@ fn interpolation_replays_identically_at_every_snapshot_cadence() {
         let dir = fresh_dir("interp");
         let options = DurabilityOptions {
             snapshot_every: every,
-            background_compaction: false,
             ..options()
         };
         let mut g = Gaea::open_with(&dir, options).unwrap();
@@ -647,12 +672,7 @@ fn background_compaction_folds_the_log_behind_live_commits() {
     let opts = DurabilityOptions {
         fsync_every: 1,
         snapshot_every: 4,
-        ..Default::default()
     };
-    assert!(
-        opts.background_compaction,
-        "background folding must be the default"
-    );
     let folds_before = gaea::obs::metrics().wal_compactions.get();
     let mut g = Gaea::open_with(&dir, opts).unwrap();
     g.define_class(ClassSpec::base("obs").attr("v", TypeTag::Int4).no_extents())
@@ -688,15 +708,14 @@ fn background_compaction_folds_the_log_behind_live_commits() {
 }
 
 /// An explicit `checkpoint()` settles whatever fold is in flight before
-/// taking its own synchronous snapshot — afterwards the log is empty
-/// and a reopen replays nothing.
+/// running and waiting on its own — afterwards the log is empty and a
+/// reopen replays nothing.
 #[test]
 fn checkpoint_settles_an_inflight_background_fold() {
     let dir = fresh_dir("bg-ckpt");
     let opts = DurabilityOptions {
         fsync_every: 1,
         snapshot_every: 4,
-        ..Default::default()
     };
     let mut g = Gaea::open_with(&dir, opts).unwrap();
     g.define_class(ClassSpec::base("obs").attr("v", TypeTag::Int4).no_extents())
@@ -719,34 +738,58 @@ fn checkpoint_settles_an_inflight_background_fold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// With `background_compaction: false` the cadence falls back to the
-/// synchronous `checkpoint()` path — same watermark semantics, no
-/// worker thread.
+/// A fold whose `CURRENT` flip fails (here `CURRENT.tmp` is a
+/// directory) retains the log. `checkpoint()` returns the failure and a
+/// reopen replays every event; a cadence fold hitting the same obstacle
+/// is absorbed and counted while commits continue; once the obstacle is
+/// gone, `checkpoint()` folds and empties the log.
 #[test]
-fn synchronous_fallback_still_folds_on_cadence() {
-    let dir = fresh_dir("sync-fold");
-    let opts = DurabilityOptions {
-        fsync_every: 1,
-        snapshot_every: 4,
-        background_compaction: false,
-        ..Default::default()
+fn a_failed_fold_keeps_the_log_and_checkpoint_reports_it() {
+    let dir = fresh_dir("failed-fold");
+    let insert = |g: &mut Gaea, v: i32| {
+        g.insert_object("obs", vec![("v", Value::Int4(v))]).unwrap();
     };
-    let mut g = Gaea::open_with(&dir, opts).unwrap();
+    let mut g = Gaea::open_with(&dir, options()).unwrap();
     g.define_class(ClassSpec::base("obs").attr("v", TypeTag::Int4).no_extents())
         .unwrap();
-    for i in 0..10 {
-        g.insert_object("obs", vec![("v", Value::Int4(i))]).unwrap();
+    for v in 0..3 {
+        insert(&mut g, v);
     }
-    let before = state_digest(&g, "sync-fold-live");
+    let obstacle = dir.join("CURRENT.tmp");
+    std::fs::create_dir(&obstacle).unwrap();
+    assert!(g.checkpoint().is_err(), "a failed flip must surface");
     drop(g);
 
-    let g = Gaea::open_with(&dir, opts).unwrap();
+    // Four events replayed (one definition, three inserts), and a
+    // cadence of five makes the first new commit due for a fold.
+    let cadence = DurabilityOptions {
+        snapshot_every: 5,
+        ..options()
+    };
+    let mut g = Gaea::open_with(&dir, cadence).unwrap();
     let stats = g.recovery_stats().unwrap().clone();
-    assert!(
-        stats.snapshot_seq > 0,
-        "the synchronous fallback must advance the watermark on cadence"
+    assert_eq!((stats.events_replayed, stats.snapshot_seq), (4, 0));
+    let failed_before = gaea::obs::metrics().wal_compactions_failed.get();
+    for v in 3..6 {
+        insert(&mut g, v);
+    }
+    g.flush_wal().unwrap(); // settles the fold, absorbing its failure
+    assert_eq!(
+        gaea::obs::metrics().wal_compactions_failed.get() - failed_before,
+        1
     );
-    assert_eq!(state_digest(&g, "sync-fold-replayed"), before);
+    let all = Query::class("obs").with_strategy(QueryStrategy::RetrieveOnly);
+    assert_eq!(g.query(&all).unwrap().objects.len(), 6);
+
+    std::fs::remove_dir(&obstacle).unwrap();
+    g.checkpoint().unwrap();
+    assert_eq!(std::fs::metadata(dir.join("wal.log")).unwrap().len(), 0);
+    let before = state_digest(&g, "failed-fold-live");
+    drop(g);
+    let g = Gaea::open_with(&dir, options()).unwrap();
+    let stats = g.recovery_stats().unwrap().clone();
+    assert_eq!((stats.events_replayed, stats.snapshot_seq), (0, 7));
+    assert_eq!(state_digest(&g, "failed-fold-replayed"), before);
     drop(g);
     let _ = std::fs::remove_dir_all(&dir);
 }
