@@ -11,7 +11,7 @@ use crate::error::{KernelError, KernelResult};
 use crate::experiment::Experiment;
 use crate::ids::{ClassId, ConceptId, ExperimentId, ObjectId, ProcessId, TaskId};
 use crate::schema::{ClassDef, Concept, ProcessDef};
-use crate::task::Task;
+use crate::task::{key_fingerprint, Task};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -45,13 +45,16 @@ pub struct Catalog {
     /// after a load.
     #[serde(skip)]
     produced_by: BTreeMap<ObjectId, TaskId>,
-    /// Reverse index process → its recorded tasks, in task-id order (ids
-    /// are allocated monotonically, so append order *is* id order). The
-    /// query mechanism's dedup walk and the scheduler's impact analysis
-    /// consult this instead of scanning the whole task map. Not
-    /// serialized — rebuilt via [`Catalog::rebuild_task_index`].
+    /// Reverse index process → its recorded tasks, each as the
+    /// [`key_fingerprint`] of its dedup key (computed once, when the task
+    /// enters the catalog) and its id, sorted by `(fingerprint, id)`. The
+    /// duplicate-derivation check ([`Catalog::tasks_keyed`]) binary-searches
+    /// one fingerprint and formats a recorded task's key only where
+    /// fingerprints agree. One flat vector per process, so a read view's
+    /// catalog copy clones it with one allocation, as it would a list of
+    /// ids. Not serialized — rebuilt via [`Catalog::rebuild_task_index`].
     #[serde(skip)]
-    tasks_by_process: BTreeMap<ProcessId, Vec<TaskId>>,
+    tasks_by_process: BTreeMap<ProcessId, Vec<(u64, TaskId)>>,
     /// Logical clock for task ordering.
     pub next_seq: u64,
     /// Events applied since this catalog was built or loaded: every
@@ -129,10 +132,9 @@ impl Catalog {
             // object's real producer.
             self.produced_by.entry(*out).or_insert(task.id);
         }
-        self.tasks_by_process
-            .entry(task.process)
-            .or_default()
-            .push(task.id);
+        let entry = (key_fingerprint(&task.dedup_key()), task.id);
+        let keyed = self.tasks_by_process.entry(task.process).or_default();
+        keyed.insert(keyed.partition_point(|e| *e < entry), entry);
         self.tasks.insert(task.id, Arc::new(task));
     }
 
@@ -148,24 +150,24 @@ impl Catalog {
                 self.produced_by.remove(out);
             }
         }
-        if let Some(ids) = self.tasks_by_process.get_mut(&task.process) {
-            ids.retain(|t| *t != id);
-            if ids.is_empty() {
+        if let Some(keyed) = self.tasks_by_process.get_mut(&task.process) {
+            if let Ok(at) = keyed.binary_search(&(key_fingerprint(&task.dedup_key()), id)) {
+                keyed.remove(at);
+            }
+            if keyed.is_empty() {
                 self.tasks_by_process.remove(&task.process);
             }
         }
         Some(task)
     }
 
-    /// Rebuild the object → producing-task and process → tasks indexes
-    /// from the task map. Called after deserializing a catalog (the
-    /// indexes are not persisted).
+    /// Rebuild the object → producing-task and process → (key
+    /// fingerprint, task) indexes from the task map. Called after
+    /// deserializing a catalog (the indexes are not persisted).
     pub fn rebuild_task_index(&mut self) {
         self.produced_by.clear();
         self.tasks_by_process.clear();
-        // Iterate in id order so the earliest producer wins and the
-        // per-process lists come out id-sorted, exactly as incremental
-        // `add_task` maintenance would have left them.
+        // Iterate in id order so the earliest producer wins.
         for (id, task) in &self.tasks {
             for out in &task.outputs {
                 self.produced_by.entry(*out).or_insert(*id);
@@ -173,21 +175,50 @@ impl Catalog {
             self.tasks_by_process
                 .entry(task.process)
                 .or_default()
-                .push(*id);
+                .push((key_fingerprint(&task.dedup_key()), *id));
+        }
+        // Sorted exactly as incremental `add_task` upkeep leaves them.
+        for keyed in self.tasks_by_process.values_mut() {
+            keyed.sort_unstable();
         }
     }
 
-    /// Recorded tasks of one process, in task-id (= recording) order.
-    /// O(log n + answers) through the per-process index — the query
-    /// mechanism's duplicate-derivation walk runs this per firing, and
-    /// used to scan every task on record instead.
+    /// Recorded tasks of one process, in task-id (= recording) order,
+    /// through the per-process index instead of a scan of every task on
+    /// record.
     pub fn tasks_of_process(&self, pid: ProcessId) -> impl Iterator<Item = &Task> {
-        self.tasks_by_process
-            .get(&pid)
-            .into_iter()
-            .flatten()
-            .filter_map(|id| self.tasks.get(id))
+        let mut ids: Vec<TaskId> = self.keyed_tasks(pid).iter().map(|(_, id)| *id).collect();
+        ids.sort_unstable();
+        ids.into_iter()
+            .filter_map(|id| self.tasks.get(&id))
             .map(Arc::as_ref)
+    }
+
+    /// Recorded tasks of one process whose dedup key fingerprints to
+    /// `fingerprint` ([`key_fingerprint`]), in task-id order: the
+    /// candidates for one derivation identity. A binary search finds
+    /// them, so the cost does not grow with the process's history, and
+    /// no key is formatted. A caller confirms each candidate's full key,
+    /// since distinct keys can share a fingerprint.
+    pub fn tasks_keyed(&self, pid: ProcessId, fingerprint: u64) -> impl Iterator<Item = &Task> {
+        let keyed = self.keyed_tasks(pid);
+        keyed[keyed.partition_point(|(f, _)| *f < fingerprint)..]
+            .iter()
+            .take_while(move |(f, _)| *f == fingerprint)
+            .filter_map(|(_, id)| self.tasks.get(id))
+            .map(Arc::as_ref)
+    }
+
+    /// One process's `(key fingerprint, task)` entries, sorted.
+    fn keyed_tasks(&self, pid: ProcessId) -> &[(u64, TaskId)] {
+        self.tasks_by_process.get(&pid).map_or(&[], Vec::as_slice)
+    }
+
+    /// The process → (key fingerprint, task) index as maintained, for
+    /// tests that compare incremental upkeep with a rebuild.
+    #[cfg(test)]
+    pub(crate) fn task_key_index(&self) -> &BTreeMap<ProcessId, Vec<(u64, TaskId)>> {
+        &self.tasks_by_process
     }
 
     /// Class by id.

@@ -297,7 +297,7 @@ impl Gaea {
                 bindings,
                 cancelled: false,
             };
-            g.jobs.records.insert(JobId(job), record);
+            g.jobs.file(JobId(job), record);
             g.jobs.recovered.insert(JobId(job));
         }
         g.jobs.resume_ids(max_job);

@@ -23,17 +23,16 @@
 //! record, or in flight as a background job?
 
 use super::jobs::JobId;
-use super::query::dedup_key_for;
 use super::Gaea;
 use crate::catalog::Catalog;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
 use crate::event::Event;
-use crate::ids::{ObjectId, TaskId};
+use crate::ids::{ObjectId, ProcessId, TaskId};
 use crate::interact::InteractiveSession;
 use crate::object::DataObject;
-use crate::schema::{ProcessDef, ProcessKind};
-use crate::task::{Task, TaskKind};
+use crate::schema::ProcessKind;
+use crate::task::{key_fingerprint, Task, TaskKind};
 use crate::template::EvalContext;
 use gaea_adt::Value;
 use gaea_store::Database;
@@ -100,30 +99,38 @@ pub(crate) fn task_is_stale(
         .any(|input| object_is_stale(db, catalog, input, memo))
 }
 
-/// Is a firing of `def` on `bindings` already done (§2.1.2: a recorded
-/// task says so)? The one derivation-identity check every automatic
-/// firing path asks before it fires, so the kernel avoids "unnecessary
-/// duplication of experiments" (§2.1.1).
+/// Is a firing of process `pid` whose dedup key is `key` (the caller's
+/// [`super::query::dedup_key_for`], computed once per binding) already
+/// done (§2.1.2: a recorded task says so)? The one derivation-identity
+/// check every automatic firing path asks before it fires, so the kernel
+/// avoids "unnecessary duplication of experiments" (§2.1.1).
 ///
-/// One pass over the process's recorded tasks: the first whose key
-/// matches ([`dedup_key_for`]), whose outputs are all still stored and
-/// which is not stale answers [`Prior::Current`]. Several records can
-/// share a key — a stale derivation and its re-fire bind identically
-/// when only input *versions* drifted — and stale or output-deleted
-/// records are history, not answers. Otherwise a key in `in_flight`
-/// (the caller's [`Gaea::jobs_in_flight_keys`]) answers
-/// [`Prior::InFlight`], and anything else is [`Prior::Fresh`]. Counts
-/// nothing: the caller that acts on the answer calls [`count_reuse`].
+/// A fingerprint lookup, not a walk of the process's history: the
+/// catalog yields only the recorded tasks whose key fingerprint equals
+/// `key`'s ([`Catalog::tasks_keyed`], a binary search), so no other
+/// task's key is formatted. Each candidate's full key is then confirmed
+/// — a fingerprint collision costs one string comparison, never a wrong
+/// reuse — and the first, in id order, whose key matches, whose outputs
+/// are all still stored and which is not stale answers
+/// [`Prior::Current`]. Several records can share a key — a stale
+/// derivation and its re-fire bind identically when only input
+/// *versions* drifted — and stale or output-deleted records are
+/// history, not answers. Otherwise a key in `in_flight` (the caller's
+/// [`Gaea::jobs_in_flight_keys`]) answers [`Prior::InFlight`], and
+/// anything else is [`Prior::Fresh`]. Every full-key comparison ticks
+/// the `derive_tasks_examined` counter. Counts no reuse: the caller that
+/// acts on the answer calls [`count_reuse`].
 pub(crate) fn prior_derivation(
     db: &Database,
     catalog: &Catalog,
     in_flight: &BTreeMap<String, JobId>,
-    def: &ProcessDef,
-    bindings: &[(String, Vec<ObjectId>)],
+    pid: ProcessId,
+    key: &str,
 ) -> Prior {
-    let key = dedup_key_for(def, bindings);
+    let examined = &gaea_obs::metrics().derive_tasks_examined;
     let mut memo = StaleMemo::new();
-    let current = catalog.tasks_of_process(def.id).find(|t| {
+    let current = catalog.tasks_keyed(pid, key_fingerprint(key)).find(|t| {
+        examined.inc();
         t.dedup_key() == key
             && t.outputs
                 .iter()
@@ -136,7 +143,7 @@ pub(crate) fn prior_derivation(
             outputs: t.outputs.clone(),
         });
     }
-    match in_flight.get(&key) {
+    match in_flight.get(key) {
         Some(job) => Prior::InFlight(*job),
         None => Prior::Fresh,
     }

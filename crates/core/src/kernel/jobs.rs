@@ -38,7 +38,7 @@
 
 use super::durability::RecordedBindings;
 use super::exec::{prior_derivation, Prior};
-use super::query::{dedup_key_for, derivation_plan, ChosenFiring, TokenPool};
+use super::query::{derivation_plan, ChosenFiring, TokenPool};
 use super::Gaea;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
@@ -127,7 +127,17 @@ impl JobRecord {
 /// Owner of the job pool and the per-job records. One per [`Gaea`].
 pub(crate) struct JobManager {
     pub(crate) pool: JobPool<PreparedFiring>,
+    /// Every job ever submitted, in id order. Never pruned: a status
+    /// query may name any of them.
     pub(crate) records: BTreeMap<JobId, JobRecord>,
+    /// The jobs whose records are neither resolved nor cancelled — the
+    /// ones the commit pump, the in-flight dedup walk and a snapshot's
+    /// submission list read, so none of them walks the whole job
+    /// history. Joined on submission and journal recovery
+    /// ([`JobManager::file`]), left on resolve and on cancel. A job
+    /// whose worker failed stays: nothing resolves it in the journal,
+    /// so it re-stages on the next reopen.
+    unresolved: BTreeSet<JobId>,
     /// Submissions recovered from the event log but not yet re-staged
     /// (typically: their external site is not registered again yet).
     /// Restaging moves an id from here into the pool.
@@ -140,6 +150,7 @@ impl JobManager {
         JobManager {
             pool: JobPool::from_env(),
             records: BTreeMap::new(),
+            unresolved: BTreeSet::new(),
             recovered: BTreeSet::new(),
             next_id: 1,
         }
@@ -151,6 +162,24 @@ impl JobManager {
         id
     }
 
+    /// File a new job's record under `id`; a record not yet resolved
+    /// joins the unresolved set.
+    pub(crate) fn file(&mut self, id: JobId, record: JobRecord) {
+        if !record.resolved() {
+            self.unresolved.insert(id);
+        }
+        self.records.insert(id, record);
+    }
+
+    /// Mark job `id` cancelled (it never commits) and drop it from the
+    /// unresolved set.
+    fn cancel_record(&mut self, id: JobId) {
+        if let Some(record) = self.records.get_mut(&id) {
+            record.cancelled = true;
+        }
+        self.unresolved.remove(&id);
+    }
+
     /// Never reallocate an id the journal has already seen.
     pub(crate) fn resume_ids(&mut self, max_seen: u64) {
         self.next_id = self.next_id.max(max_seen + 1);
@@ -159,10 +188,12 @@ impl JobManager {
     /// The submissions a snapshot must carry: journaled jobs that are
     /// neither resolved nor cancelled, in id order.
     pub(crate) fn unresolved_submissions(&self) -> Vec<(u64, ProcessId, RecordedBindings)> {
-        self.records
+        self.unresolved
             .iter()
-            .filter(|(_, r)| !r.resolved() && !r.cancelled)
-            .map(|(id, r)| (id.0, r.process, r.bindings.clone()))
+            .map(|id| {
+                let r = &self.records[id];
+                (id.0, r.process, r.bindings.clone())
+            })
             .collect()
     }
 }
@@ -281,14 +312,13 @@ impl Gaea {
             ChosenFiring::Pending(job) => Ok(job),
             // An identical current derivation is on record: the job is
             // born Done with the recorded task.
-            ChosenFiring::Reused(run) => {
+            ChosenFiring::Reused { run, key } => {
                 let task = self.catalog.task(run.task)?;
                 let bindings = task.inputs.clone().into_iter().collect();
-                let dedup_key = task.dedup_key();
                 let def = self.catalog.process(pid)?;
                 let record = JobRecord {
                     output_class: self.catalog.class(def.output)?.name.clone(),
-                    dedup_key,
+                    dedup_key: key,
                     committed: Some(run),
                     commit_error: None,
                     process: pid,
@@ -296,12 +326,12 @@ impl Gaea {
                     cancelled: false,
                 };
                 let id = self.jobs.allocate();
-                self.jobs.records.insert(id, record);
+                self.jobs.file(id, record);
                 // Born resolved: nothing to journal — a restart has the
                 // reused task on the books already.
                 Ok(id)
             }
-            ChosenFiring::Bound(bindings) => {
+            ChosenFiring::Bound { bindings, key } => {
                 let staged = executor::stage_firing(
                     &self.db,
                     &self.catalog,
@@ -313,7 +343,7 @@ impl Gaea {
                 let def = self.catalog.process(pid)?;
                 let record = JobRecord {
                     output_class: self.catalog.class(def.output)?.name.clone(),
-                    dedup_key: dedup_key_for(def, &bindings),
+                    dedup_key: key,
                     committed: None,
                     commit_error: None,
                     process: pid,
@@ -321,7 +351,7 @@ impl Gaea {
                     cancelled: false,
                 };
                 let id = self.jobs.allocate();
-                self.jobs.records.insert(id, record);
+                self.jobs.file(id, record);
                 self.jobs
                     .pool
                     .submit(id, move || staged.execute().map_err(|e| e.to_string()));
@@ -349,13 +379,7 @@ impl Gaea {
         // Journal-recovered submissions whose site has come back re-enter
         // the pool first, so this pump (or a later one) can commit them.
         self.restage_recovered_jobs();
-        let unresolved: Vec<JobId> = self
-            .jobs
-            .records
-            .iter()
-            .filter(|(_, r)| !r.resolved())
-            .map(|(id, _)| *id)
-            .collect();
+        let unresolved: Vec<JobId> = self.jobs.unresolved.iter().copied().collect();
         for id in unresolved {
             // `take_done` moves the payload out and drops the pool entry:
             // the result commits exactly once, and completed firings (and
@@ -368,18 +392,21 @@ impl Gaea {
             // This job's own key is in flight, so only a current prior
             // recorded meanwhile answers instead of the prepared result.
             // Nothing is counted: the submission counted this firing.
-            let prior = self.catalog.process(prepared.process()).map(|def| {
-                let none_in_flight = BTreeMap::new();
-                prior_derivation(
-                    &self.db,
-                    &self.catalog,
-                    &none_in_flight,
-                    def,
-                    prepared.bindings(),
-                )
-            });
+            let record = self
+                .jobs
+                .records
+                .get(&id)
+                .expect("unresolved ids come from the record map");
+            let none_in_flight = BTreeMap::new();
+            let prior = prior_derivation(
+                &self.db,
+                &self.catalog,
+                &none_in_flight,
+                prepared.process(),
+                &record.dedup_key,
+            );
             let outcome = match prior {
-                Ok(Prior::Current(run)) => Ok(run),
+                Prior::Current(run) => Ok(run),
                 _ => self.commit_firing(prepared),
             };
             let record = self
@@ -391,6 +418,7 @@ impl Gaea {
                 Ok(run) => record.committed = Some(run),
                 Err(e) => record.commit_error = Some(e.to_string()),
             }
+            self.jobs.unresolved.remove(&id);
             // Resolve the submission in the journal. Best-effort: if the
             // append fails the job merely re-stages on the next reopen,
             // where task reuse dedups it against the committed result.
@@ -544,18 +572,10 @@ impl Gaea {
                 // Journal-recovered and never re-staged: nothing is
                 // running. Mark it cancelled and resolve it in the log so
                 // a reopen does not resurrect it.
-                self.jobs
-                    .records
-                    .get_mut(&id)
-                    .expect("checked above")
-                    .cancelled = true;
+                self.jobs.cancel_record(id);
                 self.wal_append(Event::JobResolved { job: id.0 })?;
             } else if self.jobs.pool.cancel(id) {
-                self.jobs
-                    .records
-                    .get_mut(&id)
-                    .expect("checked above")
-                    .cancelled = true;
+                self.jobs.cancel_record(id);
                 self.wal_append(Event::JobResolved { job: id.0 })?;
             } else {
                 // The worker finished between the pump and the cancel: the
@@ -597,13 +617,13 @@ impl Gaea {
 
     /// Dedup keys of every *unresolved* derivation job (queued, running,
     /// or finished-but-uncommitted), for the walkers that must not fire
-    /// a duplicate of an in-flight derivation.
+    /// a duplicate of an in-flight derivation. Walks the unresolved set
+    /// only, so its cost follows the jobs in flight, not every job the
+    /// kernel has run.
     pub(crate) fn jobs_in_flight_keys(&self) -> BTreeMap<String, JobId> {
         let mut keys = BTreeMap::new();
-        for (id, record) in &self.jobs.records {
-            if record.resolved() {
-                continue;
-            }
+        for id in &self.jobs.unresolved {
+            let record = &self.jobs.records[id];
             // A journal-recovered submission awaiting its site is just as
             // in-flight as a pooled one.
             if self.jobs.recovered.contains(id) {

@@ -24,6 +24,7 @@
 
 use super::exec::{count_reuse, prior_derivation, Prior, StaleMemo};
 use super::jobs::JobId;
+use super::query::dedup_key_for;
 use super::Gaea;
 use crate::derivation::executor::{self, PreparedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
@@ -360,7 +361,13 @@ impl Gaea {
             owned.push((arg.name.clone(), fresh));
         }
         Ok(
-            match prior_derivation(&self.db, &self.catalog, in_flight, def, &owned) {
+            match prior_derivation(
+                &self.db,
+                &self.catalog,
+                in_flight,
+                def.id,
+                &dedup_key_for(def, &owned),
+            ) {
                 Prior::Current(run) => {
                     count_reuse(true);
                     Staged::Reused(run)

@@ -88,11 +88,15 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Outcome of the choose walker for one planned firing.
 pub(crate) enum ChosenFiring {
     /// An identical current task was reused; its record answers the
-    /// firing.
-    Reused(TaskRun),
+    /// firing. `key` is the derivation's dedup key.
+    Reused { run: TaskRun, key: String },
     /// These bindings passed the guards and await a prepare/commit cycle
-    /// (or a background job).
-    Bound(executor::Bindings),
+    /// (or a background job). `key` is the dedup key the firing will
+    /// record.
+    Bound {
+        bindings: executor::Bindings,
+        key: String,
+    },
     /// The identical derivation is already in flight as a background
     /// job ([`Gaea::submit_derivation`]); firing it again would record
     /// a duplicate. Synchronous callers surface this as
@@ -698,12 +702,12 @@ impl Gaea {
             for node in wave {
                 let pid = *graph.payload(*node);
                 match self.choose_or_fire(pid, q, pool, &fired_keys)? {
-                    ChosenFiring::Reused(run) => {
-                        fired_keys.insert(self.catalog.task(run.task)?.dedup_key());
+                    ChosenFiring::Reused { run, key } => {
+                        fired_keys.insert(key);
                         tasks.push(run.task);
                     }
-                    ChosenFiring::Bound(bindings) => {
-                        fired_keys.insert(dedup_key_for(self.catalog.process(pid)?, &bindings));
+                    ChosenFiring::Bound { bindings, key } => {
+                        fired_keys.insert(key);
                         bound.push((pid, bindings));
                     }
                     // A background job is already realizing this firing;
@@ -889,16 +893,19 @@ impl Gaea {
                 }
             }
             // An excluded key was already consumed by the current plan; a
-            // repetition must find different inputs.
-            if !degenerate && !exclude.contains(&dedup_key_for(def, &bindings)) {
+            // repetition must find different inputs. The key is built once
+            // per binding: the exclusion check and the identity check
+            // share it.
+            let key = (!degenerate).then(|| dedup_key_for(def, &bindings));
+            if let Some(key) = key.filter(|k| !exclude.contains(k)) {
                 // A current prior is reused and an in-flight job attached
                 // to, so the kernel never silently duplicates a
                 // derivation; a stale prior is history, and re-firing it
                 // is the refresh its mutated inputs call for.
-                match prior_derivation(&self.db, &self.catalog, &in_flight, def, &bindings) {
+                match prior_derivation(&self.db, &self.catalog, &in_flight, def.id, &key) {
                     Prior::Current(run) => {
                         count_reuse(true);
-                        return Ok(ChosenFiring::Reused(run));
+                        return Ok(ChosenFiring::Reused { run, key });
                     }
                     Prior::InFlight(job) => return Ok(ChosenFiring::Pending(job)),
                     // The guards alone decide admissibility here; the
@@ -912,7 +919,7 @@ impl Gaea {
                     ) {
                         Ok(()) => {
                             count_reuse(false);
-                            return Ok(ChosenFiring::Bound(bindings));
+                            return Ok(ChosenFiring::Bound { bindings, key });
                         }
                         Err(e @ KernelError::AssertionFailed { .. }) => {
                             last_err = Some(e); // guard rejected: next binding

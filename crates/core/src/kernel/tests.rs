@@ -246,7 +246,7 @@ fn memoization_reuses_identical_derivations() {
     let no_exclude = BTreeSet::new();
     let (_, pool) = g.plan_inputs(&["landcover".to_string()], &q).unwrap();
     let run1 = match g.choose_or_fire(p20, &q, &pool, &no_exclude).unwrap() {
-        ChosenFiring::Reused(run) => run,
+        ChosenFiring::Reused { run, .. } => run,
         _ => panic!("an identical current task must be reused"),
     };
     // Reuse: no new task was created.
@@ -511,4 +511,133 @@ fn time_window_queries() {
     let y86 = TimeRange::new(day(1986, 1, 1), day(1986, 12, 31));
     let out = g.query(&Query::class("tm").during(y86)).unwrap();
     assert_eq!(out.objects.len(), 2);
+}
+
+/// The process → (task, key fingerprint) index is kept up incrementally
+/// by `add_task`, and by `remove_task` when a compound compensates. It
+/// must equal what `rebuild_task_index` derives from the task map, and
+/// what a reopened kernel holds, whether it replayed the log or loaded a
+/// snapshot. The reopened kernel then answers a repeated derivation by
+/// reuse.
+#[test]
+fn task_key_index_matches_its_rebuild_after_reopen_and_compensation() {
+    use crate::schema::StepSource;
+    use crate::template::CmpOp;
+    let dir = std::env::temp_dir().join(format!("gaea-key-index-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let rebuilt = |g: &Gaea| {
+        let mut catalog = g.catalog.clone();
+        catalog.rebuild_task_index();
+        catalog.task_key_index().clone()
+    };
+    let at = |i: i64| day(1986, 1, 1).plus_days(i);
+
+    let mut g = Gaea::open(&dir).unwrap();
+    for spec in [
+        ClassSpec::base("raw"),
+        ClassSpec::derived("mid"),
+        ClassSpec::derived("final"),
+    ] {
+        g.define_class(spec.attr("v", TypeTag::Int4)).unwrap();
+    }
+    let copy = |arg: &str, guarded: bool| Template {
+        // The guarded step refuses non-positive values, so a compound
+        // over one undoes its first step.
+        assertions: if guarded {
+            vec![Expr::Cmp {
+                op: CmpOp::Gt,
+                lhs: Box::new(Expr::proj(arg, "v")),
+                rhs: Box::new(Expr::int(0)),
+            }]
+        } else {
+            vec![]
+        },
+        mappings: ["v", TEMPORAL_ATTR]
+            .into_iter()
+            .map(|attr| Mapping {
+                attr: attr.into(),
+                expr: Expr::proj(arg, attr),
+            })
+            .collect(),
+    };
+    g.define_process(
+        ProcessSpec::new("P_ok", "mid")
+            .arg("r", "raw")
+            .template(copy("r", false)),
+    )
+    .unwrap();
+    g.define_process(
+        ProcessSpec::new("P_guarded", "final")
+            .arg("m", "mid")
+            .template(copy("m", true)),
+    )
+    .unwrap();
+    g.define_compound_process(
+        "P_chain",
+        "final",
+        &[("r".to_string(), "raw".to_string(), false, 1)],
+        &[
+            ("P_ok".to_string(), vec![StepSource::OuterArg(0)]),
+            ("P_guarded".to_string(), vec![StepSource::StepOutput(0)]),
+        ],
+        "two-step chain",
+    )
+    .unwrap();
+    let mut compensated = 0;
+    for i in 0..6 {
+        let r = g
+            .insert_object(
+                "raw",
+                vec![
+                    ("v", Value::Int4(i as i32 - 2)),
+                    (TEMPORAL_ATTR, Value::AbsTime(at(i))),
+                ],
+            )
+            .unwrap();
+        if g.run_process("P_chain", &[("r", vec![r])]).is_err() {
+            compensated += 1;
+        }
+        // A `DERIVE` of the intermediate: stored for the chains that
+        // committed, fired afresh where the chain was undone.
+        g.query(
+            &Query::class("mid")
+                .at(at(i))
+                .with_strategy(QueryStrategy::PreferDerivation),
+        )
+        .unwrap();
+    }
+    assert_eq!(compensated, 3, "v = -2, -1, 0 fail the guard");
+    let live = g.catalog.task_key_index().clone();
+    let p_ok = g.catalog.process_by_name("P_ok").unwrap().id;
+    assert_eq!(live[&p_ok].len(), 6, "one P_ok task per raw object");
+    assert_eq!(live, rebuilt(&g));
+    let tasks = g.catalog.tasks.len();
+    drop(g);
+
+    // Reopen by log replay: the snapshot-free open rebuilds an empty
+    // index, then `add_task` refills it event by event.
+    let mut g = Gaea::open(&dir).unwrap();
+    assert!(g.recovery_stats().unwrap().events_replayed > 0);
+    assert_eq!(g.catalog.task_key_index(), &live);
+    assert_eq!(rebuilt(&g), live);
+    g.checkpoint().unwrap();
+    drop(g);
+
+    // Reopen from the snapshot alone: the index is the rebuild.
+    let mut g = Gaea::open(&dir).unwrap();
+    assert_eq!(g.recovery_stats().unwrap().events_replayed, 0);
+    assert_eq!(g.catalog.task_key_index(), &live);
+
+    // A repeated derivation of the undone chain's intermediate is
+    // answered by the recorded task: the job is born Done with it.
+    let q = Query::class("mid")
+        .at(at(0))
+        .with_strategy(QueryStrategy::PreferDerivation);
+    let recorded = g.query(&q).unwrap().objects[0].id;
+    let producer = g.catalog.producing_task(recorded).unwrap().id;
+    let job = g.submit_derivation(&q).unwrap();
+    assert_eq!(g.job_status(job).unwrap(), JobStatus::Done(producer));
+    assert_eq!(g.catalog.tasks.len(), tasks, "reused, not fired");
+    drop(g);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -122,27 +122,39 @@ pub fn dedup_key_parts(
     inputs: &BTreeMap<String, Vec<ObjectId>>,
     params: &BTreeMap<String, Value>,
 ) -> String {
+    use std::fmt::Write;
     use std::hash::{Hash, Hasher};
     let mut key = format!("p{}", process.raw());
+    // Writing into a `String` cannot fail.
     for (arg, objs) in inputs {
         // `SETOF` bindings are sets, so the key sorts ids: a permuted
         // binding is the same derivation.
         let mut ids: Vec<u64> = objs.iter().map(|o| o.raw()).collect();
         ids.sort_unstable();
-        key.push_str(&format!(
-            ";{arg}={}",
-            ids.iter()
-                .map(|id| id.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
+        let _ = write!(key, ";{arg}=");
+        for (i, id) in ids.iter().enumerate() {
+            let _ = write!(key, "{}{id}", if i == 0 { "" } else { "," });
+        }
     }
     for (k, v) in params {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         v.hash(&mut h);
-        key.push_str(&format!(";{k}:{}:{:016x}", v.type_tag(), h.finish()));
+        let _ = write!(key, ";{k}:{}:{:016x}", v.type_tag(), h.finish());
     }
     key
+}
+
+/// A 64-bit fingerprint of a derivation-identity key
+/// ([`dedup_key_parts`]). The catalog files it beside every recorded
+/// task, so the duplicate-derivation check compares full keys only where
+/// fingerprints agree. Equal keys always fingerprint alike; a collision
+/// costs one extra key comparison, never a wrong match. Runtime state
+/// only: the value is never persisted.
+pub fn key_fingerprint(key: &str) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    h.write(key.as_bytes());
+    h.finish()
 }
 
 impl fmt::Display for Task {
@@ -228,6 +240,21 @@ mod tests {
         let c = task(3, &[1, 2, 4], 11); // different inputs
         assert_eq!(a.dedup_key(), b.dedup_key());
         assert_ne!(a.dedup_key(), c.dedup_key());
+        // The key's bytes are pinned: ids sort within a binding.
+        let mut permuted = task(5, &[3, 1, 2], 13);
+        assert_eq!(permuted.dedup_key(), "p7;bands=1,2,3");
+        permuted
+            .inputs
+            .insert("mask".into(), vec![ObjectId(Oid(8))]);
+        assert_eq!(permuted.dedup_key(), "p7;bands=1,2,3;mask=8");
+        assert_eq!(
+            key_fingerprint(&a.dedup_key()),
+            key_fingerprint(&b.dedup_key())
+        );
+        assert_ne!(
+            key_fingerprint(&a.dedup_key()),
+            key_fingerprint(&c.dedup_key())
+        );
         // Parameters distinguish derivations too.
         let mut d = task(4, &[1, 2, 3], 12);
         d.params.insert("at".into(), Value::Int4(5));

@@ -197,6 +197,11 @@ pub struct MetricsRegistry {
     pub cache_hits: Counter,
     /// Automatic firings no prior derivation answered.
     pub cache_misses: Counter,
+    /// Recorded tasks whose full dedup key the derivation-identity check
+    /// compared against a prospective firing's — one per task whose key
+    /// fingerprint matched. A deterministic work count: it stays flat as
+    /// the recorded history grows.
+    pub derive_tasks_examined: Counter,
 
     // ---- write-ahead log ----
     pub wal_appends: Counter,
@@ -308,6 +313,7 @@ impl MetricsRegistry {
             stage_project_us: Histogram::new(),
             cache_hits: Counter::new(),
             cache_misses: Counter::new(),
+            derive_tasks_examined: Counter::new(),
             wal_appends: Counter::new(),
             wal_fsyncs: Counter::new(),
             wal_batch: Histogram::new(),
@@ -363,6 +369,7 @@ impl MetricsRegistry {
         let mut c = |k: &'static str, v: u64| entries.push((k, v));
         c("cache_hits", self.cache_hits.get());
         c("cache_misses", self.cache_misses.get());
+        c("derive_tasks_examined", self.derive_tasks_examined.get());
 
         c("wal_appends", self.wal_appends.get());
         c("wal_fsyncs", self.wal_fsyncs.get());

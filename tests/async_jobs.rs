@@ -315,6 +315,58 @@ fn duplicate_submissions_dedup_to_one_job() {
     assert_eq!(remote_task_count(&g), 1);
 }
 
+/// The in-flight dedup walks only the unresolved jobs, not every job
+/// the kernel has run: after 200 jobs resolved, a duplicate submission
+/// still attaches to the one job in flight, and a synchronous `DERIVE`
+/// of it is still refused.
+#[test]
+fn duplicate_submission_attaches_to_the_inflight_job_after_a_long_history() {
+    let (site, gate) = gated_site();
+    let mut g = job_kernel(site, 0);
+    let at = |i: i64| day(1).plus_days(i);
+    for i in 0..=200 {
+        g.insert_object(
+            "obs",
+            vec![
+                ("v", Value::Int4(i as i32)),
+                ("timestamp", Value::AbsTime(at(i))),
+            ],
+        )
+        .unwrap();
+    }
+    let derive = |i: i64, tail: &str| {
+        format!(
+            "RETRIEVE * FROM remote_out WHERE AT \"{}\" DERIVE{tail}",
+            at(i)
+        )
+    };
+    for i in 0..200 {
+        let job = g.retrieve_job(&derive(i, " ASYNC")).unwrap();
+        gate.send(()).unwrap();
+        let status = g.await_job(job, Duration::from_secs(10)).unwrap();
+        assert!(matches!(status, JobStatus::Done(_)), "job {i}: {status:?}");
+    }
+    let first = g.retrieve_job(&derive(200, " ASYNC")).unwrap();
+    let second = g.retrieve_job(&derive(200, " ASYNC")).unwrap();
+    assert_eq!(first, second, "the duplicate attaches to the job in flight");
+    let msg = g.retrieve(&derive(200, "")).unwrap_err().to_string();
+    assert!(
+        msg.contains("in flight") && msg.contains(&format!("job#{}", first.0)),
+        "the synchronous DERIVE must name the pending job: {msg}"
+    );
+    gate.send(()).unwrap();
+    let task = g
+        .await_job(first, Duration::from_secs(10))
+        .unwrap()
+        .task()
+        .unwrap();
+    assert_eq!(g.jobs().len(), 201);
+    assert_eq!(remote_task_count(&g), 201);
+    // Resolved, the derivation answers by reuse: a job born Done.
+    let again = g.retrieve_job(&derive(200, " ASYNC")).unwrap();
+    assert_eq!(g.job_status(again).unwrap(), JobStatus::Done(task));
+}
+
 // ----------------------------------------------------------------------
 // Cancellation
 // ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ use gaea::adt::{AbsTime, GeoBox, Image, PixType, TypeTag, Value};
 use gaea::core::kernel::{ClassSpec, Gaea, JobStatus, ProcessSpec};
 use gaea::core::template::{Expr, Mapping, Template};
 use gaea::core::{ObjectId, Query, QueryStrategy};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 const SPATIAL_ATTR: &str = "spatialextent";
@@ -24,6 +25,14 @@ fn africa() -> GeoBox {
 
 fn day(y: i64, m: u32, d: u32) -> AbsTime {
     AbsTime::from_ymd(y, m, d).unwrap()
+}
+
+/// The `derive_tasks_examined` counter is process-wide: every test here
+/// whose kernel fires automatically holds this lock, so a test reading
+/// the counter sees its own work only.
+fn counter_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// The Figure 3 schema: tm (base) --P20--> landcover.
@@ -125,6 +134,7 @@ fn setof_dedup_key_agrees_with_cache_canonical_form() {
 
 #[test]
 fn input_update_invalidates_dependent_entries() {
+    let _counter = counter_lock();
     let mut g = p20_kernel();
     let t0 = day(1986, 1, 15);
     let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
@@ -161,6 +171,7 @@ fn input_update_invalidates_dependent_entries() {
 
 #[test]
 fn invalidation_propagates_to_downstream_derivations() {
+    let _counter = counter_lock();
     let mut g = p20_kernel();
     // A second derivation level: landcover --REFINE--> refined.
     g.define_class(ClassSpec::derived("refined").attr("numclass", TypeTag::Int4))
@@ -209,6 +220,7 @@ fn invalidation_propagates_to_downstream_derivations() {
 
 #[test]
 fn same_derivation_holds_across_cached_reruns() {
+    let _counter = counter_lock();
     let mut g = p20_kernel();
     let t0 = day(1986, 1, 15);
     let bands: Vec<ObjectId> = (0..3).map(|i| insert_band(&mut g, i as f64, t0)).collect();
@@ -231,4 +243,76 @@ fn same_derivation_holds_across_cached_reruns() {
     let sig_a = g.lineage(lc).unwrap().signature();
     let sig_b = g.lineage(fresh.outputs[0]).unwrap().signature();
     assert_eq!(sig_a, sig_b);
+}
+
+/// `P: b → d`, one scalar argument, with `n` derivations on record, each
+/// recorded by an explicit firing on its own `b` at its own day.
+fn scalar_kernel(n: i64) -> Gaea {
+    let mut g = Gaea::in_memory();
+    g.define_class(ClassSpec::base("b").attr("v", TypeTag::Int4))
+        .unwrap();
+    g.define_class(ClassSpec::derived("d").attr("v", TypeTag::Int4))
+        .unwrap();
+    g.define_process(ProcessSpec::new("P", "d").arg("b", "b").template(Template {
+        assertions: vec![],
+        mappings: vec![
+            Mapping {
+                attr: "v".into(),
+                expr: Expr::proj("b", "v"),
+            },
+            Mapping {
+                attr: TEMPORAL_ATTR.into(),
+                expr: Expr::proj("b", TEMPORAL_ATTR),
+            },
+        ],
+    }))
+    .unwrap();
+    for i in 0..=n {
+        let b = g
+            .insert_object(
+                "b",
+                vec![
+                    ("v", Value::Int4(i as i32)),
+                    (TEMPORAL_ATTR, Value::AbsTime(day(1980, 1, 1).plus_days(i))),
+                ],
+            )
+            .unwrap();
+        if i < n {
+            g.run_process("P", &[("b", vec![b])]).unwrap();
+        }
+    }
+    g
+}
+
+/// The derivation-identity check asked before every automatic firing
+/// compares full keys only with the recorded tasks whose key fingerprint
+/// matches, so its work does not grow with the history: a fresh `DERIVE`
+/// examines as many recorded tasks with 2 000 derivations on record as
+/// with 100 (none), and re-requesting a recorded derivation examines
+/// exactly the one task that answers it.
+#[test]
+fn derivation_identity_work_is_independent_of_history() {
+    let _counter = counter_lock();
+    let examined = || gaea::obs::metrics().derive_tasks_examined.get();
+    let mut work = Vec::new();
+    for n in [100, 2_000] {
+        let mut g = scalar_kernel(n);
+        let q = Query::class("d")
+            .at(day(1980, 1, 1).plus_days(n))
+            .with_strategy(QueryStrategy::PreferDerivation);
+        let before = examined();
+        let fresh = g.query(&q).unwrap();
+        let fresh_work = examined() - before;
+        assert_eq!(fresh.tasks.len(), 1, "the DERIVE fires once");
+        assert_eq!(g.catalog().tasks.len(), n as usize + 1);
+
+        let before = examined();
+        let job = g.submit_derivation(&q).unwrap();
+        assert_eq!(g.job_status(job).unwrap(), JobStatus::Done(fresh.tasks[0]));
+        let reuse_work = examined() - before;
+        assert_eq!(g.catalog().tasks.len(), n as usize + 1, "reused, not fired");
+        work.push((fresh_work, reuse_work));
+    }
+    assert_eq!(work[0], work[1], "work at 100 vs 2 000 tasks on record");
+    assert_eq!(work[0], (0, 1));
 }
