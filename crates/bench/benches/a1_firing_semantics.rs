@@ -10,12 +10,10 @@
 //! transition once, in both modes, and reports the wall cost; the firing
 //! counts (printed once) show classic mode starving.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gaea_bench::configure;
+use gaea_bench::bench;
 use gaea_petri::firing::{enabled_transitions, fire, FiringMode};
 use gaea_petri::reachability::saturate;
 use gaea_workload::{random_derivation_catalog, RandDagSpec};
-use std::hint::black_box;
 
 fn spec(depth: usize) -> RandDagSpec {
     RandDagSpec {
@@ -46,10 +44,7 @@ fn sweep(net: &gaea_petri::PetriNet, m0: &gaea_petri::Marking, mode: FiringMode)
     (fired, starved)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("a1_firing_semantics");
-    configure(&mut group);
-
+fn main() {
     // (a) per-sweep firing cost, both modes, across net depth.
     for depth in [2usize, 4, 8] {
         let rd = random_derivation_catalog(spec(depth));
@@ -61,11 +56,11 @@ fn bench(c: &mut Criterion) {
             "depth {depth}: gaea fires {g_fired} (starved {g_starved}); \
              classic fires {c_fired} (starved {c_starved})"
         );
-        group.bench_with_input(BenchmarkId::new("sweep_gaea", depth), &depth, |b, _| {
-            b.iter(|| black_box(sweep(&rd.net, &m0, FiringMode::GaeaPreserving)))
+        bench(&format!("sweep_gaea/{depth}"), || {
+            sweep(&rd.net, &m0, FiringMode::GaeaPreserving)
         });
-        group.bench_with_input(BenchmarkId::new("sweep_classic", depth), &depth, |b, _| {
-            b.iter(|| black_box(sweep(&rd.net, &m0, FiringMode::Classic)))
+        bench(&format!("sweep_classic/{depth}"), || {
+            sweep(&rd.net, &m0, FiringMode::Classic)
         });
     }
 
@@ -74,12 +69,6 @@ fn bench(c: &mut Criterion) {
     for depth in [2usize, 4, 8] {
         let rd = random_derivation_catalog(spec(depth));
         let m0 = rd.base_marking(4);
-        group.bench_with_input(BenchmarkId::new("saturate", depth), &depth, |b, _| {
-            b.iter(|| black_box(saturate(&rd.net, &m0, 64)))
-        });
+        bench(&format!("saturate/{depth}"), || saturate(&rd.net, &m0, 64));
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -8,14 +8,12 @@
 //! off-instant scenes: too small a budget fails good queries; the sweep
 //! shows what headroom costs.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gaea_adt::TypeTag;
 use gaea_adt::{AbsTime, Image, PixType, Value};
-use gaea_bench::{africa, configure, jan86};
+use gaea_bench::{africa, bench_batched, jan86};
 use gaea_core::kernel::{ClassSpec, Gaea, ProcessSpec};
 use gaea_core::template::{Expr, Mapping, Template};
 use gaea_core::{Query, QueryStrategy};
-use std::hint::black_box;
 
 /// tm --P20--> landcover with `common(timestamp)` + `common(extent)`
 /// guards, a 3-band SETOF argument, and trivially cheap image work (the
@@ -102,33 +100,24 @@ fn contaminate(g: &mut Gaea, n_noise: usize) {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("a2_binding_budget");
-    configure(&mut group);
+fn main() {
     for noise in [0usize, 8, 32] {
         for budget in [2usize, 8, 32] {
-            let id = format!("noise{noise}_budget{budget}");
-            group.bench_with_input(BenchmarkId::new("derive", &id), &id, |b, _| {
-                b.iter_batched(
-                    || {
-                        let mut g = kernel();
-                        contaminate(&mut g, noise);
-                        g.binding_budget = budget;
-                        g
-                    },
-                    |mut g| {
-                        let q = Query::class("landcover")
-                            .at(jan86())
-                            .with_strategy(QueryStrategy::PreferDerivation);
-                        black_box(g.query(&q).expect("co-temporal triple exists"))
-                    },
-                    criterion::BatchSize::SmallInput,
-                )
-            });
+            bench_batched(
+                &format!("derive/noise{noise}_budget{budget}"),
+                || {
+                    let mut g = kernel();
+                    contaminate(&mut g, noise);
+                    g.binding_budget = budget;
+                    g
+                },
+                |mut g| {
+                    let q = Query::class("landcover")
+                        .at(jan86())
+                        .with_strategy(QueryStrategy::PreferDerivation);
+                    g.query(&q).expect("co-temporal triple exists")
+                },
+            );
         }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

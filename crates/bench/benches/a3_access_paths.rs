@@ -6,11 +6,9 @@
 //! ordered secondary indexes; this ablation shows the crossover that
 //! justifies maintaining indexes on catalog-queried columns.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gaea_adt::{TypeTag, Value};
-use gaea_bench::configure;
+use gaea_bench::bench;
 use gaea_store::{Database, Field, Predicate, Schema, Tuple};
-use std::hint::black_box;
 
 fn filled_db(n: i32) -> Database {
     let mut db = Database::new();
@@ -34,45 +32,30 @@ fn filled_db(n: i32) -> Database {
     db
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("a3_access_paths");
-    configure(&mut group);
+fn main() {
     for n in [100i32, 1_000, 10_000] {
         let db = filled_db(n);
+        let rel = db.relation("objects").expect("relation");
         let key = n / 2;
         // Point lookup: scan vs index.
-        group.bench_with_input(BenchmarkId::new("scan_eq", n), &n, |b, _| {
-            b.iter(|| {
-                let pred = Predicate::Eq("seq".into(), Value::Int4(key));
-                black_box(db.scan("objects", &pred).expect("scan"))
-            })
+        bench(&format!("scan_eq/{n}"), || {
+            let pred = Predicate::Eq("seq".into(), Value::Int4(key));
+            db.scan("objects", &pred).expect("scan")
         });
-        group.bench_with_input(BenchmarkId::new("index_eq", n), &n, |b, _| {
-            let rel = db.relation("objects").expect("relation");
-            b.iter(|| black_box(rel.index_lookup("seq", &Value::Int4(key)).expect("lookup")))
+        bench(&format!("index_eq/{n}"), || {
+            rel.index_lookup("seq", &Value::Int4(key)).expect("lookup")
         });
         // 1% range: scan with And-predicate vs index range.
         let lo = key;
         let hi = key + n / 100;
-        group.bench_with_input(BenchmarkId::new("scan_range", n), &n, |b, _| {
-            b.iter(|| {
-                let pred = Predicate::Gt("seq".into(), Value::Int4(lo - 1))
-                    .and(Predicate::Lt("seq".into(), Value::Int4(hi)));
-                black_box(db.scan("objects", &pred).expect("scan"))
-            })
+        bench(&format!("scan_range/{n}"), || {
+            let pred = Predicate::Gt("seq".into(), Value::Int4(lo - 1))
+                .and(Predicate::Lt("seq".into(), Value::Int4(hi)));
+            db.scan("objects", &pred).expect("scan")
         });
-        group.bench_with_input(BenchmarkId::new("index_range", n), &n, |b, _| {
-            let rel = db.relation("objects").expect("relation");
-            b.iter(|| {
-                black_box(
-                    rel.index_range("seq", Some(&Value::Int4(lo)), Some(&Value::Int4(hi - 1)))
-                        .expect("range"),
-                )
-            })
+        bench(&format!("index_range/{n}"), || {
+            rel.index_range("seq", Some(&Value::Int4(lo)), Some(&Value::Int4(hi - 1)))
+                .expect("range")
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -9,8 +9,7 @@
 //! scientist, which is exactly why the answers must be recorded for
 //! reproduction.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gaea_bench::configure;
+use gaea_bench::bench;
 use gaea_raster::classify::kmeans_classify;
 use gaea_raster::composite::composite;
 use gaea_raster::supervised::{
@@ -18,11 +17,8 @@ use gaea_raster::supervised::{
     TrainingSite,
 };
 use gaea_workload::{SceneSpec, SyntheticScene};
-use std::hint::black_box;
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("a4_classifiers");
-    configure(&mut group);
+fn main() {
     for side in [32u32, 64, 128] {
         let scene = SyntheticScene::generate(SceneSpec::small(4).sized(side, side));
         let refs: Vec<&gaea_adt::Image> = scene.bands.iter().collect();
@@ -38,31 +34,19 @@ fn bench(c: &mut Criterion) {
         let signatures = signatures_from_training(&stack, k, &sites).expect("signatures");
         let (lo, hi) = training_boxes(&stack, k, &sites, 3.0).expect("boxes");
 
-        group.bench_with_input(
-            BenchmarkId::new("unsupervised_kmeans", side),
-            &side,
-            |b, _| b.iter(|| black_box(kmeans_classify(&stack, k, 100, 0x6AEA).expect("kmeans"))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("supervised_mindist", side),
-            &side,
-            |b, _| {
-                b.iter(|| black_box(min_distance_classify(&stack, &signatures).expect("mindist")))
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("supervised_piped", side), &side, |b, _| {
-            b.iter(|| black_box(parallelepiped_classify(&stack, &lo, &hi).expect("piped")))
+        bench(&format!("unsupervised_kmeans/{side}"), || {
+            kmeans_classify(&stack, k, 100, 0x6AEA).expect("kmeans")
+        });
+        bench(&format!("supervised_mindist/{side}"), || {
+            min_distance_classify(&stack, &signatures).expect("mindist")
+        });
+        bench(&format!("supervised_piped/{side}"), || {
+            parallelepiped_classify(&stack, &lo, &hi).expect("piped")
         });
         // The signature-extraction step itself (the scientist's answer
         // turned into numbers) is trivial next to any classification.
-        group.bench_with_input(
-            BenchmarkId::new("signature_extraction", side),
-            &side,
-            |b, _| b.iter(|| black_box(signatures_from_training(&stack, k, &sites).expect("sig"))),
-        );
+        bench(&format!("signature_extraction/{side}"), || {
+            signatures_from_training(&stack, k, &sites).expect("sig")
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

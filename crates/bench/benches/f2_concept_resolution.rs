@@ -5,51 +5,30 @@
 //! derivation diagram from the catalog. Expected shape: all interactive
 //! (µs), with net construction linear in catalog size.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use gaea_bench::{configure, figure2_kernel};
+use gaea_bench::{bench, figure2_kernel};
 use gaea_core::derivation::DerivationNet;
-use std::hint::black_box;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let g = figure2_kernel();
-    let mut group = c.benchmark_group("f2_concept_resolution");
-    configure(&mut group);
-    group.bench_function("concept_members/hot_trade_wind_desert", |b| {
-        b.iter(|| {
-            black_box(
-                g.catalog()
-                    .concept_member_classes("hot_trade_wind_desert")
-                    .expect("concept exists"),
-            )
-        })
+    let catalog = g.catalog();
+    bench("concept_members/hot_trade_wind_desert", || {
+        catalog
+            .concept_member_classes("hot_trade_wind_desert")
+            .expect("concept exists")
     });
-    group.bench_function("isa_ancestors/hot_trade_wind_desert", |b| {
-        b.iter(|| {
-            black_box(
-                g.catalog()
-                    .concept_ancestors("hot_trade_wind_desert")
-                    .expect("ok"),
-            )
-        })
+    bench("isa_ancestors/hot_trade_wind_desert", || {
+        catalog
+            .concept_ancestors("hot_trade_wind_desert")
+            .expect("ok")
     });
-    group.bench_function("isa_children/desert", |b| {
-        let id = g.catalog().concept_by_name("desert").expect("ok").id;
-        b.iter(|| black_box(g.catalog().concept_children(id)))
+    let desert = catalog.concept_by_name("desert").expect("ok").id;
+    bench("isa_children/desert", || catalog.concept_children(desert));
+    bench("derivation_net_build/figure2", || {
+        DerivationNet::build(catalog)
     });
-    group.bench_function("derivation_net_build/figure2", |b| {
-        b.iter(|| black_box(DerivationNet::build(g.catalog())))
+    bench("process_lookup/P20", || {
+        catalog
+            .process_by_name("P20_unsupervised_classification")
+            .expect("ok")
     });
-    group.bench_function("process_lookup/P20", |b| {
-        b.iter(|| {
-            black_box(
-                g.catalog()
-                    .process_by_name("P20_unsupervised_classification")
-                    .expect("ok"),
-            )
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

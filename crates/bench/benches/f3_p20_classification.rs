@@ -5,89 +5,65 @@
 //! cost. Expected shape: cost scales ~linearly in pixel count; the guard
 //! (card/common checks) is a negligible constant.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gaea_adt::Value;
-use gaea_bench::{configure, figure2_kernel, jan86, store_scene};
+use gaea_bench::{bench, bench_batched, figure2_kernel, jan86, store_scene};
+use gaea_core::template::{Binding, EvalContext};
 use gaea_raster::{composite, kmeans_classify};
 use gaea_workload::{SceneSpec, SyntheticScene};
-use std::hint::black_box;
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("f3_p20_classification");
-    configure(&mut group);
+fn main() {
     for side in [16u32, 32, 64, 96] {
+        let pixels = side * side;
         // Full kernel path: P20 as a recorded task.
-        group.bench_with_input(
-            BenchmarkId::new("task_p20", side * side),
-            &side,
-            |b, side| {
-                b.iter_batched(
-                    || {
-                        let mut g = figure2_kernel();
-                        let bands = store_scene(&mut g, "rectified_tm", 7, *side, jan86());
-                        (g, bands)
-                    },
-                    |(mut g, bands)| {
-                        black_box(
-                            g.run_process("P20_unsupervised_classification", &[("bands", bands)])
-                                .expect("p20 fires"),
-                        )
-                    },
-                    criterion::BatchSize::SmallInput,
-                )
+        bench_batched(
+            &format!("task_p20/{pixels}"),
+            || {
+                let mut g = figure2_kernel();
+                let bands = store_scene(&mut g, "rectified_tm", 7, side, jan86());
+                (g, bands)
+            },
+            |(mut g, bands)| {
+                g.run_process("P20_unsupervised_classification", &[("bands", bands)])
+                    .expect("p20 fires")
             },
         );
         // Bare algorithm: the k-means kernel without any metadata
         // machinery (the overhead baseline).
-        group.bench_with_input(
-            BenchmarkId::new("bare_kmeans", side * side),
-            &side,
-            |b, side| {
-                let scene = SyntheticScene::generate(SceneSpec::small(7).sized(*side, *side));
-                let refs: Vec<&gaea_adt::Image> = scene.bands.iter().collect();
-                let stack = composite(&refs).expect("co-registered");
-                b.iter(|| black_box(kmeans_classify(&stack, 12, 100, 0x6AEA).expect("ok")))
-            },
-        );
+        let scene = SyntheticScene::generate(SceneSpec::small(7).sized(side, side));
+        let refs: Vec<&gaea_adt::Image> = scene.bands.iter().collect();
+        let stack = composite(&refs).expect("co-registered");
+        bench(&format!("bare_kmeans/{pixels}"), || {
+            kmeans_classify(&stack, 12, 100, 0x6AEA).expect("ok")
+        });
     }
     // Guard cost in isolation: evaluate the P20 assertions on a bound
     // context without running the mappings.
-    group.bench_function("assertions_only", |b| {
-        use gaea_core::template::{Binding, EvalContext};
-        let mut g = figure2_kernel();
-        let bands = store_scene(&mut g, "rectified_tm", 3, 32, jan86());
-        let def = g
-            .catalog()
-            .process_by_name("P20_unsupervised_classification")
-            .expect("ok")
-            .clone();
-        let loaded: Vec<gaea_core::DataObject> =
-            bands.iter().map(|o| g.object(*o).expect("ok")).collect();
-        let mut bound = std::collections::BTreeMap::new();
-        bound.insert("bands".to_string(), Binding::Many(loaded));
-        b.iter(|| {
-            let ctx = EvalContext {
-                bindings: &bound,
-                registry: g.registry(),
-                params: &gaea_core::template::NO_PARAMS,
-            };
-            ctx.check_assertions(&def.name, &def.template)
-                .expect("pass");
-            black_box(())
-        })
+    let mut g = figure2_kernel();
+    let bands = store_scene(&mut g, "rectified_tm", 3, 32, jan86());
+    let def = g
+        .catalog()
+        .process_by_name("P20_unsupervised_classification")
+        .expect("ok")
+        .clone();
+    let loaded: Vec<gaea_core::DataObject> =
+        bands.iter().map(|o| g.object(*o).expect("ok")).collect();
+    let mut bound = std::collections::BTreeMap::new();
+    bound.insert("bands".to_string(), Binding::Many(loaded));
+    bench("assertions_only", || {
+        let ctx = EvalContext {
+            bindings: &bound,
+            registry: g.registry(),
+            params: &gaea_core::template::NO_PARAMS,
+        };
+        ctx.check_assertions(&def.name, &def.template)
+            .expect("pass")
     });
     // The k parameter from the paper's template (12) versus alternatives.
-    for k in [4i32, 12, 24] {
-        group.bench_with_input(BenchmarkId::new("k_sweep_32x32", k), &k, |b, k| {
-            let scene = SyntheticScene::generate(SceneSpec::small(9).sized(32, 32));
-            let refs: Vec<&gaea_adt::Image> = scene.bands.iter().collect();
-            let stack = composite(&refs).expect("ok");
-            b.iter(|| black_box(kmeans_classify(&stack, *k as usize, 100, 0x6AEA).expect("ok")))
+    let scene = SyntheticScene::generate(SceneSpec::small(9).sized(32, 32));
+    let refs: Vec<&gaea_adt::Image> = scene.bands.iter().collect();
+    let stack = composite(&refs).expect("ok");
+    for k in [4usize, 12, 24] {
+        bench(&format!("k_sweep_32x32/{k}"), || {
+            kmeans_classify(&stack, k, 100, 0x6AEA).expect("ok")
         });
     }
-    group.finish();
-    let _ = Value::Int4(0);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

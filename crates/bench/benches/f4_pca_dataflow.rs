@@ -4,12 +4,10 @@
 //! library implementation (network overhead should be a small constant),
 //! sweeps band count and raster size, and measures SPCA alongside.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gaea_adt::{Image, OperatorRegistry, Value};
-use gaea_bench::configure;
+use gaea_bench::bench;
 use gaea_raster::{pca, register_raster_ops, spca};
 use gaea_workload::{SceneSpec, SyntheticScene};
-use std::hint::black_box;
 
 fn registry() -> OperatorRegistry {
     let mut r = OperatorRegistry::with_builtins();
@@ -24,54 +22,29 @@ fn scene_value(bands: usize, side: u32, seed: u64) -> (SyntheticScene, Value) {
     (scene, v)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let r = registry();
-    let mut group = c.benchmark_group("f4_pca_dataflow");
-    configure(&mut group);
     // Size sweep at 3 bands: network vs fused.
     for side in [16u32, 32, 64] {
         let (scene, input) = scene_value(3, side, 5);
-        group.bench_with_input(
-            BenchmarkId::new("network_pca_3band", side * side),
-            &input,
-            |b, input| {
-                b.iter(|| black_box(r.invoke("pca", std::slice::from_ref(input)).expect("ok")))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fused_pca_3band", side * side),
-            &scene,
-            |b, scene| {
-                b.iter(|| {
-                    let refs: Vec<&Image> = scene.bands.iter().collect();
-                    black_box(pca(&refs).expect("ok"))
-                })
-            },
-        );
+        let pixels = side * side;
+        bench(&format!("network_pca_3band/{pixels}"), || {
+            r.invoke("pca", std::slice::from_ref(&input)).expect("ok")
+        });
+        bench(&format!("fused_pca_3band/{pixels}"), || {
+            let refs: Vec<&Image> = scene.bands.iter().collect();
+            pca(&refs).expect("ok")
+        });
     }
     // Band sweep at 32x32.
     for bands in [2usize, 4, 6] {
         let (scene, input) = scene_value(bands, 32, 11);
-        group.bench_with_input(
-            BenchmarkId::new("network_pca_32x32", bands),
-            &input,
-            |b, input| {
-                b.iter(|| black_box(r.invoke("pca", std::slice::from_ref(input)).expect("ok")))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fused_spca_32x32", bands),
-            &scene,
-            |b, scene| {
-                b.iter(|| {
-                    let refs: Vec<&Image> = scene.bands.iter().collect();
-                    black_box(spca(&refs).expect("ok"))
-                })
-            },
-        );
+        bench(&format!("network_pca_32x32/{bands}"), || {
+            r.invoke("pca", std::slice::from_ref(&input)).expect("ok")
+        });
+        bench(&format!("fused_spca_32x32/{bands}"), || {
+            let refs: Vec<&Image> = scene.bands.iter().collect();
+            spca(&refs).expect("ok")
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

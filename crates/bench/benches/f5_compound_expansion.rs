@@ -5,13 +5,11 @@
 //! the compound abstraction (§2.1.4: expansion is bookkeeping only, so the
 //! difference should be in the noise).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use gaea_adt::AbsTime;
-use gaea_bench::{configure, figure2_kernel, jan86, store_scene};
+use gaea_bench::{bench_batched, figure2_kernel, jan86, store_scene};
 use gaea_core::kernel::Gaea;
 use gaea_core::schema::StepSource;
 use gaea_core::ObjectId;
-use std::hint::black_box;
 
 fn kernel_with_compound() -> Gaea {
     let mut g = figure2_kernel();
@@ -50,87 +48,59 @@ fn two_epochs(g: &mut Gaea, side: u32) -> (Vec<ObjectId>, Vec<ObjectId>) {
     (b1, b2)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("f5_compound_expansion");
-    configure(&mut group);
-    group.bench_function("compound_fire_32x32", |b| {
-        b.iter_batched(
-            || {
-                let mut g = kernel_with_compound();
-                let (b1, b2) = two_epochs(&mut g, 32);
-                (g, b1, b2)
-            },
-            |(mut g, b1, b2)| {
-                black_box(
-                    g.run_process("land_change_detection", &[("tm_t1", b1), ("tm_t2", b2)])
-                        .expect("fires"),
-                )
-            },
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("manual_primitives_32x32", |b| {
-        b.iter_batched(
-            || {
-                let mut g = kernel_with_compound();
-                let (b1, b2) = two_epochs(&mut g, 32);
-                (g, b1, b2)
-            },
-            |(mut g, b1, b2)| {
-                let lc1 = g
-                    .run_process("P20_unsupervised_classification", &[("bands", b1)])
-                    .expect("fires");
-                let lc2 = g
-                    .run_process("P20_unsupervised_classification", &[("bands", b2)])
-                    .expect("fires");
-                black_box(
-                    g.run_process(
-                        "P21_change",
-                        &[("earlier", lc1.outputs), ("later", lc2.outputs)],
-                    )
-                    .expect("fires"),
-                )
-            },
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    // Pure definition/validation cost of the compound (no execution).
-    group.bench_function("compound_definition", |b| {
-        b.iter_batched(
-            figure2_kernel,
-            |mut g| {
-                black_box(
-                    g.define_compound_process(
-                        "lcd_bench",
-                        "land_cover_changes",
-                        &[
-                            ("tm_t1".into(), "rectified_tm".into(), true, 3),
-                            ("tm_t2".into(), "rectified_tm".into(), true, 3),
-                        ],
-                        &[
-                            (
-                                "P20_unsupervised_classification".into(),
-                                vec![StepSource::OuterArg(0)],
-                            ),
-                            (
-                                "P20_unsupervised_classification".into(),
-                                vec![StepSource::OuterArg(1)],
-                            ),
-                            (
-                                "P21_change".into(),
-                                vec![StepSource::StepOutput(0), StepSource::StepOutput(1)],
-                            ),
-                        ],
-                        "bench",
-                    )
-                    .expect("registers"),
-                )
-            },
-            criterion::BatchSize::SmallInput,
-        )
-    });
-    group.finish();
+fn epochs_32x32() -> (Gaea, Vec<ObjectId>, Vec<ObjectId>) {
+    let mut g = kernel_with_compound();
+    let (b1, b2) = two_epochs(&mut g, 32);
+    (g, b1, b2)
 }
 
-criterion_group!(benches, bench);
-criterion_main!(benches);
+fn main() {
+    bench_batched("compound_fire_32x32", epochs_32x32, |(mut g, b1, b2)| {
+        g.run_process("land_change_detection", &[("tm_t1", b1), ("tm_t2", b2)])
+            .expect("fires")
+    });
+    bench_batched(
+        "manual_primitives_32x32",
+        epochs_32x32,
+        |(mut g, b1, b2)| {
+            let lc1 = g
+                .run_process("P20_unsupervised_classification", &[("bands", b1)])
+                .expect("fires");
+            let lc2 = g
+                .run_process("P20_unsupervised_classification", &[("bands", b2)])
+                .expect("fires");
+            g.run_process(
+                "P21_change",
+                &[("earlier", lc1.outputs), ("later", lc2.outputs)],
+            )
+            .expect("fires")
+        },
+    );
+    // Pure definition/validation cost of the compound (no execution).
+    bench_batched("compound_definition", figure2_kernel, |mut g| {
+        g.define_compound_process(
+            "lcd_bench",
+            "land_cover_changes",
+            &[
+                ("tm_t1".into(), "rectified_tm".into(), true, 3),
+                ("tm_t2".into(), "rectified_tm".into(), true, 3),
+            ],
+            &[
+                (
+                    "P20_unsupervised_classification".into(),
+                    vec![StepSource::OuterArg(0)],
+                ),
+                (
+                    "P20_unsupervised_classification".into(),
+                    vec![StepSource::OuterArg(1)],
+                ),
+                (
+                    "P21_change".into(),
+                    vec![StepSource::StepOutput(0), StepSource::StepOutput(1)],
+                ),
+            ],
+            "bench",
+        )
+        .expect("registers")
+    });
+}

@@ -7,14 +7,12 @@
 //! shape: the baseline's provenance costs grow linearly with history
 //! length while Gaea's stay flat-ish; replay is strictly coarser.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gaea_adt::{Image, TypeTag, Value};
 use gaea_baseline::FileGis;
-use gaea_bench::configure;
+use gaea_bench::{bench, bench_batched};
 use gaea_core::kernel::{ClassSpec, Gaea, ProcessSpec};
 use gaea_core::template::{Expr, Mapping, Template};
 use gaea_core::ObjectId;
-use std::hint::black_box;
 
 fn raster(seed: u64) -> Image {
     let data: Vec<f64> = (0..64)
@@ -94,59 +92,45 @@ fn gaea_history(n: usize) -> (Gaea, ObjectId) {
     (g, last)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("q4_gaea_vs_filegis");
-    configure(&mut group);
+fn main() {
     for n in [10usize, 100, 1000] {
         let gis = baseline_history(n, "prov");
         let newest = format!("d{}", n - 1);
-        group.bench_with_input(
-            BenchmarkId::new("baseline_provenance_one", n),
-            &n,
-            |b, _| b.iter(|| black_box(gis.provenance(&newest).expect("scan").expect("hit"))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("baseline_provenance_tree", n),
-            &n,
-            |b, _| b.iter(|| black_box(gis.provenance_tree(&newest).expect("scan"))),
-        );
-        let (g, last) = gaea_history(n);
-        group.bench_with_input(BenchmarkId::new("gaea_provenance_one", n), &n, |b, _| {
-            b.iter(|| black_box(g.catalog().producing_task(last).expect("recorded")))
+        bench(&format!("baseline_provenance_one/{n}"), || {
+            gis.provenance(&newest).expect("scan").expect("hit")
         });
-        group.bench_with_input(BenchmarkId::new("gaea_provenance_tree", n), &n, |b, _| {
-            b.iter(|| black_box(g.lineage(last).expect("tree")))
+        bench(&format!("baseline_provenance_tree/{n}"), || {
+            gis.provenance_tree(&newest).expect("scan")
+        });
+        let (g, last) = gaea_history(n);
+        bench(&format!("gaea_provenance_one/{n}"), || {
+            g.catalog().producing_task(last).expect("recorded").id
+        });
+        bench(&format!("gaea_provenance_tree/{n}"), || {
+            g.lineage(last).expect("tree")
         });
         // Reproduction: Gaea replays ONE task; the baseline can only
         // replay the whole transcript.
-        group.bench_with_input(BenchmarkId::new("gaea_reproduce_one", n), &n, |b, _| {
-            b.iter_batched(
-                || {
-                    let (mut g, last) = gaea_history(n);
-                    let task = g.catalog().producing_task(last).expect("recorded").id;
-                    g.record_experiment("e", "bench", vec![task]).expect("exp");
-                    g
-                },
-                |g| black_box(g.reproduce_experiment("e").expect("ok")),
-                criterion::BatchSize::SmallInput,
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("baseline_replay_all", n), &n, |b, _| {
-            b.iter_batched(
-                || {
-                    let src = baseline_history(n, "replay-src");
-                    let dst_dir = std::env::temp_dir()
-                        .join(format!("gaea-q4-replay-dst-{n}-{}", std::process::id()));
-                    let _ = std::fs::remove_dir_all(&dst_dir);
-                    (src, FileGis::open(&dst_dir).expect("open"))
-                },
-                |(src, dst)| black_box(src.replay(&dst).expect("replays")),
-                criterion::BatchSize::SmallInput,
-            )
-        });
+        bench_batched(
+            &format!("gaea_reproduce_one/{n}"),
+            || {
+                let (mut g, last) = gaea_history(n);
+                let task = g.catalog().producing_task(last).expect("recorded").id;
+                g.record_experiment("e", "bench", vec![task]).expect("exp");
+                g
+            },
+            |g| g.reproduce_experiment("e").expect("ok"),
+        );
+        bench_batched(
+            &format!("baseline_replay_all/{n}"),
+            || {
+                let src = baseline_history(n, "replay-src");
+                let dst_dir = std::env::temp_dir()
+                    .join(format!("gaea-q4-replay-dst-{n}-{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dst_dir);
+                (src, FileGis::open(&dst_dir).expect("open"))
+            },
+            |(src, dst)| src.replay(&dst).expect("replays"),
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -10,16 +10,12 @@
 //! The `invalidation_*` scenarios cover the write side: `update_object`
 //! cost as recorded history grows (MVCC version counters make it O(1) in
 //! the number of recorded tasks — the curve must stay flat from 4 to 256
-//! tasks), and the full invalidate-then-re-derive cycle. CI condenses
-//! these into `BENCH_q6_invalidation.json` (see
-//! `scripts/bench_summary.sh`).
+//! tasks), and the full invalidate-then-re-derive cycle.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use gaea_adt::{AbsTime, Image, PixType, Value};
-use gaea_bench::{africa, configure, figure2_kernel, jan86, store_scene};
+use gaea_bench::{africa, bench, bench_batched, figure2_kernel, jan86, store_scene};
 use gaea_core::kernel::Gaea;
 use gaea_core::{ObjectId, Query, QueryMethod, QueryStrategy};
-use std::hint::black_box;
 
 /// A kernel with `tasks` recorded P20 derivations (one per synthetic
 /// scene, each at its own instant). Returns the first scene's bands:
@@ -50,73 +46,54 @@ fn query() -> Query {
         .with_strategy(QueryStrategy::PreferDerivation)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("q6_memoization");
-    configure(&mut group);
+/// A kernel holding one stored scene of `side`² pixels at the query's
+/// instant.
+fn scene_kernel(side: u32) -> (Gaea, Vec<ObjectId>) {
+    let mut g = figure2_kernel();
+    let bands = store_scene(&mut g, "rectified_tm", 6, side, jan86());
+    (g, bands)
+}
+
+fn main() {
     for side in [32u32, 64] {
+        let pixels = side * side;
         // Cold: derivation fires P20.
-        group.bench_with_input(
-            BenchmarkId::new("first_query_derives", side * side),
-            &side,
-            |b, side| {
-                b.iter_batched(
-                    || {
-                        let mut g = figure2_kernel();
-                        store_scene(&mut g, "rectified_tm", 6, *side, jan86());
-                        g
-                    },
-                    |mut g| {
-                        let out = g.query(&query()).expect("derives");
-                        debug_assert_eq!(out.method, QueryMethod::Derived);
-                        black_box(out)
-                    },
-                    criterion::BatchSize::SmallInput,
-                )
+        bench_batched(
+            &format!("first_query_derives/{pixels}"),
+            || scene_kernel(side).0,
+            |mut g| {
+                let out = g.query(&query()).expect("derives");
+                debug_assert_eq!(out.method, QueryMethod::Derived);
+                out
             },
         );
         // Warm: the derived object is stored; the same query retrieves.
-        group.bench_with_input(
-            BenchmarkId::new("repeat_query_retrieves", side * side),
-            &side,
-            |b, side| {
-                let mut g = figure2_kernel();
-                store_scene(&mut g, "rectified_tm", 6, *side, jan86());
-                g.query(&query()).expect("derives once");
-                b.iter(|| {
-                    let out = g.query(&query()).expect("hits");
-                    debug_assert_eq!(out.method, QueryMethod::Retrieved);
-                    black_box(out)
-                })
-            },
-        );
+        let mut g = scene_kernel(side).0;
+        g.query(&query()).expect("derives once");
+        bench(&format!("repeat_query_retrieves/{pixels}"), || {
+            let out = g.query(&query()).expect("hits");
+            debug_assert_eq!(out.method, QueryMethod::Retrieved);
+            out
+        });
     }
     // An explicit re-firing of an already recorded derivation: it
     // executes and records a task again (§4.2 duplicate detection
     // reports the pair).
     for side in [32u32, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("rerun_process_unmemoized", side * side),
-            &side,
-            |b, side| {
-                b.iter_batched(
-                    || {
-                        let mut g = figure2_kernel();
-                        let bands = store_scene(&mut g, "rectified_tm", 6, *side, jan86());
-                        g.run_process(
-                            "P20_unsupervised_classification",
-                            &[("bands", bands.clone())],
-                        )
-                        .expect("first derivation");
-                        (g, bands)
-                    },
-                    |(mut g, bands)| {
-                        black_box(
-                            g.run_process("P20_unsupervised_classification", &[("bands", bands)])
-                                .expect("re-derives"),
-                        )
-                    },
-                    criterion::BatchSize::SmallInput,
+        bench_batched(
+            &format!("rerun_process_unmemoized/{}", side * side),
+            || {
+                let (mut g, bands) = scene_kernel(side);
+                g.run_process(
+                    "P20_unsupervised_classification",
+                    &[("bands", bands.clone())],
                 )
+                .expect("first derivation");
+                (g, bands)
+            },
+            |(mut g, bands)| {
+                g.run_process("P20_unsupervised_classification", &[("bands", bands)])
+                    .expect("re-derives")
             },
         );
     }
@@ -126,68 +103,39 @@ fn bench(c: &mut Criterion) {
     // O(recorded tasks) — the former implementation rebuilt an adjacency
     // over the entire task history on every update.
     for tasks in [4usize, 64, 256] {
-        group.bench_with_input(
-            BenchmarkId::new("invalidation_update_object", tasks),
-            &tasks,
-            |b, tasks| {
-                let (mut g, bands) = kernel_with_history(*tasks);
-                let patch = Value::image(Image::filled(8, 8, PixType::Float8, 1.5));
-                b.iter(|| {
-                    g.update_object(bands[0], vec![("data", patch.clone())])
-                        .expect("update");
-                });
-            },
-        );
+        let (mut g, bands) = kernel_with_history(tasks);
+        let patch = Value::image(Image::filled(8, 8, PixType::Float8, 1.5));
+        bench(&format!("invalidation_update_object/{tasks}"), || {
+            g.update_object(bands[0], vec![("data", patch.clone())])
+                .expect("update")
+        });
     }
     // The full cycle: mutate an input, then re-fire — the price of
     // freshness.
-    group.bench_function("invalidation_rederive", |b| {
-        let (mut g, bands) = kernel_with_history(64);
-        let mut fill = 2.0;
-        b.iter(|| {
-            fill += 1.0;
-            let patch = Value::image(Image::filled(8, 8, PixType::Float8, fill));
-            g.update_object(bands[0], vec![("data", patch)])
-                .expect("update");
-            black_box(
-                g.run_process(
-                    "P20_unsupervised_classification",
-                    &[("bands", bands.clone())],
-                )
-                .expect("re-derives"),
-            )
-        });
+    let (mut g, bands) = kernel_with_history(64);
+    let mut fill = 2.0;
+    bench("invalidation_rederive", || {
+        fill += 1.0;
+        let patch = Value::image(Image::filled(8, 8, PixType::Float8, fill));
+        g.update_object(bands[0], vec![("data", patch)])
+            .expect("update");
+        g.run_process(
+            "P20_unsupervised_classification",
+            &[("bands", bands.clone())],
+        )
+        .expect("re-derives")
     });
 
     // Amortization series: total cost of k queries (1 derive + k-1 hits).
     for k in [1usize, 4, 16] {
-        group.bench_with_input(BenchmarkId::new("k_queries_total_32x32", k), &k, |b, k| {
-            b.iter_batched(
-                || {
-                    let mut g = figure2_kernel();
-                    store_scene(&mut g, "rectified_tm", 6, 32, jan86());
-                    g
-                },
-                |mut g| {
-                    for _ in 0..*k {
-                        black_box(g.query(&query()).expect("ok"));
-                    }
-                },
-                criterion::BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-
-fn main() {
-    benches();
-    // GAEA_METRICS_JSON: dump the process-wide metrics snapshot so
-    // scripts/bench_summary.sh can merge the counters behind the
-    // latency numbers into the published artifact.
-    if let Some(path) = gaea_obs::dump_snapshot_to_env_path() {
-        println!("metrics snapshot written to {path}");
+        bench_batched(
+            &format!("k_queries_total_32x32/{k}"),
+            || scene_kernel(32).0,
+            |mut g| {
+                for _ in 0..k {
+                    std::hint::black_box(g.query(&query()).expect("ok"));
+                }
+            },
+        );
     }
 }

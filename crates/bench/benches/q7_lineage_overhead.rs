@@ -6,13 +6,11 @@
 //! per-task overhead that vanishes relative to any real analysis; lineage
 //! queries over deep chains stay interactive.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gaea_adt::{Image, TypeTag, Value};
-use gaea_bench::configure;
+use gaea_bench::{bench, bench_batched};
 use gaea_core::kernel::{ClassSpec, Gaea, ProcessSpec};
 use gaea_core::template::{Expr, Mapping, Template};
 use gaea_raster::img_diff;
-use std::hint::black_box;
 
 fn kernel() -> Gaea {
     let mut g = Gaea::in_memory().with_user("q7");
@@ -55,42 +53,30 @@ fn image(side: u32, seed: u64) -> Image {
     Image::from_f64(side, side, data).expect("sized")
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("q7_lineage_overhead");
-    configure(&mut group);
+fn main() {
     for side in [8u32, 32, 128] {
-        let a = image(side, 1);
-        let b_img = image(side, 2);
+        let pixels = side * side;
+        let (a, b) = (image(side, 1), image(side, 2));
         // Bare algorithm.
-        group.bench_with_input(
-            BenchmarkId::new("bare_img_diff", side * side),
-            &side,
-            |bch, _| bch.iter(|| black_box(img_diff(&a, &b_img).expect("ok"))),
-        );
+        bench(&format!("bare_img_diff/{pixels}"), || {
+            img_diff(&a, &b).expect("ok")
+        });
         // Kernel task: same computation + full provenance.
-        group.bench_with_input(
-            BenchmarkId::new("task_img_diff", side * side),
-            &side,
-            |bch, side| {
-                bch.iter_batched(
-                    || {
-                        let mut g = kernel();
-                        let oa = g
-                            .insert_object("raster", vec![("data", Value::image(image(*side, 1)))])
-                            .expect("insert");
-                        let ob = g
-                            .insert_object("raster", vec![("data", Value::image(image(*side, 2)))])
-                            .expect("insert");
-                        (g, oa, ob)
-                    },
-                    |(mut g, oa, ob)| {
-                        black_box(
-                            g.run_process("diff", &[("a", vec![oa]), ("b", vec![ob])])
-                                .expect("fires"),
-                        )
-                    },
-                    criterion::BatchSize::SmallInput,
-                )
+        bench_batched(
+            &format!("task_img_diff/{pixels}"),
+            || {
+                let mut g = kernel();
+                let oa = g
+                    .insert_object("raster", vec![("data", Value::image(image(side, 1)))])
+                    .expect("insert");
+                let ob = g
+                    .insert_object("raster", vec![("data", Value::image(image(side, 2)))])
+                    .expect("insert");
+                (g, oa, ob)
+            },
+            |(mut g, oa, ob)| {
+                g.run_process("diff", &[("a", vec![oa]), ("b", vec![ob])])
+                    .expect("fires")
             },
         );
     }
@@ -129,25 +115,17 @@ fn bench(c: &mut Criterion) {
                 .expect("fires")
                 .outputs[0];
         }
-        group.bench_with_input(BenchmarkId::new("lineage_tree", depth), &depth, |bch, _| {
-            bch.iter(|| black_box(g.lineage(last).expect("tree")))
+        bench(&format!("lineage_tree/{depth}"), || {
+            g.lineage(last).expect("tree")
         });
-        group.bench_with_input(BenchmarkId::new("ancestors", depth), &depth, |bch, _| {
-            bch.iter(|| black_box(g.ancestors(last).expect("set")))
+        bench(&format!("ancestors/{depth}"), || {
+            g.ancestors(last).expect("set")
         });
         // Staleness classification over the same chain: one version
         // comparison per ancestor task (the MVCC fingerprint check).
-        group.bench_with_input(BenchmarkId::new("is_stale", depth), &depth, |bch, _| {
-            bch.iter(|| black_box(g.is_stale(last)))
+        bench(&format!("is_stale/{depth}"), || g.is_stale(last));
+        bench(&format!("staleness_report/{depth}"), || {
+            g.staleness_report(last).expect("report")
         });
-        group.bench_with_input(
-            BenchmarkId::new("staleness_report", depth),
-            &depth,
-            |bch, _| bch.iter(|| black_box(g.staleness_report(last).expect("report"))),
-        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

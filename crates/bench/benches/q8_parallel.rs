@@ -13,16 +13,13 @@
 //! 1-worker schedule (the 1-worker mode is the plain serial loop — no
 //! threads, no locks). On a single-core container the workers time-slice
 //! one CPU and the curve stays flat; the `workers_1` row is then the
-//! honest baseline. CI condenses the rows into `BENCH_q8_parallel.json`
-//! via `scripts/bench_summary.sh` and the `GAEA_BENCH_JSON` hook.
+//! honest baseline.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gaea_adt::Value;
-use gaea_bench::{configure, figure2_kernel, jan86, store_scene};
+use gaea_bench::{bench_batched, figure2_kernel, jan86, store_scene};
 use gaea_core::kernel::Gaea;
 use gaea_core::ObjectId;
 use gaea_workload::{SceneSpec, SyntheticScene};
-use std::hint::black_box;
 
 /// Independent firings in the fan-out plan.
 const FIRINGS: usize = 64;
@@ -54,33 +51,21 @@ fn staled_kernel() -> (Gaea, Vec<ObjectId>) {
     (g, first_bands)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("q8_parallel");
-    configure(&mut group);
+fn main() {
     for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("refresh_all_fanout64_workers", workers),
-            &workers,
-            |b, workers| {
-                b.iter_batched(
-                    || {
-                        let (mut g, _) = staled_kernel();
-                        g.set_workers(*workers);
-                        g
-                    },
-                    |mut g| {
-                        let report = g.refresh_all().expect("refresh schedules cleanly");
-                        debug_assert_eq!(report.refreshed(), FIRINGS);
-                        debug_assert_eq!(report.waves, 1);
-                        black_box(report)
-                    },
-                    criterion::BatchSize::PerIteration,
-                )
+        bench_batched(
+            &format!("refresh_all_fanout64_workers/{workers}"),
+            || {
+                let (mut g, _) = staled_kernel();
+                g.set_workers(workers);
+                g
+            },
+            |mut g| {
+                let report = g.refresh_all().expect("refresh schedules cleanly");
+                debug_assert_eq!(report.refreshed(), FIRINGS);
+                debug_assert_eq!(report.waves, 1);
+                report
             },
         );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -12,17 +12,13 @@
 //! * `latency_interactive_blocking` — the old synchronous executor:
 //!   each firing blocks the session for its full round-trip, so the
 //!   interactive query waits ≈ K × 5 ms.
-//!
-//! CI condenses both rows into `BENCH_q9_async.json` via
-//! `scripts/bench_summary.sh q9_async latency`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gaea_adt::{AbsTime, TypeTag, Value};
+use gaea_bench::bench_batched;
 use gaea_core::external::SimulatedSite;
 use gaea_core::kernel::{ClassSpec, Gaea, ProcessSpec};
 use gaea_core::{ObjectId, Query};
 use std::collections::BTreeMap;
-use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -89,54 +85,32 @@ fn kernel() -> (Gaea, Vec<ObjectId>) {
     (g, obs)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("q9_async");
-    gaea_bench::configure(&mut group);
-
+fn main() {
     // K background submissions, then the interactive query: the session
     // never waits on a round-trip.
-    group.bench_with_input(
-        BenchmarkId::new("latency_interactive_async", K),
-        &K,
-        |b, k| {
-            b.iter_batched(
-                || kernel().0,
-                |mut g| {
-                    for i in 0..*k {
-                        g.submit_derivation(&Query::class("remote_out").at(day(1 + i)))
-                            .expect("submit background firing");
-                    }
-                    let out = g.query(&Query::class("local")).expect("interactive query");
-                    black_box(out)
-                },
-                criterion::BatchSize::PerIteration,
-            )
+    bench_batched(
+        &format!("latency_interactive_async/{K}"),
+        || kernel().0,
+        |mut g| {
+            for i in 0..K {
+                g.submit_derivation(&Query::class("remote_out").at(day(1 + i)))
+                    .expect("submit background firing");
+            }
+            g.query(&Query::class("local")).expect("interactive query")
         },
     );
 
     // The blocking baseline: each firing holds the session for its full
     // round-trip before the interactive query gets a turn.
-    group.bench_with_input(
-        BenchmarkId::new("latency_interactive_blocking", K),
-        &K,
-        |b, _| {
-            b.iter_batched(
-                kernel,
-                |(mut g, obs)| {
-                    for o in &obs {
-                        g.run_process("REMOTE", &[("x", vec![*o])])
-                            .expect("blocking external firing");
-                    }
-                    let out = g.query(&Query::class("local")).expect("interactive query");
-                    black_box(out)
-                },
-                criterion::BatchSize::PerIteration,
-            )
+    bench_batched(
+        &format!("latency_interactive_blocking/{K}"),
+        kernel,
+        |(mut g, obs)| {
+            for o in &obs {
+                g.run_process("REMOTE", &[("x", vec![*o])])
+                    .expect("blocking external firing");
+            }
+            g.query(&Query::class("local")).expect("interactive query")
         },
     );
-
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -21,8 +21,8 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    bucket_ceil, bucket_index, dump_snapshot_to_env_path, metrics, Counter, Gauge, Histogram,
-    MetricsRegistry, MetricsSnapshot, HIST_BUCKETS, METRICS_JSON_ENV,
+    bucket_ceil, bucket_index, metrics, Counter, Gauge, Histogram, MetricsRegistry,
+    MetricsSnapshot, HIST_BUCKETS,
 };
 pub use trace::{
     clear_traces, note, recent_traces, set_ring_capacity, set_slow_threshold_us, slow_threshold_us,

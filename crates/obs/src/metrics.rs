@@ -426,31 +426,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Environment variable naming a file to dump the metrics snapshot to
-/// (see [`dump_snapshot_to_env_path`]).
-pub const METRICS_JSON_ENV: &str = "GAEA_METRICS_JSON";
-
-/// When [`METRICS_JSON_ENV`] names a file, write the global registry's
-/// snapshot there as one flat JSON object and return the path.
-/// Benchmarks call this at exit so `scripts/bench_summary.sh` can merge
-/// the counters behind the latency numbers into the published artifact.
-/// Returns `None` when the variable is unset/empty or the write fails
-/// (a diagnostics knob must never fail the workload it observes).
-pub fn dump_snapshot_to_env_path() -> Option<String> {
-    let path = std::env::var(METRICS_JSON_ENV).ok()?;
-    if path.is_empty() {
-        return None;
-    }
-    let json = metrics().snapshot().to_json();
-    match std::fs::write(&path, json + "\n") {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("gaea-obs: cannot write {METRICS_JSON_ENV}={path}: {e}");
-            None
-        }
-    }
-}
-
 /// Expand a histogram into its five snapshot keys. The `_p*` keys use
 /// the bucket upper bound (≤ 2× the true order statistic).
 fn hist(entries: &mut Vec<(&'static str, u64)>, name: &'static str, h: &Histogram) {

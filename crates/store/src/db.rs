@@ -9,8 +9,7 @@ use crate::predicate::Predicate;
 use crate::schema::Schema;
 use crate::stats::{ColumnStats, TableStats};
 use crate::tuple::Tuple;
-use crate::txn::Txn;
-use crate::version::{Savepoint, StoreSnapshot, VersionMap};
+use crate::version::{Savepoint, VersionMap};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -453,11 +452,6 @@ impl Database {
         self.versions.clock()
     }
 
-    /// Capture a point-in-time [`StoreSnapshot`] of all version counters.
-    pub fn store_snapshot(&self) -> StoreSnapshot {
-        self.versions.snapshot()
-    }
-
     /// Point lookup.
     pub fn get(&self, rel: &str, oid: Oid) -> StoreResult<&Tuple> {
         self.relation(rel)?.get(oid)
@@ -476,12 +470,6 @@ impl Database {
     /// OID-only predicate scan — no tuple clones.
     pub fn scan_oids(&self, rel: &str, pred: &Predicate) -> StoreResult<Vec<Oid>> {
         self.relation(rel)?.scan_oids(pred)
-    }
-
-    /// Begin an undo-logged transaction. Uncommitted transactions roll back
-    /// on drop.
-    pub fn begin(&mut self) -> Txn<'_> {
-        Txn::new(self)
     }
 
     /// Allocator state for snapshots.
@@ -800,18 +788,6 @@ mod tests {
         db.update("landcover", b, t("asia", 3)).unwrap();
         assert_eq!(db.object_version(a), va, "a was not touched");
         assert!(db.object_version(b) > va);
-    }
-
-    #[test]
-    fn store_snapshot_captures_and_freezes_counters() {
-        let mut db = db_with_rel();
-        let oid = db.insert("landcover", t("africa", 1)).unwrap();
-        let snap = db.store_snapshot();
-        db.update("landcover", oid, t("africa", 2)).unwrap();
-        assert_eq!(snap.object_version(oid), 1);
-        assert_eq!(db.object_version(oid), 2);
-        assert_eq!(snap.relation_version("landcover"), 1);
-        assert_eq!(db.relation_version("landcover"), 2);
     }
 
     #[test]

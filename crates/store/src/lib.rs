@@ -12,8 +12,9 @@
 //! * ordered secondary [`index::OrderedIndex`]es plus uniform-grid
 //!   spatial [`grid::GridIndex`]es and per-relation optimizer
 //!   [`stats::TableStats`] maintained on every mutation,
-//! * undo-log [`txn::Txn`] transactions (rollback restores exactly the
-//!   pre-transaction state),
+//! * savepoints ([`Database::savepoint`] / [`Database::rollback_to`]) that
+//!   rewind the version clock and the OID allocator once a failed
+//!   multi-step commit has undone its own writes,
 //! * whole-database [`snapshot`] persistence (JSON manifest; image payloads
 //!   ride along through serde),
 //! * an append-only, checksummed [`wal`] (length-prefixed records, group
@@ -22,7 +23,7 @@
 //! * MVCC [`version`] counters: every mutation stamps the touched object
 //!   and relation with a fresh logical-clock value, so consumers can
 //!   validate memoized derived results in O(1) per input instead of
-//!   walking history ([`version::StoreSnapshot`]).
+//!   walking history; a [`view::PinnedStore`] freezes them with the data.
 //!
 //! See DESIGN.md §1 for why this substitution preserves the paper's
 //! behaviour: the kernel only ever touches the store through these
@@ -40,7 +41,6 @@ pub mod schema;
 pub mod snapshot;
 pub mod stats;
 pub mod tuple;
-pub mod txn;
 pub mod version;
 pub mod view;
 pub mod wal;
@@ -53,7 +53,5 @@ pub use predicate::{CompiledPredicate, Predicate};
 pub use schema::{Field, Schema};
 pub use stats::{ColumnStats, TableStats};
 pub use tuple::Tuple;
-pub use txn::Txn;
-pub use version::StoreSnapshot;
 pub use view::PinnedStore;
 pub use wal::{read_wal, CrashPoint, CrashSwitch, WalScan, WalWriter};

@@ -124,7 +124,6 @@ pub fn load_with_wal_seq(dir: &Path) -> StoreResult<(Database, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::Predicate;
     use crate::schema::{Field, Schema};
     use crate::tuple::Tuple;
     use gaea_adt::{Image, PixType, TypeTag, Value};
@@ -304,27 +303,6 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(load(&dir), Err(StoreError::Codec(_))));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn snapshot_excludes_uncommitted_state_if_saved_after_rollback() {
-        let mut db = Database::new();
-        db.create_relation(
-            "objects",
-            Schema::new(vec![Field::required("v", TypeTag::Int4)]).unwrap(),
-        )
-        .unwrap();
-        {
-            let mut txn = db.begin();
-            txn.insert("objects", Tuple::new(vec![Value::Int4(1)]))
-                .unwrap();
-            txn.rollback();
-        }
-        let dir = tempdir("rb");
-        save(&db, &dir).unwrap();
-        let back = load(&dir).unwrap();
-        assert_eq!(back.scan("objects", &Predicate::True).unwrap().len(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

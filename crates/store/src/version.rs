@@ -1,20 +1,20 @@
 //! MVCC-style version counters for O(1) staleness detection.
 //!
 //! The store keeps one logical clock per [`crate::db::Database`]; every
-//! mutation (insert, update, delete — autocommitted or inside a
-//! [`crate::txn::Txn`], including rollback's inverse operations) ticks the
-//! clock and stamps the touched object and its relation with the new clock
-//! value. Consumers that memoize results computed from stored objects
-//! record the versions they observed and later compare them against the
-//! current counters: a single integer comparison per input replaces any
-//! walk over history to decide whether a derived result is still current.
+//! mutation (insert, update, delete, including the inverse writes that
+//! undo a failed step) ticks the clock and stamps the touched object and
+//! its relation with the new clock value. Consumers that memoize results
+//! computed from stored objects record the versions they observed and
+//! later compare them against the current counters: a single integer
+//! comparison per input replaces any walk over history to decide whether
+//! a derived result is still current.
 //!
 //! Version entries survive deletion (a deleted object's counter keeps
 //! advancing rather than disappearing), so re-inserting under a recycled
-//! OID can never present an old version again (no ABA). Transaction
-//! rollback also advances versions — the content is restored but the
-//! counters only move forward, which is conservative: a validator may
-//! re-derive needlessly, but can never serve a stale result.
+//! OID can never present an old version again (no ABA). An inverse write
+//! also advances versions — the content is restored but the counters
+//! only move forward, which is conservative: a validator may re-derive
+//! needlessly, but can never serve a stale result.
 //!
 //! A multi-step commit that compensates is exact instead. It undoes its
 //! own writes, then [`crate::Database::rollback_to`] rewinds the clock,
@@ -118,42 +118,6 @@ impl VersionMap {
     pub fn relation(&self, rel: &str) -> u64 {
         self.relations.get(rel).copied().unwrap_or(0)
     }
-
-    /// A point-in-time copy of the counters.
-    pub(crate) fn snapshot(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            clock: self.clock,
-            object_versions: self.objects.clone(),
-            relation_versions: self.relations.clone(),
-        }
-    }
-}
-
-/// A point-in-time view of the store's version counters — the lightweight
-/// MVCC snapshot a consumer captures before computing something from
-/// stored objects. Comparing a snapshot entry with the live counter is a
-/// single integer comparison, so validating a derived result costs O(1)
-/// per input regardless of how much history has accumulated since.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StoreSnapshot {
-    /// Clock value at capture time.
-    pub clock: u64,
-    /// OID → version at capture time.
-    pub object_versions: BTreeMap<u64, u64>,
-    /// Relation name → version at capture time.
-    pub relation_versions: BTreeMap<String, u64>,
-}
-
-impl StoreSnapshot {
-    /// Version of an object at capture time (0 = never written).
-    pub fn object_version(&self, oid: Oid) -> u64 {
-        self.object_versions.get(&oid.0).copied().unwrap_or(0)
-    }
-
-    /// Version of a relation at capture time (0 = never mutated).
-    pub fn relation_version(&self, rel: &str) -> u64 {
-        self.relation_versions.get(rel).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -179,14 +143,16 @@ mod tests {
 
     #[test]
     fn snapshot_is_a_frozen_view() {
+        // A pinned view holds a clone of the map: later ticks on the
+        // live map never reach it.
         let mut v = VersionMap::default();
         v.bump("r", Oid(1));
-        let snap = v.snapshot();
+        let snap = v.clone();
         v.bump("r", Oid(1));
-        assert_eq!(snap.object_version(Oid(1)), 1);
+        assert_eq!(snap.object(Oid(1)), 1);
         assert_eq!(v.object(Oid(1)), 2);
-        assert_eq!(snap.relation_version("r"), 1);
-        assert_eq!(snap.object_version(Oid(99)), 0);
+        assert_eq!(snap.relation("r"), 1);
+        assert_eq!(snap.object(Oid(99)), 0);
     }
 
     #[test]

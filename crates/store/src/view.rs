@@ -1,14 +1,14 @@
-//! Snapshot-pinned read views: the data half of MVCC snapshots.
+//! Snapshot-pinned read views: the one frozen view of the store the
+//! kernel takes.
 //!
-//! [`crate::version::StoreSnapshot`] freezes the version *counters* —
-//! enough to validate memoized results, not enough to answer a query.
-//! A [`PinnedStore`] freezes the data too: an immutable copy of every
-//! relation (heaps, indexes, grids, statistics) together with the
+//! A [`PinnedStore`] is an immutable copy of every relation (heaps,
+//! indexes, grids, statistics) together with the
 //! [`crate::version::VersionMap`] of the same instant, so a reader
-//! holding the view answers retrievals against exactly one committed
-//! state no matter how many commits land after the pin. That one
-//! `VersionMap` is the view's only copy of the counters: its clock,
-//! object and relation versions are the frozen `Database`'s own.
+//! holding the view answers retrievals — and validates memoized results
+//! against the version counters — at exactly one committed state, no
+//! matter how many commits land after the pin. That one `VersionMap` is
+//! the view's only copy of the counters: its clock, object and relation
+//! versions are the frozen `Database`'s own.
 //!
 //! The copy is taken under the owner's exclusive borrow
 //! ([`crate::db::Database::pin_since`]), so a view can never observe a

@@ -6,8 +6,9 @@
 //! server claims snapshot-pinned reads never block behind the commit
 //! path, and the driver is what checks it — run once with the writer
 //! off and once with it on; reader p99 should barely move. The
-//! `q12_server` bench and the CI `server` job both run on this module,
-//! and the `session_driver` binary exposes it on the command line.
+//! `reader_interference` example (which bounds that move) and the CI
+//! `server` job both run on this module, and the `session_driver`
+//! binary exposes it on the command line.
 
 use gaea_server::{Client, ClientError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

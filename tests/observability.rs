@@ -82,9 +82,10 @@ fn assert_stages_nest(profile: &QueryProfile) {
 }
 
 /// Golden-file guard: the snapshot key names and their order are the
-/// crate's compatibility surface (dashboards and `bench_summary.sh`
-/// parse them). Adding an instrument means updating
-/// `tests/golden/metrics_keys.txt` in the same change — deliberately.
+/// crate's compatibility surface (dashboards and `scripts/server_smoke.sh`
+/// read them from the server's `Stats` reply). Adding an instrument means
+/// updating `tests/golden/metrics_keys.txt` in the same change —
+/// deliberately.
 #[test]
 fn snapshot_keys_match_the_golden_file() {
     let golden: Vec<&str> = include_str!("golden/metrics_keys.txt")

@@ -1,7 +1,6 @@
 //! Property-based tests on the storage substrate: CRUD model checking,
-//! transaction rollback exactness, index/scan agreement, the grid and
-//! ordered index against plain reference models, and incremental pins
-//! against from-scratch pins.
+//! index/scan agreement, the grid and ordered index against plain
+//! reference models, and incremental pins against from-scratch pins.
 
 use gaea::adt::{GeoBox, TypeTag, Value};
 use gaea::store::grid::OVERSIZE_CELLS;
@@ -181,42 +180,6 @@ proptest! {
         for (oid, v) in &model {
             prop_assert_eq!(rel.get(*oid).unwrap().get(0), &Value::Int4(*v));
         }
-    }
-
-    /// A rolled-back transaction leaves the store exactly as it found it,
-    /// whatever the interleaving.
-    #[test]
-    fn rollback_restores_exact_state(
-        committed in prop::collection::vec(any::<i32>(), 1..16),
-        txn_ops in prop::collection::vec(op_strategy(), 0..32),
-    ) {
-        let mut db = db();
-        let mut live = Vec::new();
-        for v in &committed {
-            live.push(db.insert("objects", tuple(*v)).unwrap());
-        }
-        let before: Vec<(Oid, Tuple)> = db.scan("objects", &Predicate::True).unwrap();
-        {
-            let mut txn = db.begin();
-            for op in txn_ops {
-                match op {
-                    Op::Insert(v) => { let _ = txn.insert("objects", tuple(v)); }
-                    Op::Delete(i) => {
-                        if !live.is_empty() {
-                            let _ = txn.delete("objects", live[i % live.len()]);
-                        }
-                    }
-                    Op::Update(i, v) => {
-                        if !live.is_empty() {
-                            let _ = txn.update("objects", live[i % live.len()], tuple(v));
-                        }
-                    }
-                }
-            }
-            txn.rollback();
-        }
-        let after: Vec<(Oid, Tuple)> = db.scan("objects", &Predicate::True).unwrap();
-        prop_assert_eq!(before, after);
     }
 
     /// Index lookups agree with predicate scans for every stored key.
