@@ -13,6 +13,23 @@ use gaea_bench::{bench, bench_batched};
 use gaea_core::kernel::{ClassSpec, Gaea, ProcessSpec};
 use gaea_core::template::{Expr, Mapping, Template};
 use gaea_core::ObjectId;
+use std::path::PathBuf;
+
+/// The directory holding every file-GIS store of one run; removed when
+/// the run ends (see [`RunDir`]).
+fn run_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("gaea-q4-{}", std::process::id()))
+}
+
+/// Removes [`run_dir`] on drop, so a finished (or panicking) run leaves
+/// nothing in the temp dir.
+struct RunDir;
+
+impl Drop for RunDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(run_dir());
+    }
+}
 
 fn raster(seed: u64) -> Image {
     let data: Vec<f64> = (0..64)
@@ -23,7 +40,7 @@ fn raster(seed: u64) -> Image {
 
 /// Build a history of `n` chained diff derivations in the baseline.
 fn baseline_history(n: usize, tag: &str) -> FileGis {
-    let dir = std::env::temp_dir().join(format!("gaea-q4-{tag}-{n}-{}", std::process::id()));
+    let dir = run_dir().join(format!("{tag}-{n}"));
     let _ = std::fs::remove_dir_all(&dir);
     let gis = FileGis::open(&dir).expect("open");
     gis.put_raster("r0", &raster(0)).expect("put");
@@ -93,6 +110,7 @@ fn gaea_history(n: usize) -> (Gaea, ObjectId) {
 }
 
 fn main() {
+    let _cleanup = RunDir;
     for n in [10usize, 100, 1000] {
         let gis = baseline_history(n, "prov");
         let newest = format!("d{}", n - 1);
@@ -125,8 +143,7 @@ fn main() {
             &format!("baseline_replay_all/{n}"),
             || {
                 let src = baseline_history(n, "replay-src");
-                let dst_dir = std::env::temp_dir()
-                    .join(format!("gaea-q4-replay-dst-{n}-{}", std::process::id()));
+                let dst_dir = run_dir().join(format!("replay-dst-{n}"));
                 let _ = std::fs::remove_dir_all(&dst_dir);
                 (src, FileGis::open(&dst_dir).expect("open"))
             },

@@ -44,7 +44,7 @@ pub enum KernelError {
     /// of firing a duplicate.
     DerivationPending {
         process: String,
-        job: gaea_sched::JobId,
+        job: crate::ids::JobId,
     },
     /// An interactive session was finished before every declared
     /// interaction was answered.

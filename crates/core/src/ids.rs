@@ -62,6 +62,18 @@ kernel_id!(
     "experiment"
 );
 
+/// A background derivation job. Not an OID: job ids are dense from 1 per
+/// kernel, and a durable kernel journals them with the submission so a
+/// reopened kernel never reuses one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct JobId(pub u64);
+
+impl fmt::Display for JobId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "job#{}", self.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

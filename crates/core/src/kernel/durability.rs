@@ -61,13 +61,12 @@
 //! `scripts/crash_matrix.sh` for the fault-injection lane that drives
 //! aborts through every boundary, background ones included.
 
-use super::{codec_err, io_err, jobs, read_snapshot, Gaea};
+use super::{codec_err, io_err, read_snapshot, Gaea};
 use crate::catalog::Catalog;
 use crate::derivation::executor::TaskRun;
 use crate::error::KernelResult;
 use crate::event::{apply, Event, TaskCommit};
-use crate::ids::{ObjectId, ProcessId};
-use gaea_sched::JobId;
+use crate::ids::{JobId, ObjectId, ProcessId};
 use gaea_store::snapshot::Capture;
 use gaea_store::wal::WalWriter;
 use gaea_store::{CrashPoint, CrashSwitch};
@@ -283,22 +282,11 @@ impl Gaea {
             events_replayed += 1;
         }
         // 3. Recovered in-flight submissions become job records again,
-        //    queued for re-staging (their sites are not registered yet;
+        //    waiting for re-staging (their sites are not registered yet;
         //    `register_site` and the job pump retry).
         let jobs_restaged = pending.len() as u64;
         for (job, (pid, bindings)) in pending {
-            let def = g.catalog.process(pid)?;
-            let record = jobs::JobRecord {
-                output_class: g.catalog.class(def.output)?.name.clone(),
-                dedup_key: super::query::dedup_key_for(def, &bindings),
-                committed: None,
-                commit_error: None,
-                process: pid,
-                bindings,
-                cancelled: false,
-            };
-            g.jobs.file(JobId(job), record);
-            g.jobs.recovered.insert(JobId(job));
+            g.recover_job(JobId(job), pid, bindings)?;
         }
         g.jobs.resume_ids(max_job);
         // 4. Arm the log for new events: the writer opens at the valid

@@ -3,56 +3,79 @@
 //! "Data derivation may be performed by processes running at remote
 //! sites"; such a process can take minutes, and the paper's contract is
 //! that Gaea "writes the task record when the result arrives" while the
-//! interactive session stays responsive. This layer delivers exactly
-//! that split on top of the `gaea-sched` [`JobPool`]:
+//! interactive session stays responsive.
+//!
+//! Each job has exactly one state, held in its kernel record. A
+//! submission starts `Handed` (or `Done`, when an identical current
+//! derivation answers it); a submission recovered from the journal starts
+//! `Waiting` for its site:
+//!
+//! ```text
+//! Waiting ──▶ Handed ──▶ Done(task) | Failed(err)
+//!    │          │
+//!    └──────────┴──────▶ Cancelled
+//! ```
 //!
 //! * [`Gaea::submit_derivation`] plans the query's single goal firing,
-//!   chooses its bindings, runs the *staging* half on the calling
+//!   chooses its bindings and runs the *staging* half on the calling
 //!   thread (validate + load + local guards — and for local primitives
-//!   the whole template evaluation, which is cheap by construction),
-//!   and hands the blocking half — the external-site round-trip — to a
-//!   background worker. It returns a [`JobId`] immediately.
-//! * The worker produces a `PreparedFiring`; nothing commits on the
-//!   worker. Commits happen on the owner's thread, through the same
-//!   serialized commit path every other firing uses (the internal job
-//!   pump, invoked by every job accessor and by the query/refresh entry
-//!   points), so the committed task and object state of a background
-//!   firing is byte-identical to a synchronous run of the same
-//!   derivation.
-//! * While a job is in flight its derivation is *visible*: step-1 query
-//!   answers list it in `QueryOutcome::pending`, the bind/fire walker
-//!   refuses to double-fire the identical derivation
+//!   the whole template evaluation, which is cheap by construction). It
+//!   hands the blocking half — the external-site round-trip — to the
+//!   worker table and returns a [`JobId`] at once.
+//! * The worker table is all that worker threads share with the kernel:
+//!   one mutex and one condvar over queued bodies, running ids and
+//!   finished results. At most [`Gaea::set_job_workers`] workers (4 by
+//!   default) are spawned, lazily, and detached. A worker produces a
+//!   `PreparedFiring` and never touches the store.
+//! * The job pump — run by every job accessor and by the query/refresh
+//!   entry points — commits finished results on the kernel's thread, in
+//!   job-id order, through the serialized commit path every other firing
+//!   uses. The committed task and object state of a background firing is
+//!   therefore byte-identical to a synchronous run of the same derivation.
+//! * While a job is in flight (waiting or handed) its derivation is
+//!   *visible*: step-1 query answers list it in `QueryOutcome::pending`,
+//!   the bind/fire walker refuses to double-fire the identical derivation
 //!   ([`KernelError::DerivationPending`]), a duplicate
 //!   [`Gaea::submit_derivation`] dedups to the existing job (the
 //!   in-flight answer of the one derivation-identity check), and
-//!   `Gaea::refresh_all` reports the stale
-//!   objects it covers as pending instead of re-firing them.
+//!   `Gaea::refresh_all` reports the stale objects it covers as pending
+//!   instead of re-firing them.
+//! * [`Gaea::await_job`], and a server's `AwaitJob` outside the kernel
+//!   lock, sleep on the table's condvar through a [`JobWaiter`] until the
+//!   deadline: a finished result, a cancel or [`JobWaiter::wake`] ends
+//!   the sleep early, and no timer polls in between.
 //!
 //! Jobs are runtime state, like registered sites: they are not
 //! persisted by [`Gaea::save`] and do not survive [`Gaea::load`]. A
-//! *durable* kernel ([`Gaea::open`]) is different: submissions are
-//! journaled in the write-ahead event log with their bindings, so
-//! unresolved jobs survive a crash — recovery holds them until their
-//! site is re-registered, then re-stages and re-runs them (see
-//! [`super::durability`]).
+//! *durable* kernel ([`Gaea::open`]) journals each submission with its
+//! bindings, so an unresolved job survives a crash: recovery files it as
+//! waiting until its site is registered again, then re-stages and re-runs
+//! it (see [`super::durability`]). A job whose remote body failed is not
+//! resolved in the journal either, so it re-stages on the next reopen.
 
 use super::durability::RecordedBindings;
 use super::exec::{prior_derivation, Prior};
-use super::query::{derivation_plan, ChosenFiring, TokenPool};
+use super::query::{dedup_key_for, derivation_plan, ChosenFiring, TokenPool};
+use super::readonly::PinnedJob;
 use super::Gaea;
-use crate::derivation::executor::{self, PreparedFiring, TaskRun};
+use crate::derivation::executor::{self, PreparedFiring, StagedFiring, TaskRun};
 use crate::error::{KernelError, KernelResult};
 use crate::event::Event;
-use crate::ids::{ObjectId, ProcessId, TaskId};
+use crate::ids::{ProcessId, TaskId};
 use crate::query::Query;
-use gaea_sched::{jobs as sched_jobs, JobPhase, JobPool};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-pub use gaea_sched::JobId;
+pub use crate::ids::JobId;
 
-/// Kernel-level status of a background derivation job: the pool's state
-/// machine with the terminal success carrying the *committed* task.
+/// Worker cap of a new kernel. Job workers spend their lives blocked on
+/// remote round-trips, so more workers than cores is harmless; four
+/// covers "a handful of slow sites" without a thread farm per kernel.
+const DEFAULT_JOB_WORKERS: usize = 4;
+
+/// Status of a background derivation job, as callers see it.
 ///
 /// ```text
 /// Queued ──▶ Running ──▶ Done(TaskId) | Failed(err)
@@ -61,7 +84,8 @@ pub use gaea_sched::JobId;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Submitted, awaiting a worker.
+    /// Submitted, awaiting a worker (or, recovered from the journal, its
+    /// external site).
     Queued,
     /// The worker is executing (typically: blocked in the external-site
     /// round-trip), or the result awaits its serialized commit.
@@ -93,91 +117,87 @@ impl JobStatus {
     }
 }
 
-/// The kernel's record of one submitted job — everything the pool does
-/// not know: which derivation it realizes (for dedup and pending
-/// visibility) and what its commit produced.
-pub(crate) struct JobRecord {
+/// The one state of a job, held in its record.
+enum JobState {
+    /// Recovered from the journal; waits for its external site before it
+    /// re-stages.
+    Waiting,
+    /// Staged and handed to the worker table: queued, running, or
+    /// finished with a result the next pump commits.
+    Handed,
+    /// Committed, or answered by an identical current derivation.
+    Done(TaskRun),
+    /// The remote body or the commit failed. `retry` marks a remote
+    /// failure: nothing resolves it in the journal, so it re-stages on the
+    /// next reopen.
+    Failed { error: String, retry: bool },
+    /// Cancelled before anything committed.
+    Cancelled,
+}
+
+/// The kernel's record of one job.
+struct JobRecord {
     /// Name of the output class (pending-visibility filter).
-    pub(crate) output_class: String,
+    output_class: String,
     /// The derivation identity, byte-compatible with `Task::dedup_key`.
-    pub(crate) dedup_key: String,
-    /// Set once the prepared result committed (or an identical current
-    /// derivation was reused).
-    pub(crate) committed: Option<TaskRun>,
-    /// Set if the commit itself failed.
-    pub(crate) commit_error: Option<String>,
-    /// The submitted process — with `bindings`, enough to re-stage the
-    /// firing after a restart.
-    pub(crate) process: ProcessId,
-    /// The chosen input bindings, as journaled at submission.
-    pub(crate) bindings: Vec<(String, Vec<ObjectId>)>,
-    /// Cancelled before anything committed (terminal; kept so a
-    /// journal-recovered job cancelled before re-staging still reports
-    /// its status).
-    pub(crate) cancelled: bool,
+    dedup_key: String,
+    /// The submitted process and its chosen input bindings, as journaled:
+    /// enough to re-stage the firing after a restart.
+    process: ProcessId,
+    bindings: RecordedBindings,
+    state: JobState,
 }
 
-impl JobRecord {
-    /// Has the kernel resolved this job (committed or commit-failed)?
-    pub(crate) fn resolved(&self) -> bool {
-        self.committed.is_some() || self.commit_error.is_some()
-    }
-}
-
-/// Owner of the job pool and the per-job records. One per [`Gaea`].
+/// Every job a kernel knows, and the worker table they run on. One per
+/// [`Gaea`].
 pub(crate) struct JobManager {
-    pub(crate) pool: JobPool<PreparedFiring>,
-    /// Every job ever submitted, in id order. Never pruned: a status
-    /// query may name any of them.
-    pub(crate) records: BTreeMap<JobId, JobRecord>,
-    /// The jobs whose records are neither resolved nor cancelled — the
-    /// ones the commit pump, the in-flight dedup walk and a snapshot's
-    /// submission list read, so none of them walks the whole job
-    /// history. Joined on submission and journal recovery
-    /// ([`JobManager::file`]), left on resolve and on cancel. A job
-    /// whose worker failed stays: nothing resolves it in the journal,
-    /// so it re-stages on the next reopen.
-    unresolved: BTreeSet<JobId>,
-    /// Submissions recovered from the event log but not yet re-staged
-    /// (typically: their external site is not registered again yet).
-    /// Restaging moves an id from here into the pool.
-    pub(crate) recovered: BTreeSet<JobId>,
+    /// Waiting and handed jobs, by id: what the pump, the in-flight dedup
+    /// walk and a pinned view's board read, so none of them walks the job
+    /// history.
+    in_flight: BTreeMap<JobId, JobRecord>,
+    /// Jobs in a terminal state, by id. Never pruned: a status query may
+    /// name any of them.
+    settled: BTreeMap<JobId, JobRecord>,
+    table: Arc<WorkerTable>,
     next_id: u64,
 }
 
 impl JobManager {
     pub(crate) fn new() -> JobManager {
+        let slots = Slots {
+            max_workers: DEFAULT_JOB_WORKERS,
+            ..Slots::default()
+        };
         JobManager {
-            pool: JobPool::from_env(),
-            records: BTreeMap::new(),
-            unresolved: BTreeSet::new(),
-            recovered: BTreeSet::new(),
+            in_flight: BTreeMap::new(),
+            settled: BTreeMap::new(),
+            table: Arc::new(WorkerTable {
+                slots: Mutex::new(slots),
+                changed: Condvar::new(),
+            }),
             next_id: 1,
         }
     }
 
-    fn allocate(&mut self) -> JobId {
+    /// File `record` under the next fresh id, in flight or settled by its
+    /// state.
+    fn file(&mut self, record: JobRecord) -> JobId {
         let id = JobId(self.next_id);
         self.next_id += 1;
+        let map = match record.state {
+            JobState::Waiting | JobState::Handed => &mut self.in_flight,
+            _ => &mut self.settled,
+        };
+        map.insert(id, record);
         id
     }
 
-    /// File a new job's record under `id`; a record not yet resolved
-    /// joins the unresolved set.
-    pub(crate) fn file(&mut self, id: JobId, record: JobRecord) {
-        if !record.resolved() {
-            self.unresolved.insert(id);
-        }
-        self.records.insert(id, record);
-    }
-
-    /// Mark job `id` cancelled (it never commits) and drop it from the
-    /// unresolved set.
-    fn cancel_record(&mut self, id: JobId) {
-        if let Some(record) = self.records.get_mut(&id) {
-            record.cancelled = true;
-        }
-        self.unresolved.remove(&id);
+    fn record(&self, id: JobId) -> KernelResult<&JobRecord> {
+        let record = self.in_flight.get(&id).or_else(|| self.settled.get(&id));
+        record.ok_or(KernelError::NoSuchId {
+            kind: "job",
+            id: id.0,
+        })
     }
 
     /// Never reallocate an id the journal has already seen.
@@ -185,16 +205,197 @@ impl JobManager {
         self.next_id = self.next_id.max(max_seen + 1);
     }
 
-    /// The submissions a snapshot must carry: journaled jobs that are
-    /// neither resolved nor cancelled, in id order.
+    /// The submissions a snapshot must carry, in id order: the jobs in
+    /// flight plus the remote failures, which nothing resolved in the
+    /// journal.
     pub(crate) fn unresolved_submissions(&self) -> Vec<(u64, ProcessId, RecordedBindings)> {
-        self.unresolved
+        let retried = self
+            .settled
             .iter()
-            .map(|id| {
-                let r = &self.records[id];
-                (id.0, r.process, r.bindings.clone())
-            })
-            .collect()
+            .filter(|(_, r)| matches!(r.state, JobState::Failed { retry: true, .. }));
+        let mut jobs: Vec<_> = self
+            .in_flight
+            .iter()
+            .chain(retried)
+            .map(|(id, r)| (id.0, r.process, r.bindings.clone()))
+            .collect();
+        jobs.sort_unstable_by_key(|j| j.0);
+        jobs
+    }
+}
+
+impl Drop for JobManager {
+    /// Queued bodies will never run: drop them (counted as cancelled) and
+    /// let the workers exit. Workers are detached, not joined — one
+    /// blocked in a remote call must not hang the kernel's teardown.
+    fn drop(&mut self) {
+        let mut slots = self.table.lock();
+        slots.closed = true;
+        let m = gaea_obs::metrics();
+        for _ in slots.queued.drain(..) {
+            m.jobs_queue_depth.sub(1);
+            m.jobs_cancelled.inc();
+        }
+        self.table.notify(slots);
+    }
+}
+
+/// The hand-off between the kernel and its job workers.
+struct WorkerTable {
+    slots: Mutex<Slots>,
+    /// Signalled on every hand-off, finish, cancel and wake.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Slots {
+    /// Staged bodies awaiting a worker, in submission order.
+    queued: VecDeque<(JobId, StagedFiring)>,
+    /// Jobs a worker is executing. A cancel removes the id, and the worker
+    /// then discards the result.
+    running: BTreeSet<JobId>,
+    /// Results the next pump commits.
+    finished: BTreeMap<JobId, Result<PreparedFiring, String>>,
+    /// Worker threads alive, and those of them blocked waiting for work.
+    workers: usize,
+    idle: usize,
+    /// Cap on `workers` ([`Gaea::set_job_workers`]).
+    max_workers: usize,
+    /// Bumped by every finish, cancel and wake; a waiter sleeps until it
+    /// moves.
+    progress: u64,
+    /// Set when the owning kernel drops: workers exit instead of waiting.
+    closed: bool,
+}
+
+impl WorkerTable {
+    /// Bodies run outside the lock and every mutation is a few map
+    /// operations, so a panicking holder never leaves the slots half-done:
+    /// absorb the poison rather than wedge the kernel.
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Bump `progress` and wake everyone on the condvar.
+    fn notify(&self, mut slots: MutexGuard<'_, Slots>) {
+        slots.progress += 1;
+        drop(slots);
+        self.changed.notify_all();
+    }
+
+    /// Queue a staged body, spawning a worker when none is free to take
+    /// it and the cap allows.
+    fn hand(self: &Arc<Self>, id: JobId, body: StagedFiring) {
+        let mut slots = self.lock();
+        slots.queued.push_back((id, body));
+        gaea_obs::metrics().jobs_submitted.inc();
+        gaea_obs::metrics().jobs_queue_depth.add(1);
+        if slots.queued.len() > slots.idle && slots.workers < slots.max_workers {
+            slots.workers += 1;
+            let table = Arc::clone(self);
+            std::thread::spawn(move || table.work());
+        }
+        drop(slots);
+        self.changed.notify_all();
+    }
+
+    /// A worker's life: run queued bodies until the kernel drops (which
+    /// empties the queue as it closes the table).
+    fn work(&self) {
+        let mut slots = self.lock();
+        loop {
+            slots.idle += 1;
+            slots = self
+                .changed
+                .wait_while(slots, |s| s.queued.is_empty() && !s.closed)
+                .unwrap_or_else(PoisonError::into_inner);
+            slots.idle -= 1;
+            let Some((id, body)) = slots.queued.pop_front() else {
+                return;
+            };
+            slots.running.insert(id);
+            gaea_obs::metrics().jobs_queue_depth.sub(1);
+            drop(slots);
+            // A panicking body becomes a failure, never a poisoned table.
+            let result = match catch_unwind(AssertUnwindSafe(|| body.execute())) {
+                Ok(done) => done.map_err(|e| e.to_string()),
+                Err(panic) => {
+                    let text = panic.downcast_ref::<&str>().copied();
+                    let text = text.or(panic.downcast_ref::<String>().map(String::as_str));
+                    Err(format!("job body panicked: {}", text.unwrap_or("?")))
+                }
+            };
+            slots = self.lock();
+            // Cancelled while running: the result is discarded.
+            if slots.running.remove(&id) {
+                let m = gaea_obs::metrics();
+                match &result {
+                    Ok(_) => m.jobs_completed.inc(),
+                    Err(_) => m.jobs_failed.inc(),
+                }
+                slots.finished.insert(id, result);
+                slots.progress += 1;
+                self.changed.notify_all();
+            }
+        }
+    }
+
+    /// Take job `id` back: a queued body is dropped unrun, a running
+    /// one's eventual result is discarded. `false` when the result is
+    /// already in, owed a commit.
+    fn recall(&self, id: JobId) -> bool {
+        let mut slots = self.lock();
+        if let Some(at) = slots.queued.iter().position(|(q, _)| *q == id) {
+            slots.queued.remove(at);
+            gaea_obs::metrics().jobs_queue_depth.sub(1);
+        } else if !slots.running.remove(&id) {
+            return false;
+        }
+        gaea_obs::metrics().jobs_cancelled.inc();
+        self.notify(slots);
+        true
+    }
+
+    /// Is job `id` still waiting for a worker?
+    fn is_queued(&self, id: JobId) -> bool {
+        self.lock().queued.iter().any(|(q, _)| *q == id)
+    }
+}
+
+/// A handle on a kernel's worker table that waits for job progress
+/// without holding the kernel ([`Gaea::job_waiter`]).
+/// [`Gaea::await_job`] waits through one, and so does a server's
+/// `AwaitJob`, outside the kernel lock.
+pub struct JobWaiter(Arc<WorkerTable>);
+
+impl JobWaiter {
+    /// Poll `status` until it answers a terminal status, `deadline`
+    /// passes or `stop()` holds, and return its last answer. Between polls
+    /// the thread sleeps on the table's condvar until a worker finishes, a
+    /// job is cancelled or [`JobWaiter::wake`] rings.
+    pub fn await_status(
+        &self,
+        deadline: Instant,
+        stop: impl Fn() -> bool,
+        mut status: impl FnMut() -> KernelResult<JobStatus>,
+    ) -> KernelResult<JobStatus> {
+        loop {
+            // Read the progress mark before polling: a result that lands
+            // after the poll moves it, so the wait below cannot miss it.
+            let seen = self.0.lock().progress;
+            let now = status()?;
+            if now.is_terminal() || stop() || Instant::now() >= deadline {
+                return Ok(now);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            let slots = self.0.lock();
+            let _ = (self.0.changed).wait_timeout_while(slots, left, |s| s.progress == seen);
+        }
+    }
+
+    /// Wake every waiter, so it polls again and re-checks its `stop`.
+    pub fn wake(&self) {
+        self.0.notify(self.0.lock());
     }
 }
 
@@ -311,25 +512,13 @@ impl Gaea {
             // submissions dedup to one job.
             ChosenFiring::Pending(job) => Ok(job),
             // An identical current derivation is on record: the job is
-            // born Done with the recorded task.
+            // born Done with the recorded task. Nothing to journal — a
+            // restart has the reused task on the books already.
             ChosenFiring::Reused { run, key } => {
-                let task = self.catalog.task(run.task)?;
-                let bindings = task.inputs.clone().into_iter().collect();
-                let def = self.catalog.process(pid)?;
-                let record = JobRecord {
-                    output_class: self.catalog.class(def.output)?.name.clone(),
-                    dedup_key: key,
-                    committed: Some(run),
-                    commit_error: None,
-                    process: pid,
-                    bindings,
-                    cancelled: false,
-                };
-                let id = self.jobs.allocate();
-                self.jobs.file(id, record);
-                // Born resolved: nothing to journal — a restart has the
-                // reused task on the books already.
-                Ok(id)
+                let bindings = self.catalog.task(run.task)?.inputs.clone();
+                let bindings = bindings.into_iter().collect();
+                let record = self.job_record(pid, key, bindings, JobState::Done(run))?;
+                Ok(self.jobs.file(record))
             }
             ChosenFiring::Bound { bindings, key } => {
                 let staged = executor::stage_firing(
@@ -340,21 +529,9 @@ impl Gaea {
                     pid,
                     &bindings,
                 )?;
-                let def = self.catalog.process(pid)?;
-                let record = JobRecord {
-                    output_class: self.catalog.class(def.output)?.name.clone(),
-                    dedup_key: key,
-                    committed: None,
-                    commit_error: None,
-                    process: pid,
-                    bindings: bindings.clone(),
-                    cancelled: false,
-                };
-                let id = self.jobs.allocate();
-                self.jobs.file(id, record);
-                self.jobs
-                    .pool
-                    .submit(id, move || staged.execute().map_err(|e| e.to_string()));
+                let record = self.job_record(pid, key, bindings.clone(), JobState::Handed)?;
+                let id = self.jobs.file(record);
+                self.jobs.table.hand(id, staged);
                 // Journal the submission (with its bindings) so a crash
                 // before the result commits re-stages it on reopen.
                 self.wal_append(Event::JobSubmit {
@@ -367,97 +544,117 @@ impl Gaea {
         }
     }
 
+    /// The record of a firing of `process` over `bindings`.
+    fn job_record(
+        &self,
+        process: ProcessId,
+        dedup_key: String,
+        bindings: RecordedBindings,
+        state: JobState,
+    ) -> KernelResult<JobRecord> {
+        let def = self.catalog.process(process)?;
+        Ok(JobRecord {
+            output_class: self.catalog.class(def.output)?.name.clone(),
+            dedup_key,
+            process,
+            bindings,
+            state,
+        })
+    }
+
+    /// File a submission recovered from the journal under its own id. It
+    /// waits: its site is not registered yet, and [`Gaea::register_site`]
+    /// and the pump re-stage it.
+    pub(crate) fn recover_job(
+        &mut self,
+        id: JobId,
+        process: ProcessId,
+        bindings: RecordedBindings,
+    ) -> KernelResult<()> {
+        let key = dedup_key_for(self.catalog.process(process)?, &bindings);
+        let record = self.job_record(process, key, bindings, JobState::Waiting)?;
+        self.jobs.in_flight.insert(id, record);
+        Ok(())
+    }
+
     /// Commit every job result the workers have finished: the serialized
     /// tail of each background firing, in job-id (= submission) order.
     /// An identical current derivation recorded since the submission
     /// chose its bindings is reused instead of duplicated; a commit
-    /// failure resolves the job as `Failed` without
-    /// disturbing the others. Invoked by every job accessor and by the
-    /// query/refresh entry points, so finished results become visible
-    /// wherever the kernel next looks.
+    /// failure settles the job as `Failed` without disturbing the others.
+    /// Invoked by every job accessor and by the query/refresh entry
+    /// points, so finished results become visible wherever the kernel
+    /// next looks.
     pub(crate) fn pump_jobs(&mut self) {
-        // Journal-recovered submissions whose site has come back re-enter
-        // the pool first, so this pump (or a later one) can commit them.
+        // Recovered submissions whose site has come back are handed to the
+        // table first, so this pump (or a later one) can commit them.
         self.restage_recovered_jobs();
-        let unresolved: Vec<JobId> = self.jobs.unresolved.iter().copied().collect();
-        for id in unresolved {
-            // `take_done` moves the payload out and drops the pool entry:
-            // the result commits exactly once, and completed firings (and
-            // their computed output attributes) do not accumulate in the
-            // pool for the kernel's lifetime. The record below is the
-            // job's durable identity from here on.
-            let Some(prepared) = self.jobs.pool.take_done(id) else {
+        let finished = std::mem::take(&mut self.jobs.table.lock().finished);
+        for (id, result) in finished {
+            let Some(mut record) = self.jobs.in_flight.remove(&id) else {
                 continue;
             };
-            // This job's own key is in flight, so only a current prior
-            // recorded meanwhile answers instead of the prepared result.
-            // Nothing is counted: the submission counted this firing.
-            let record = self
-                .jobs
-                .records
-                .get(&id)
-                .expect("unresolved ids come from the record map");
-            let none_in_flight = BTreeMap::new();
-            let prior = prior_derivation(
-                &self.db,
-                &self.catalog,
-                &none_in_flight,
-                prepared.process(),
-                &record.dedup_key,
-            );
-            let outcome = match prior {
-                Prior::Current(run) => Ok(run),
-                _ => self.commit_firing(prepared),
+            record.state = match result {
+                // Not resolved in the journal: the job re-stages on the
+                // next reopen.
+                Err(error) => JobState::Failed { error, retry: true },
+                Ok(prepared) => {
+                    // This job's own key is in flight, so only a current
+                    // prior recorded meanwhile answers instead of the
+                    // prepared result. Nothing is counted: the submission
+                    // counted this firing.
+                    let prior = prior_derivation(
+                        &self.db,
+                        &self.catalog,
+                        &BTreeMap::new(),
+                        prepared.process(),
+                        &record.dedup_key,
+                    );
+                    let outcome = match prior {
+                        Prior::Current(run) => Ok(run),
+                        _ => self.commit_firing(prepared),
+                    };
+                    // Resolve the submission in the journal. Best-effort:
+                    // if the append fails the job merely re-stages on the
+                    // next reopen, where task reuse dedups it against the
+                    // committed result.
+                    let _ = self.wal_append(Event::JobResolved { job: id.0 });
+                    match outcome {
+                        Ok(run) => JobState::Done(run),
+                        Err(e) => JobState::Failed {
+                            error: e.to_string(),
+                            retry: false,
+                        },
+                    }
+                }
             };
-            let record = self
-                .jobs
-                .records
-                .get_mut(&id)
-                .expect("unresolved ids come from the record map");
-            match outcome {
-                Ok(run) => record.committed = Some(run),
-                Err(e) => record.commit_error = Some(e.to_string()),
-            }
-            self.jobs.unresolved.remove(&id);
-            // Resolve the submission in the journal. Best-effort: if the
-            // append fails the job merely re-stages on the next reopen,
-            // where task reuse dedups it against the committed result.
-            let _ = self.wal_append(Event::JobResolved { job: id.0 });
+            self.jobs.settled.insert(id, record);
         }
     }
 
-    /// Try to re-stage every journal-recovered submission whose
-    /// prerequisites are back (in particular: its external site). Jobs
-    /// that still cannot stage stay journaled and are retried at the
-    /// next pump or [`Gaea::register_site`]; re-running them is safe
-    /// because task reuse resolves a re-staged duplicate to the already
-    /// committed record.
+    /// Try to re-stage every waiting job whose prerequisites are back (in
+    /// particular: its external site). Jobs that still cannot stage keep
+    /// waiting and are retried at the next pump or
+    /// [`Gaea::register_site`]; re-running them is safe because task
+    /// reuse resolves a re-staged duplicate to the already committed
+    /// record.
     pub(crate) fn restage_recovered_jobs(&mut self) {
-        if self.jobs.recovered.is_empty() {
-            return;
-        }
-        let ids: Vec<JobId> = self.jobs.recovered.iter().copied().collect();
-        for id in ids {
-            let record = self
-                .jobs
-                .records
-                .get(&id)
-                .expect("recovered ids have records");
-            let pid = record.process;
+        for (id, record) in &mut self.jobs.in_flight {
+            if !matches!(record.state, JobState::Waiting) {
+                continue;
+            }
             let Ok(staged) = executor::stage_firing(
                 &self.db,
                 &self.catalog,
                 &self.registry,
                 &self.externals,
-                pid,
+                record.process,
                 &record.bindings,
             ) else {
                 continue;
             };
-            self.jobs.recovered.remove(&id);
-            self.jobs
-                .pool
-                .submit(id, move || staged.execute().map_err(|e| e.to_string()));
+            record.state = JobState::Handed;
+            self.jobs.table.hand(*id, staged);
         }
     }
 
@@ -467,69 +664,46 @@ impl Gaea {
         self.job_status_now(id)
     }
 
-    /// Every job the kernel knows, with its output class and its status
-    /// *right now* (no pumping, `&self`), computed only when asked for.
-    /// Finished results the kernel has not committed yet report
-    /// `Running`, exactly like [`Gaea::job_status`] would after its pump
-    /// found nothing. The live `pending` listing reads these rows
-    /// directly; [`Gaea::job_board`] freezes them for a pinned view.
-    pub(crate) fn job_rows(
-        &self,
-    ) -> impl Iterator<Item = (JobId, &str, impl FnOnce() -> JobStatus + '_)> + '_ {
-        self.jobs.records.iter().map(move |(id, record)| {
-            let id = *id;
-            let status = move || self.record_status(id, record);
-            (id, record.output_class.as_str(), status)
+    /// Status without pumping (the caller just pumped).
+    fn job_status_now(&self, id: JobId) -> KernelResult<JobStatus> {
+        Ok(match &self.jobs.record(id)?.state {
+            JobState::Waiting => JobStatus::Queued,
+            // Queued until a worker takes it; from then on, until its
+            // result commits, Running.
+            JobState::Handed if self.jobs.table.is_queued(id) => JobStatus::Queued,
+            JobState::Handed => JobStatus::Running,
+            JobState::Done(run) => JobStatus::Done(run.task),
+            JobState::Failed { error, .. } => JobStatus::Failed(error.clone()),
+            JobState::Cancelled => JobStatus::Cancelled,
         })
     }
 
+    /// The jobs in flight as `(id, output class)` rows, in id order: what
+    /// the live `pending` listing filters and [`Gaea::job_board`] freezes.
+    pub(crate) fn jobs_in_flight(&self) -> impl Iterator<Item = (JobId, &str)> + '_ {
+        self.jobs
+            .in_flight
+            .iter()
+            .map(|(id, r)| (*id, r.output_class.as_str()))
+    }
+
     /// The job board a snapshot-pinned [`super::readonly::ReadView`]
-    /// freezes: every row of [`Gaea::job_rows`], status evaluated.
-    pub(crate) fn job_board(&self) -> Vec<super::readonly::PinnedJob> {
-        self.job_rows()
-            .map(|(id, output_class, status)| super::readonly::PinnedJob {
+    /// freezes: the jobs in flight, so a publish costs what is in flight,
+    /// not every job the kernel has run.
+    pub(crate) fn job_board(&self) -> Vec<PinnedJob> {
+        self.jobs_in_flight()
+            .map(|(id, class)| PinnedJob {
                 id,
-                status: status(),
-                output_class: output_class.to_string(),
+                output_class: class.to_string(),
             })
             .collect()
     }
 
-    /// Status without pumping (the caller just pumped).
-    fn job_status_now(&self, id: JobId) -> KernelResult<JobStatus> {
-        let record = self.jobs.records.get(&id).ok_or(KernelError::NoSuchId {
-            kind: "job",
-            id: id.0,
-        })?;
-        Ok(self.record_status(id, record))
-    }
-
-    /// The status of job `id`, whose record is `record`, without pumping.
-    fn record_status(&self, id: JobId, record: &JobRecord) -> JobStatus {
-        if let Some(run) = &record.committed {
-            return JobStatus::Done(run.task);
-        }
-        if let Some(e) = &record.commit_error {
-            return JobStatus::Failed(e.clone());
-        }
-        match self.jobs.pool.status(id) {
-            Some(sched_jobs::JobStatus::Queued) => JobStatus::Queued,
-            // A result the pool holds but the kernel has not committed
-            // yet reports Running: the firing is not on the books until
-            // the serialized commit lands.
-            Some(sched_jobs::JobStatus::Running) | Some(sched_jobs::JobStatus::Done(_)) => {
-                JobStatus::Running
-            }
-            Some(sched_jobs::JobStatus::Failed(e)) => JobStatus::Failed(e),
-            Some(sched_jobs::JobStatus::Cancelled) => JobStatus::Cancelled,
-            // Cancelled before (re-)entering the pool.
-            None if record.cancelled => JobStatus::Cancelled,
-            // Journal-recovered, awaiting its site to re-stage: queued.
-            None if self.jobs.recovered.contains(&id) => JobStatus::Queued,
-            // Reuse-resolved records never enter the pool; they were
-            // handled above via `committed`.
-            None => unreachable!("job record without commit state or pool entry"),
-        }
+    /// A handle that waits for this kernel's job progress without holding
+    /// the kernel — for a server that must not park a session inside its
+    /// kernel lock.
+    pub fn job_waiter(&self) -> JobWaiter {
+        JobWaiter(Arc::clone(&self.jobs.table))
     }
 
     /// Block until the job reaches a terminal state — committing the
@@ -539,20 +713,8 @@ impl Gaea {
     /// waits are both legitimate.
     pub fn await_job(&mut self, id: JobId, timeout: Duration) -> KernelResult<JobStatus> {
         let deadline = Instant::now() + timeout;
-        loop {
-            self.pump_jobs();
-            let status = self.job_status_now(id)?;
-            if status.is_terminal() {
-                return Ok(status);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(status);
-            }
-            // Wait on the pool for the worker to finish (or the deadline);
-            // the next loop iteration commits and re-reads.
-            self.jobs.pool.wait_terminal(id, deadline - now);
-        }
+        self.job_waiter()
+            .await_status(deadline, || false, || self.job_status(id))
     }
 
     /// Cancel a job. A queued job never runs; a running job's eventual
@@ -563,25 +725,22 @@ impl Gaea {
     /// and the recorded task stays on the books.
     pub fn cancel_job(&mut self, id: JobId) -> KernelResult<JobStatus> {
         self.pump_jobs();
-        let record = self.jobs.records.get(&id).ok_or(KernelError::NoSuchId {
-            kind: "job",
-            id: id.0,
-        })?;
-        if !record.resolved() {
-            if self.jobs.recovered.remove(&id) {
-                // Journal-recovered and never re-staged: nothing is
-                // running. Mark it cancelled and resolve it in the log so
-                // a reopen does not resurrect it.
-                self.jobs.cancel_record(id);
-                self.wal_append(Event::JobResolved { job: id.0 })?;
-            } else if self.jobs.pool.cancel(id) {
-                self.jobs.cancel_record(id);
-                self.wal_append(Event::JobResolved { job: id.0 })?;
-            } else {
-                // The worker finished between the pump and the cancel: the
-                // result is already owed a commit — land it, then report.
-                self.pump_jobs();
-            }
+        let cancelled = match self.jobs.record(id)?.state {
+            // Never re-staged: nothing is running.
+            JobState::Waiting => true,
+            JobState::Handed => self.jobs.table.recall(id),
+            _ => false,
+        };
+        if cancelled {
+            let mut record = self.jobs.in_flight.remove(&id).expect("in flight");
+            record.state = JobState::Cancelled;
+            self.jobs.settled.insert(id, record);
+            // Resolve it in the log so a reopen does not resurrect it.
+            self.wal_append(Event::JobResolved { job: id.0 })?;
+        } else {
+            // Settled already, or the worker finished between the pump
+            // and the recall: the result is owed a commit — land it.
+            self.pump_jobs();
         }
         self.job_status_now(id)
     }
@@ -590,69 +749,50 @@ impl Gaea {
     /// with current statuses (finished results are committed first).
     pub fn jobs(&mut self) -> Vec<(JobId, JobStatus)> {
         self.pump_jobs();
-        self.jobs
-            .records
-            .keys()
+        let mut ids: Vec<JobId> = self.jobs.in_flight.keys().copied().collect();
+        ids.extend(self.jobs.settled.keys());
+        ids.sort_unstable();
+        ids.into_iter()
             .map(|id| {
                 (
-                    *id,
-                    self.job_status_now(*id).expect("listed ids have records"),
+                    id,
+                    self.job_status_now(id).expect("listed ids have records"),
                 )
             })
             .collect()
     }
 
-    /// Cap on concurrently executing background jobs.
-    pub fn job_workers(&self) -> usize {
-        self.jobs.pool.max_workers()
-    }
-
-    /// Adjust the background-job worker cap (clamped to ≥ 1; the
-    /// `GAEA_JOB_WORKERS` environment variable sets the initial value).
-    /// Wave-execution workers ([`Gaea::set_workers`]) are a separate,
-    /// CPU-bound pool.
+    /// Adjust the background-job worker cap (clamped to ≥ 1; 4 for a new
+    /// kernel). Wave-execution workers ([`Gaea::set_workers`]) are a
+    /// separate, CPU-bound pool.
     pub fn set_job_workers(&mut self, workers: usize) {
-        self.jobs.pool.set_max_workers(workers);
+        self.jobs.table.lock().max_workers = workers.max(1);
     }
 
-    /// Dedup keys of every *unresolved* derivation job (queued, running,
-    /// or finished-but-uncommitted), for the walkers that must not fire
-    /// a duplicate of an in-flight derivation. Walks the unresolved set
-    /// only, so its cost follows the jobs in flight, not every job the
-    /// kernel has run.
+    /// Dedup keys of every job in flight (waiting, queued, running, or
+    /// finished-but-uncommitted), for the walkers that must not fire a
+    /// duplicate of an in-flight derivation. Its cost follows the jobs in
+    /// flight, not every job the kernel has run.
     pub(crate) fn jobs_in_flight_keys(&self) -> BTreeMap<String, JobId> {
         let mut keys = BTreeMap::new();
-        for id in &self.jobs.unresolved {
-            let record = &self.jobs.records[id];
-            // A journal-recovered submission awaiting its site is just as
-            // in-flight as a pooled one.
-            if self.jobs.recovered.contains(id) {
-                keys.entry(record.dedup_key.clone()).or_insert(*id);
-                continue;
-            }
-            match self.jobs.pool.phase(*id) {
-                Some(JobPhase::Queued) | Some(JobPhase::Running) | Some(JobPhase::Done) => {
-                    keys.entry(record.dedup_key.clone()).or_insert(*id);
-                }
-                _ => {}
-            }
+        for (id, record) in &self.jobs.in_flight {
+            keys.entry(record.dedup_key.clone()).or_insert(*id);
         }
         keys
     }
 }
 
-/// The jobs a query over `classes` lists in `QueryOutcome::pending`:
-/// every job whose output class is a target and whose status is not
-/// terminal — the in-flight derivations that may yet add to the answer.
-/// Rows are `(id, output class, status)`, as [`Gaea::job_rows`] yields
-/// them live and a pinned job board replays them; a status is evaluated
-/// only for jobs of a target class.
-pub(crate) fn pending_jobs_for<'a, S: FnOnce() -> JobStatus>(
+/// The jobs a query over `classes` lists in `QueryOutcome::pending`: the
+/// in-flight jobs whose output class is a target — the derivations that
+/// may yet add to the answer. Rows are `(id, output class)`, as
+/// [`Gaea::jobs_in_flight`] yields them live and a pinned job board
+/// replays them.
+pub(crate) fn pending_jobs_for<'a>(
     classes: &[String],
-    rows: impl IntoIterator<Item = (JobId, &'a str, S)>,
+    rows: impl IntoIterator<Item = (JobId, &'a str)>,
 ) -> Vec<JobId> {
     rows.into_iter()
-        .filter(|(_, class, _)| classes.iter().any(|c| c == class))
-        .filter_map(|(id, _, status)| (!status().is_terminal()).then_some(id))
+        .filter(|(_, class)| classes.iter().any(|c| c == class))
+        .map(|(id, _)| id)
         .collect()
 }

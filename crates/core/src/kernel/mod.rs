@@ -53,7 +53,7 @@ mod tests;
 pub use access::AUTO_INDEX_THRESHOLD;
 pub use ddl::{ClassSpec, ProcessSpec};
 pub use durability::{DurabilityOptions, RecoveryStats};
-pub use jobs::{JobId, JobStatus};
+pub use jobs::{JobId, JobStatus, JobWaiter};
 pub use parallel::RefreshReport;
 pub use provenance::{DriftedInput, StalenessReport, TaskCurrency};
 pub use readonly::{PinnedJob, ReadView};
@@ -81,8 +81,9 @@ pub struct Gaea {
     /// see [`Gaea::set_workers`].
     pub(crate) scheduler: Scheduler,
     /// Background derivation jobs (§5 non-blocking external firings):
-    /// the long-lived worker pool plus per-job records. Runtime state,
-    /// like registered sites — not persisted. See [`Gaea::submit_derivation`].
+    /// one record per job plus the worker table they run on. Runtime
+    /// state, like registered sites — not persisted. See
+    /// [`Gaea::submit_derivation`].
     pub(crate) jobs: jobs::JobManager,
     /// Budget of alternative input bindings tried per process firing.
     pub binding_budget: usize,

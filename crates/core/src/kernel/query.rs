@@ -281,7 +281,7 @@ impl Gaea {
             // reuse, in which case only the listing here names it).
             let mut pending = vec![job];
             pending.extend(
-                pending_jobs_for(&class_names, self.job_rows())
+                pending_jobs_for(&class_names, self.jobs_in_flight())
                     .into_iter()
                     .filter(|other| *other != job),
             );
@@ -399,7 +399,7 @@ impl Gaea {
                 )));
             }
         }
-        let pending = pending_jobs_for(class_names, self.job_rows());
+        let pending = pending_jobs_for(class_names, self.jobs_in_flight());
         Ok(serve(outcome, q, pending))
     }
 

@@ -3,13 +3,12 @@
 //!
 //! A [`ReadView`] is the kernel half of an MVCC read transaction: a
 //! [`gaea_store::PinnedStore`] (frozen relations + version counters)
-//! paired with the catalog and the background-job listing captured at
-//! the same commit point. Two kinds of statement execute here against
-//! the pinned state — a `RETRIEVE` without `DERIVE`/`FRESH`/`ASYNC`
-//! ([`ReadView::query`]) and a job poll ([`ReadView::job_status`]) —
-//! holding **no** kernel lock: concurrent readers never block behind a
-//! commit or behind each other, and a reader's answer is always equal to
-//! some committed prefix of the write history (snapshot isolation).
+//! paired with the catalog and the jobs in flight captured at the same
+//! commit point. A `RETRIEVE` without `DERIVE`/`FRESH`/`ASYNC`
+//! ([`ReadView::query`]) executes here against the pinned state holding
+//! **no** kernel lock: concurrent readers never block behind a commit or
+//! behind each other, and a reader's answer is always equal to some
+//! committed prefix of the write history (snapshot isolation).
 //!
 //! [`ReadView::query`] runs the same resolve → retrieve → serve stages
 //! as the live [`super::Gaea::query`] (see [`super::query`]), over the
@@ -21,7 +20,7 @@
 //! ([`super::session::SharedKernel`]) routes them into the serialized
 //! commit path instead — and an empty step 1 is [`KernelError::NoData`].
 
-use super::jobs::{pending_jobs_for, JobId, JobStatus};
+use super::jobs::{pending_jobs_for, JobId};
 use super::query as qexec;
 use crate::catalog::Catalog;
 use crate::error::{KernelError, KernelResult};
@@ -29,20 +28,17 @@ use crate::query::{Query, QueryOutcome, QueryStrategy};
 use gaea_store::PinnedStore;
 use std::sync::Arc;
 
-/// One background job as frozen into a view: its id, status and output
-/// class at pin time.
+/// One background job in flight at pin time, as frozen into a view.
 #[derive(Debug, Clone)]
 pub struct PinnedJob {
     /// The job's id.
     pub id: JobId,
-    /// Status at pin time.
-    pub status: JobStatus,
     /// Name of the class the job derives into (pending-visibility filter).
     pub output_class: String,
 }
 
 /// A self-contained, immutable view of one committed kernel state:
-/// store data, version counters, catalog, and the job board. Cheap to
+/// store data, version counters, catalog, and the jobs in flight. Cheap to
 /// share (`Arc` fields), safe to query from any thread, and pinned —
 /// commits landing after the pin are invisible.
 #[derive(Debug, Clone)]
@@ -114,24 +110,12 @@ impl ReadView {
                 )));
             }
             let _project = gaea_obs::span("project");
-            let rows = self
-                .jobs
-                .iter()
-                .map(|j| (j.id, j.output_class.as_str(), || j.status.clone()));
+            let rows = self.jobs.iter().map(|j| (j.id, j.output_class.as_str()));
             Ok(qexec::serve(retrieved, q, pending_jobs_for(&classes, rows)))
         })
     }
 
-    /// Status of a background job as of the pin. `None` for a job id the
-    /// pinned state had never seen (e.g. submitted after the pin).
-    pub fn job_status(&self, id: JobId) -> Option<JobStatus> {
-        self.jobs
-            .iter()
-            .find(|j| j.id == id)
-            .map(|j| j.status.clone())
-    }
-
-    /// The pinned job board.
+    /// The pinned job board: the jobs in flight at pin time.
     pub fn jobs(&self) -> &[PinnedJob] {
         &self.jobs
     }
@@ -145,7 +129,7 @@ impl super::Gaea {
     }
 
     /// Pin a [`ReadView`] of the current committed state: the store
-    /// (data + counters), the catalog, and the job board, all frozen at
+    /// (data + counters), the catalog, and the jobs in flight, all frozen at
     /// this instant. Taken through `&self`, so the exclusive borrow
     /// discipline guarantees the copy never observes a half-applied
     /// mutation.

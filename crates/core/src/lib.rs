@@ -38,8 +38,8 @@ pub mod template;
 
 pub use error::{KernelError, KernelResult};
 pub use external::{ExternalExecutor, ExternalRegistry, SimulatedSite};
-pub use ids::{ClassId, ConceptId, ExperimentId, ObjectId, ProcessId, TaskId};
+pub use ids::{ClassId, ConceptId, ExperimentId, JobId, ObjectId, ProcessId, TaskId};
 pub use interact::InteractiveSession;
-pub use kernel::{Gaea, JobId, JobStatus};
+pub use kernel::{Gaea, JobStatus};
 pub use object::DataObject;
 pub use query::{AttrCmp, AttrPred, CostHint, Query, QueryMethod, QueryOutcome, QueryStrategy};

@@ -7,10 +7,10 @@
 //! relationship. Steps 2 and 3 are prioritized according to the user's
 //! needs."
 
+use crate::ids::JobId;
 use crate::ids::{ObjectId, TaskId};
 use crate::object::DataObject;
 use gaea_adt::{AbsTime, GeoBox, TimeRange, Value};
-use gaea_sched::JobId;
 use serde::{Deserialize, Serialize};
 
 /// What the query targets.

@@ -1,4 +1,4 @@
-//! # gaea-sched — the derivation scheduler
+//! # gaea-sched — the derivation wave scheduler
 //!
 //! Gaea's §5 derivation plans are DAGs whose independent firings the
 //! paper executes one at a time. This crate owns the two pieces the
@@ -20,27 +20,19 @@
 //!   single-threaded mode is behaviourally identical to not having a
 //!   scheduler at all.
 //!
-//! * [`JobPool`] — the asynchronous complement to the wave pool:
-//!   long-lived background workers for firings that take minutes
-//!   (§5 external sites), driven through a submit / poll / await /
-//!   cancel surface with the `Queued → Running → Done | Failed |
-//!   Cancelled` state machine. The kernel's `Gaea::submit_derivation`
-//!   rides on it; the pool itself never touches the store — workers
-//!   compute results, the owner commits them.
-//!
-//! The kernel drives the wave pieces together in a *prepare / commit* split:
+//! The kernel drives the two together in a *prepare / commit* split:
 //! for each wave it `map`s a read-only prepare step over the wave's
 //! firings (workers share `&Database` / `&Catalog` snapshots) and then
 //! commits the results serially, in node order, before the next wave's
 //! bindings are resolved. Expensive template evaluation parallelizes;
-//! only the cheap store/catalog writes serialize.
+//! only the cheap store/catalog writes serialize. (Background jobs —
+//! firings that wait minutes on a remote site — are the kernel's own
+//! business: `gaea_core::kernel::jobs`.)
 
 pub mod graph;
-pub mod jobs;
 pub mod pool;
 
 pub use graph::{CycleError, DepGraph, NodeId};
-pub use jobs::{JobId, JobPhase, JobPool, JobStatus, DEFAULT_JOB_WORKERS, JOB_WORKERS_ENV};
 pub use pool::{parse_workers, Scheduler};
 
 /// Environment variable consulted by [`Scheduler::from_env`]: the number

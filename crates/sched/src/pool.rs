@@ -16,27 +16,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Read a worker count from environment variable `var`, falling back to
-/// `fallback` when unset — and, *loudly*, when malformed: the parse
-/// error is reported on stderr (naming `what` is being configured) so a
-/// typo'd deployment does not silently run at the default, but
-/// misconfiguration never changes behaviour. Shared by
-/// [`Scheduler::from_env`] and `JobPool::from_env`.
-pub(crate) fn env_workers(var: &str, fallback: usize, what: &str) -> usize {
-    match std::env::var(var) {
-        Ok(v) => match parse_workers(&v) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("gaea-sched: ignoring {var}={v:?}: {e}; defaulting to {fallback} {what}");
-                fallback
-            }
-        },
-        Err(_) => fallback,
-    }
-}
-
-/// Parse a worker-count specification (the value of `GAEA_SCHED_WORKERS`
-/// or `GAEA_JOB_WORKERS`): a positive integer, surrounding whitespace
+/// Parse a worker-count specification (the value of
+/// `GAEA_SCHED_WORKERS`): a positive integer, surrounding whitespace
 /// allowed. Zero, negatives and non-numbers are errors — worker counts
 /// opt *into* parallelism, so there is no meaningful zero.
 pub fn parse_workers(spec: &str) -> Result<usize, String> {
@@ -85,7 +66,15 @@ impl Scheduler {
     /// reported on stderr so a typo'd deployment does not quietly run
     /// single-threaded forever.
     pub fn from_env() -> Scheduler {
-        Scheduler::new(env_workers(crate::WORKERS_ENV, 1, "wave worker"))
+        let var = crate::WORKERS_ENV;
+        let workers = match std::env::var(var) {
+            Ok(v) => parse_workers(&v).unwrap_or_else(|e| {
+                eprintln!("gaea-sched: ignoring {var}={v:?}: {e}; defaulting to 1 wave worker");
+                1
+            }),
+            Err(_) => 1,
+        };
+        Scheduler::new(workers)
     }
 
     /// Number of workers a `map` call may use.

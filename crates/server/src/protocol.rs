@@ -55,12 +55,13 @@ pub enum Request {
         oid: u64,
         attrs: Vec<(String, Value)>,
     },
-    /// Status of a background job — answered from the pinned job board
-    /// when the id is known there, from the live kernel otherwise.
+    /// Status of a background job. Serialized: the poll commits a
+    /// finished result first, so it never answers a stale status.
     JobStatus { id: u64 },
     /// Block (server-side, bounded) until a job resolves. The server
-    /// polls with short serialized statements; it never parks a thread
-    /// holding the kernel.
+    /// polls with short serialized statements and sleeps between them on
+    /// the kernel's job condvar; it never parks a thread holding the
+    /// kernel.
     AwaitJob { id: u64, timeout_ms: u64 },
     /// Cancel a queued or running job. Always serialized.
     CancelJob { id: u64 },

@@ -4,14 +4,15 @@
 //! One [`gaea_core::kernel::SharedKernel`] serves every session:
 //!
 //! * statements the protocol classifies as **read-only** (plain
-//!   `RETRIEVE`, `JobStatus` for a pinned job, `Stats`, `Ping`) run on
-//!   an `Arc<ReadView>` pinned per statement — concurrent readers never
-//!   wait for the kernel mutex, so a writer mid-commit never stalls
-//!   them;
+//!   `RETRIEVE`, `Stats`, `Ping`) run on an `Arc<ReadView>` pinned per
+//!   statement — concurrent readers never wait for the kernel mutex, so
+//!   a writer mid-commit never stalls them;
 //! * everything that can mutate (definitions, inserts, updates,
-//!   `RETRIEVE … DERIVE`/`FRESH`, job submit/cancel) funnels through
+//!   `RETRIEVE … DERIVE`/`FRESH`, job submit/cancel, and job polls,
+//!   which commit finished results first) funnels through
 //!   [`SharedKernel::exec`] — the same single serialized commit path the
-//!   WAL has always assumed.
+//!   WAL has always assumed. `AwaitJob` sleeps between its polls on the
+//!   kernel's job condvar ([`JobWaiter`]), outside the kernel mutex.
 //!
 //! **Admission control**: at most `max_sessions` concurrent sessions; a
 //! connection over the limit is answered with one `Error` frame and
@@ -20,8 +21,10 @@
 //! sends nothing for that long is disconnected) and a statement budget.
 //!
 //! **Shutdown** (wire `Shutdown`, or [`ServerHandle::shutdown`]): the
-//! accept loop stops admitting, every live session's socket is shut
-//! down to unblock pending reads, session threads are joined, and the
+//! blocking accept is woken by one connection to the bound address and
+//! stops admitting, pending `AwaitJob`s are woken through the job
+//! condvar, every live session's socket is shut down to unblock pending
+//! reads, session threads are joined, and the
 //! kernel is torn down with a **checked** WAL flush —
 //! [`Gaea::close`] — whose error is the server's exit status, not a
 //! swallowed `Drop`. The wire request is honored only from loopback
@@ -33,12 +36,11 @@ use crate::protocol::{
     read_frame, write_frame, FrameError, Request, Response, ServerStats, WireJobStatus,
     WireOutcome, WireTrace, FRAME_REQUEST, FRAME_RESPONSE,
 };
-use gaea_core::kernel::{Gaea, ReadView, SharedKernel};
+use gaea_core::kernel::{Gaea, JobWaiter, ReadView, SharedKernel};
 use gaea_core::{JobId, KernelError};
 use gaea_lang::{compile_query, lower_program, parse};
 use std::collections::HashMap;
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -98,9 +100,37 @@ struct ServerState {
     /// Live sessions: id → the accepted stream's clone, kept so shutdown
     /// can unblock a session parked in a read.
     live: Mutex<HashMap<u64, TcpStream>>,
+    /// Wakes sessions parked in `AwaitJob` when shutdown begins.
+    jobs: JobWaiter,
+    /// Where one connection wakes the blocking accept at shutdown.
+    wake_addr: SocketAddr,
 }
 
 impl ServerState {
+    fn new(config: ServerConfig, jobs: JobWaiter, wake_addr: SocketAddr) -> ServerState {
+        ServerState {
+            config,
+            shutdown: AtomicBool::new(false),
+            sessions_opened: AtomicU64::new(0),
+            sessions_refused: AtomicU64::new(0),
+            reads_pinned: AtomicU64::new(0),
+            writes_serialized: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            live: Mutex::new(HashMap::new()),
+            jobs,
+            wake_addr,
+        }
+    }
+
+    /// Raise the shutdown flag, then wake whatever waits on it: sessions
+    /// parked in `AwaitJob`, and the accept loop (by one connection,
+    /// which it drops unserved).
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        self.jobs.wake();
+        let _ = TcpStream::connect(self.wake_addr);
+    }
+
     fn stats(&self, clock: u64) -> ServerStats {
         // One answer carries both tiers of observability: the server's
         // own session/statement counters and the process-wide metrics
@@ -138,7 +168,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Request shutdown: equivalent to a wire `Shutdown` request.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::Release);
+        self.state.begin_shutdown();
     }
 }
 
@@ -153,20 +183,18 @@ impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) over a kernel.
     pub fn bind(kernel: Gaea, addr: &str, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let state = ServerState::new(config, kernel.job_waiter(), wake_addr);
         Ok(Server {
             kernel: SharedKernel::new(kernel),
             listener,
-            state: Arc::new(ServerState {
-                config,
-                shutdown: AtomicBool::new(false),
-                sessions_opened: AtomicU64::new(0),
-                sessions_refused: AtomicU64::new(0),
-                reads_pinned: AtomicU64::new(0),
-                writes_serialized: AtomicU64::new(0),
-                protocol_errors: AtomicU64::new(0),
-                live: Mutex::new(HashMap::new()),
-            }),
+            state: Arc::new(state),
         })
     }
 
@@ -193,58 +221,62 @@ impl Server {
         let mut workers: Vec<JoinHandle<()>> = Vec::new();
         let mut next_session: u64 = 1;
 
-        while !state.shutdown.load(Ordering::Acquire) {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let admitted = {
-                        let live = state.live.lock().unwrap_or_else(PoisonError::into_inner);
-                        live.len() < state.config.max_sessions
-                    };
-                    if !admitted {
-                        state.sessions_refused.fetch_add(1, Ordering::Relaxed);
-                        let mut s = stream;
-                        let _ = write_frame(
-                            &mut s,
-                            FRAME_RESPONSE,
-                            &Response::Error {
-                                message: "admission refused: server at max sessions".into(),
-                            },
-                        );
-                        continue;
-                    }
-                    let id = next_session;
-                    next_session += 1;
-                    state.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                    if let Ok(clone) = stream.try_clone() {
-                        state
-                            .live
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .insert(id, clone);
-                    }
-                    let kernel = Arc::clone(&kernel);
-                    let state2 = Arc::clone(&state);
-                    workers.push(std::thread::spawn(move || {
-                        // Drop guard: the admission slot is released even
-                        // if serve_session panics — a wedged statement
-                        // must not consume `max_sessions` permanently.
-                        let _slot = SlotGuard { state: &state2, id };
-                        serve_session(id, stream, &kernel, &state2);
-                    }));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        loop {
+            let accepted = listener.accept();
+            if state.shutdown.load(Ordering::Acquire) {
+                break;
             }
+            // Back off briefly after a real accept error (e.g. out of file
+            // descriptors) instead of spinning on it.
+            let Ok((stream, _peer)) = accepted else {
+                std::thread::sleep(Duration::from_millis(2));
+                continue;
+            };
+            let admitted = {
+                let live = state.live.lock().unwrap_or_else(PoisonError::into_inner);
+                live.len() < state.config.max_sessions
+            };
+            if !admitted {
+                state.sessions_refused.fetch_add(1, Ordering::Relaxed);
+                let mut s = stream;
+                let _ = write_frame(
+                    &mut s,
+                    FRAME_RESPONSE,
+                    &Response::Error {
+                        message: "admission refused: server at max sessions".into(),
+                    },
+                );
+                continue;
+            }
+            let id = next_session;
+            next_session += 1;
+            state.sessions_opened.fetch_add(1, Ordering::Relaxed);
+            if let Ok(clone) = stream.try_clone() {
+                state
+                    .live
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert(id, clone);
+            }
+            let kernel = Arc::clone(&kernel);
+            let state2 = Arc::clone(&state);
+            workers.push(std::thread::spawn(move || {
+                // Drop guard: the admission slot is released even
+                // if serve_session panics — a wedged statement
+                // must not consume `max_sessions` permanently.
+                let _slot = SlotGuard { state: &state2, id };
+                serve_session(id, stream, &kernel, &state2);
+            }));
         }
 
-        // Drain: unblock every session parked in a read, then join.
+        // Drain: unblock every session parked in a read, then join. Only
+        // the read side closes, so a session still answering (an
+        // `AwaitJob` that shutdown just woke) gets its reply out.
         drop(listener);
         {
             let live = state.live.lock().unwrap_or_else(PoisonError::into_inner);
             for stream in live.values() {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
+                let _ = stream.shutdown(std::net::Shutdown::Read);
             }
         }
         for w in workers {
@@ -360,7 +392,11 @@ fn serve_session(id: u64, mut stream: TcpStream, kernel: &SharedKernel, state: &
             return;
         }
         let (resp, done) = answer(req, kernel, state, peer_is_loopback);
-        if write_frame(&mut stream, FRAME_RESPONSE, &resp).is_err() || done {
+        let sent = write_frame(&mut stream, FRAME_RESPONSE, &resp);
+        if matches!(resp, Response::ShuttingDown) {
+            state.begin_shutdown();
+        }
+        if sent.is_err() || done {
             return;
         }
     }
@@ -451,42 +487,17 @@ fn answer(
             )
         }
         Request::JobStatus { id } => {
-            // Pinned first — the snapshot-isolation read path; a job the
-            // pinned board predates falls back to one short serialized
-            // statement.
-            let jid = JobId(id);
-            let view = kernel.pin();
-            if let Some(status) = view.job_status(jid) {
-                state.reads_pinned.fetch_add(1, Ordering::Relaxed);
-                return (
-                    Response::Job {
-                        id,
-                        status: WireJobStatus::from(status),
-                    },
-                    false,
-                );
-            }
+            // Serialized, so the poll commits a result that has landed.
             state.writes_serialized.fetch_add(1, Ordering::Relaxed);
-            let out = kernel.exec(|g| g.job_status(jid));
             (
-                match out {
-                    Ok(status) => Response::Job {
-                        id,
-                        status: WireJobStatus::from(status),
-                    },
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                },
+                job_reply(id, kernel.exec(|g| g.job_status(JobId(id)))),
                 false,
             )
         }
         Request::AwaitJob { id, timeout_ms } => {
-            // Poll with short serialized statements; never park a thread
-            // inside the kernel lock waiting for a worker. One counter
-            // tick per request, not per poll — the stat counts client
-            // statements on the commit path, not poll cycles.
-            let jid = JobId(id);
+            // Short serialized polls, and between them a sleep on the job
+            // condvar outside the kernel lock. One counter tick per
+            // request: the stat counts client statements, not polls.
             state.writes_serialized.fetch_add(1, Ordering::Relaxed);
             // The client's timeout is a request, not a contract: clamp
             // to the server's ceiling, and add to `now` checked so a
@@ -495,47 +506,19 @@ fn answer(
             let deadline = Instant::now()
                 .checked_add(timeout)
                 .unwrap_or_else(Instant::now);
-            loop {
-                match kernel.exec(|g| g.job_status(jid)) {
-                    Ok(status) => {
-                        let wire = WireJobStatus::from(status);
-                        // Shutdown ends the wait early with the current
-                        // (possibly non-terminal) status: this thread is
-                        // not parked in a read, so the drain's socket
-                        // shutdown can't unblock it — it must notice on
-                        // its own or `Server::run`'s join hangs.
-                        if wire.is_terminal()
-                            || Instant::now() >= deadline
-                            || state.shutdown.load(Ordering::Acquire)
-                        {
-                            return (Response::Job { id, status: wire }, false);
-                        }
-                    }
-                    Err(e) => {
-                        return (
-                            Response::Error {
-                                message: e.to_string(),
-                            },
-                            false,
-                        )
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Shutdown ends the wait early with the current (possibly
+            // non-terminal) status: `Server::run` joins this thread.
+            let status = state.jobs.await_status(
+                deadline,
+                || state.shutdown.load(Ordering::Acquire),
+                || kernel.exec(|g| g.job_status(JobId(id))),
+            );
+            (job_reply(id, status), false)
         }
         Request::CancelJob { id } => {
             state.writes_serialized.fetch_add(1, Ordering::Relaxed);
-            let out = kernel.exec(|g| g.cancel_job(JobId(id)));
             (
-                match out {
-                    Ok(status) => Response::Job {
-                        id,
-                        status: WireJobStatus::from(status),
-                    },
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                },
+                job_reply(id, kernel.exec(|g| g.cancel_job(JobId(id)))),
                 false,
             )
         }
@@ -566,9 +549,24 @@ fn answer(
                     true,
                 );
             }
+            // The session wakes the waiters once this reply is out: the
+            // drain shuts every session socket, this one included.
             state.shutdown.store(true, Ordering::Release);
             (Response::ShuttingDown, true)
         }
+    }
+}
+
+/// The answer to a job statement.
+fn job_reply(id: u64, status: Result<gaea_core::JobStatus, KernelError>) -> Response {
+    match status {
+        Ok(status) => Response::Job {
+            id,
+            status: WireJobStatus::from(status),
+        },
+        Err(e) => Response::Error {
+            message: e.to_string(),
+        },
     }
 }
 
@@ -608,16 +606,9 @@ mod tests {
     use super::*;
 
     fn bare_state(config: ServerConfig) -> ServerState {
-        ServerState {
-            config,
-            shutdown: AtomicBool::new(false),
-            sessions_opened: AtomicU64::new(0),
-            sessions_refused: AtomicU64::new(0),
-            reads_pinned: AtomicU64::new(0),
-            writes_serialized: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            live: Mutex::new(HashMap::new()),
-        }
+        // Port 0 takes no connections: the wake connect fails fast.
+        let wake_addr = "127.0.0.1:0".parse().unwrap();
+        ServerState::new(config, Gaea::in_memory().job_waiter(), wake_addr)
     }
 
     #[test]

@@ -65,6 +65,12 @@ fn gated_site() -> (Arc<SimulatedSite>, Sender<()>) {
 /// `local` class for interactive queries.
 fn job_kernel(site: Arc<SimulatedSite>, n_obs: u32) -> Gaea {
     let mut g = Gaea::in_memory();
+    define_job_schema(&mut g, site, n_obs);
+    g
+}
+
+/// [`job_kernel`]'s schema, site and data, on any kernel.
+fn define_job_schema(g: &mut Gaea, site: Arc<SimulatedSite>, n_obs: u32) {
     g.set_workers(1);
     g.define_class(ClassSpec::base("obs").attr("v", TypeTag::Int4))
         .unwrap();
@@ -94,7 +100,6 @@ fn job_kernel(site: Arc<SimulatedSite>, n_obs: u32) -> Gaea {
     }
     g.insert_object("local", vec![("v", Value::Int4(1))])
         .unwrap();
-    g
 }
 
 fn remote_task_count(g: &Gaea) -> usize {
@@ -450,6 +455,95 @@ fn submit_time_and_run_time_failures_split_correctly() {
         other => panic!("expected Failed, got {other:?}"),
     }
     assert_eq!(remote_task_count(&g), 0);
+}
+
+/// A site body that panics fails its job — the worker catches the
+/// panic — and the same worker still runs a later job to completion.
+#[test]
+fn a_panicking_site_body_fails_the_job_and_the_next_job_completes() {
+    let site = Arc::new(SimulatedSite::new("slow_site", |_def, inputs| {
+        if inputs["x"][0].attr("v") == Some(&Value::Int4(10)) {
+            panic!("site melted");
+        }
+        double_v(inputs)
+    }));
+    let mut g = job_kernel(site, 2);
+    g.set_job_workers(1);
+    let first = g
+        .retrieve_job("RETRIEVE * FROM remote_out WHERE AT \"1986-01-01\" DERIVE ASYNC")
+        .unwrap();
+    match g.await_job(first, Duration::from_secs(10)).unwrap() {
+        JobStatus::Failed(msg) => assert!(msg.contains("site melted"), "{msg}"),
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    let second = g
+        .retrieve_job("RETRIEVE * FROM remote_out WHERE AT \"1986-01-02\" DERIVE ASYNC")
+        .unwrap();
+    let status = g.await_job(second, Duration::from_secs(10)).unwrap();
+    assert!(matches!(status, JobStatus::Done(_)), "{status:?}");
+    assert_eq!(remote_task_count(&g), 1);
+}
+
+/// Dropping a kernel returns at once even while one worker is stuck at
+/// its site and another job is queued behind it: workers are detached,
+/// and the queued body is dropped unrun.
+#[test]
+fn dropping_a_kernel_with_queued_jobs_returns_without_hanging() {
+    let (site, gate) = gated_site();
+    let mut g = job_kernel(site, 2);
+    g.set_job_workers(1);
+    g.retrieve_job("RETRIEVE * FROM remote_out WHERE AT \"1986-01-01\" DERIVE ASYNC")
+        .unwrap();
+    let queued = g
+        .retrieve_job("RETRIEVE * FROM remote_out WHERE AT \"1986-01-02\" DERIVE ASYNC")
+        .unwrap();
+    assert_eq!(g.job_status(queued).unwrap(), JobStatus::Queued);
+    let (dropped, rx) = channel();
+    std::thread::spawn(move || {
+        drop(g);
+        let _ = dropped.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("dropping the kernel hung on its stuck worker");
+    drop(gate); // the stuck worker's round-trip now errors, and it exits
+}
+
+/// A job whose remote body failed is not resolved in the journal: it
+/// re-stages when the kernel reopens — from the snapshot a checkpoint
+/// wrote, since the checkpoint truncated the log — and completes once
+/// its site is back.
+#[test]
+fn a_job_whose_remote_body_failed_restages_on_reopen() {
+    let dir = std::env::temp_dir().join(format!("gaea-async-failed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (site, gate) = gated_site();
+    drop(gate); // every round-trip errors
+    let mut g = Gaea::open(&dir).unwrap();
+    define_job_schema(&mut g, site, 1);
+    let job = g
+        .retrieve_job("RETRIEVE * FROM remote_out DERIVE ASYNC")
+        .unwrap();
+    match g.await_job(job, Duration::from_secs(10)).unwrap() {
+        JobStatus::Failed(msg) => assert!(msg.contains("gate dropped"), "{msg}"),
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    g.checkpoint().unwrap();
+    drop(g);
+
+    let mut g = Gaea::open(&dir).unwrap();
+    assert_eq!(g.recovery_stats().unwrap().jobs_restaged, 1);
+    assert_eq!(
+        g.job_status(job).unwrap(),
+        JobStatus::Queued,
+        "waits for its site"
+    );
+    let site = SimulatedSite::new("slow_site", |_def, inputs| double_v(inputs));
+    g.register_site("slow_site", Arc::new(site));
+    let status = g.await_job(job, Duration::from_secs(10)).unwrap();
+    assert!(matches!(status, JobStatus::Done(_)), "{status:?}");
+    assert_eq!(remote_task_count(&g), 1);
+    drop(g);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

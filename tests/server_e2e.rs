@@ -2,10 +2,14 @@
 //! read/write visibility across sessions, admission control, protocol
 //! errors, job round-trips, and graceful shutdown with a clean WAL.
 
-use gaea::adt::Value;
-use gaea::core::kernel::{ClassSpec, Gaea};
-use gaea::server::{Client, ClientError, Server, ServerConfig};
-use std::time::Duration;
+use gaea::adt::{TypeTag, Value};
+use gaea::core::kernel::{ClassSpec, Gaea, ProcessSpec};
+use gaea::core::{KernelError, SimulatedSite};
+use gaea::server::{Client, ClientError, Server, ServerConfig, WireJobStatus};
+use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// A running in-process server plus the thread that serves it.
 struct Harness {
@@ -28,6 +32,42 @@ fn seeded_kernel() -> Gaea {
         g.insert_object("obs", vec![("v", Value::Int4(v))]).unwrap();
     }
     g
+}
+
+/// A kernel with one `obs` object (`v` = 10) and an external process
+/// `REMOTE: obs → remote_out` (`v → 2·v`) at `slow_site`, a site that
+/// blocks each round-trip until the returned sender releases it.
+fn gated_job_kernel() -> (Gaea, Sender<()>) {
+    let (gate, rx) = channel::<()>();
+    let rx = Mutex::new(rx);
+    let site = SimulatedSite::new("slow_site", move |_def, inputs| {
+        rx.lock()
+            .unwrap()
+            .recv()
+            .map_err(|_| KernelError::Template("site gate dropped".into()))?;
+        let v = inputs["x"][0]
+            .attr("v")
+            .and_then(Value::as_i64)
+            .unwrap_or(0);
+        Ok(BTreeMap::from([(
+            "v".to_string(),
+            Value::Int4(2 * v as i32),
+        )]))
+    });
+    let mut g = Gaea::in_memory();
+    g.define_class(ClassSpec::base("obs").attr("v", TypeTag::Int4))
+        .unwrap();
+    g.define_class(ClassSpec::derived("remote_out").attr("v", TypeTag::Int4))
+        .unwrap();
+    g.define_external_process(
+        ProcessSpec::new("REMOTE", "remote_out").arg("x", "obs"),
+        "slow_site",
+    )
+    .unwrap();
+    g.register_site("slow_site", Arc::new(site));
+    g.insert_object("obs", vec![("v", Value::Int4(10))])
+        .unwrap();
+    (g, gate)
 }
 
 #[test]
@@ -245,18 +285,96 @@ fn durable_shutdown_leaves_a_clean_wal() {
 
 #[test]
 fn async_jobs_round_trip_over_the_wire() {
-    // Schema with a derivable class so DERIVE ASYNC has something to do
-    // is heavyweight; the job surface is exercised against the error
-    // path above and the happy path in the kernel's own suites. Here:
-    // await on an unknown job errs fast and Stats reflects the mix.
-    let h = start(seeded_kernel(), ServerConfig::default());
+    let (kernel, gate) = gated_job_kernel();
+    let h = start(kernel, ServerConfig::default());
     let mut c = Client::connect(&h.addr, "jobs").unwrap();
+    // Submit: the statement answers with the job at once, nothing derived.
+    let submitted = c
+        .retrieve("RETRIEVE * FROM remote_out DERIVE ASYNC")
+        .unwrap();
+    assert!(submitted.objects.is_empty());
+    let job = submitted.pending[0];
+    gate.send(()).unwrap();
+    match c.await_job(job, Duration::from_secs(10)).unwrap() {
+        WireJobStatus::Done { .. } => {}
+        other => panic!("expected Done, got {other:?}"),
+    }
+    // The derived object is stored data now.
+    let out = c.retrieve("RETRIEVE * FROM remote_out").unwrap();
+    assert_eq!(out.objects.len(), 1);
+    assert_eq!(out.objects[0].attr("v"), Some(&Value::Int4(20)));
+    assert!(out.pending.is_empty());
+    // Unknown jobs err fast.
     match c.await_job(555, Duration::from_millis(20)) {
         Err(ClientError::Server(_)) => {}
         other => panic!("expected unknown-job error, got {other:?}"),
     }
     assert!(matches!(c.job_status(555), Err(ClientError::Server(_))));
     c.shutdown_server().unwrap();
+    h.thread.join().unwrap();
+}
+
+/// A wire job poll sees a result that lands after a publish: the
+/// published view's job board holds the job in flight, and polls must
+/// not keep answering from it once the site has finished.
+#[test]
+fn a_job_poll_sees_the_result_after_a_publish() {
+    let (kernel, gate) = gated_job_kernel();
+    let h = start(kernel, ServerConfig::default());
+    let mut c = Client::connect(&h.addr, "poller").unwrap();
+    let job = c
+        .retrieve("RETRIEVE * FROM remote_out DERIVE ASYNC")
+        .unwrap()
+        .pending[0];
+    // One write, then one pinned read: the read publishes a view whose
+    // job board holds the job in flight.
+    c.insert("obs", vec![("v".into(), Value::Int4(11))])
+        .unwrap();
+    c.retrieve("RETRIEVE * FROM obs").unwrap();
+    gate.send(()).unwrap();
+    let mut status = c.job_status(job).unwrap();
+    for _ in 0..500 {
+        if status.is_terminal() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        status = c.job_status(job).unwrap();
+    }
+    assert!(matches!(status, WireJobStatus::Done { .. }), "{status:?}");
+    c.shutdown_server().unwrap();
+    h.thread.join().unwrap();
+}
+
+/// Shutdown ends a pending `AwaitJob` at once: the session waiting on a
+/// gated job answers its non-terminal status well inside its 10 s
+/// timeout, and `Server::run` returns.
+#[test]
+fn shutdown_ends_a_pending_await_promptly() {
+    let (kernel, _gate) = gated_job_kernel();
+    let h = start(kernel, ServerConfig::default());
+    let mut a = Client::connect(&h.addr, "awaiter").unwrap();
+    let mut b = Client::connect(&h.addr, "stopper").unwrap();
+    let job = a
+        .retrieve("RETRIEVE * FROM remote_out DERIVE ASYNC")
+        .unwrap()
+        .pending[0];
+    let before = b.stats().unwrap().writes_serialized;
+    let awaiter = std::thread::spawn(move || {
+        let started = Instant::now();
+        let status = a.await_job(job, Duration::from_secs(10));
+        (status, started.elapsed())
+    });
+    // The server counts the AwaitJob as it starts waiting.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while b.stats().unwrap().writes_serialized == before {
+        assert!(Instant::now() < deadline, "the AwaitJob never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    b.shutdown_server().unwrap();
+    let (status, waited) = awaiter.join().unwrap();
+    let status = status.expect("the awaiting session gets its answer");
+    assert!(!status.is_terminal(), "{status:?}");
+    assert!(waited < Duration::from_secs(5), "waited {waited:?}");
     h.thread.join().unwrap();
 }
 
